@@ -18,7 +18,8 @@ import numpy as np
 from . import __version__
 from .analysis import (CountRecord, filter_sweep, fit_gaussian_dip,
                        simulate_counts, simulate_jsi_scan)
-from .crystals import CrystalDatabase, CrystalSpec, SellmeierForm, builtin_database
+from .crystals import (_DB_KEYS, CrystalDatabase, CrystalSpec, _record_to_forms,
+                       builtin_database)
 from .dispersion import gvm_pump_wavelength
 from .errors import (ConfigError, NumericalError, PairspecError,
                      PhysicsDomainError)
@@ -37,10 +38,7 @@ _SOURCE_KEYS = {
 }
 _GRID_KEYS = {"n_points", "span_sigmas"}
 _FILTER_KEYS = {"shape", "center_nm", "fwhm_nm"}
-_CRYSTAL_KEYS = {
-    "formula_id", "coefficients_o", "coefficients_e",
-    "valid_um_min", "valid_um_max", "source_citation",
-}
+_CRYSTAL_KEYS = set(_DB_KEYS) - {"name"}
 
 
 @dataclass
@@ -101,25 +99,22 @@ def load_config(path, grid_points=None, flat_phase=None):
     cut_angle = _get_float(src, "cut_angle_deg", path) if "cut_angle_deg" in src else None
     if inline:
         _check_keys(parser, "crystal", _CRYSTAL_KEYS, path)
-        sec = parser["crystal"]
-        missing = _CRYSTAL_KEYS - set(sec)
+        record = {"name": "inline", **parser["crystal"]}
+        missing = _CRYSTAL_KEYS - set(record)
         if missing:
             raise ConfigError(
                 f"{path}: [crystal] missing keys: {', '.join(sorted(missing))}")
-        vmin = _get_float(sec, "valid_um_min", path)
-        vmax = _get_float(sec, "valid_um_max", path)
         try:
-            co = tuple(float(x) for x in sec["coefficients_o"].split(","))
-            ce = tuple(float(x) for x in sec["coefficients_e"].split(","))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [crystal] coefficients: {exc}") from exc
+            sellmeier_o, sellmeier_e = _record_to_forms(record)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: [crystal] {exc}") from exc
         crystal = CrystalSpec(
             name="inline",
-            sellmeier_o=SellmeierForm(sec["formula_id"], co, vmin, vmax),
-            sellmeier_e=SellmeierForm(sec["formula_id"], ce, vmin, vmax),
+            sellmeier_o=sellmeier_o,
+            sellmeier_e=sellmeier_e,
             length_mm=length_mm,
             cut_angle_deg=cut_angle,
-            source_citation=sec["source_citation"],
+            source_citation=record["source_citation"],
         )
     else:
         db = (CrystalDatabase.from_file(src["crystal_file"])
@@ -207,15 +202,16 @@ def cmd_jsa(args):
     jsa = source.build_jsa()
     if filters:
         jsa, _ = apply_filters(jsa, filters)
+    pearson = jsi_pearson(jsa)
     out = _out_dir(args)
     export_jsi_csv(jsa, out / "jsi.csv")
     export_metadata(
         out / "jsi_meta.json", source.crystal, source.pump, jsa,
         theta_deg=source.resolve_theta(), filters=filters,
-        extra={"pearson_correlation": jsi_pearson(jsa), **config.metadata()},
+        extra={"pearson_correlation": pearson, **config.metadata()},
     )
     print(f"JSI written to {out / 'jsi.csv'} "
-          f"(Pearson correlation {jsi_pearson(jsa):+.3f})")
+          f"(Pearson correlation {pearson:+.3f})")
     return 0
 
 

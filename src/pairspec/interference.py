@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .crystals import CrystalSpec
 from .dispersion import phasematching_angle
-from .errors import ConfigError, NumericalError
-from .jsa import FilterSpec, JointAmplitude, PumpSpec, build_grid, joint_amplitude
+from .errors import ConfigError
+from .jsa import (FilterSpec, FrequencyGrid, JointAmplitude, PumpSpec, build_grid,
+                  joint_amplitude)
 from .schmidt import ReducedDensityMatrix, heralded_density_matrix
 
 SQRT2 = math.sqrt(2.0)
@@ -173,50 +173,34 @@ class SourceSpec:
                                flat_phase=self.flat_phase)
 
 
-def _regrid_density(rho: ReducedDensityMatrix, axis):
-    """Resample a density matrix onto a new axis by bilinear interpolation."""
-    interp = RegularGridInterpolator(
-        (rho.omega_axis, rho.omega_axis), rho.values,
-        method="linear", bounds_error=False, fill_value=0.0,
-    )
-    ww, wp = np.meshgrid(axis, axis, indexing="ij")
-    values = interp(np.stack([ww.ravel(), wp.ravel()], axis=-1)).reshape(
-        axis.size, axis.size
-    )
-    d_omega = float(axis[1] - axis[0])
-    tr = float(np.real(np.trace(values)) * d_omega)
-    if tr <= 0.0:
-        raise NumericalError("resampled density matrix has zero trace")
-    return ReducedDensityMatrix(omega_axis=axis, values=values / tr)
-
-
 def two_source_experiment(source_a: SourceSpec, source_b: SourceSpec,
                           herald_arm, delays_fs):
     """Full pipeline: JSA -> heralded state per source -> HOM scan.
 
     Heralding on one arm interferes the other arm's photons (herald on o
-    interferes the e-rays and vice versa). When the two sources' grids
-    differ, both heralded states are resampled onto a common uniform axis
-    spanning their union.
+    interferes the e-rays and vice versa). Both JSAs are evaluated on one
+    grid that covers both sources' windows, at the larger n_points, so the
+    two heralded states share one frequency axis. For identical windows
+    this is each source's own grid.
     """
     if herald_arm not in ("e", "o"):
         raise ConfigError(f"herald_arm must be 'e' or 'o', got {herald_arm!r}")
     interfered_arm = "e" if herald_arm == "o" else "o"
-    rhos = []
-    for src in (source_a, source_b):
-        jsa = src.build_jsa()
-        rhos.append(heralded_density_matrix(jsa, heralded_arm=interfered_arm,
-                                            herald_filter=src.herald_filter))
-    rho_a, rho_b = rhos
-    same_axis = (
-        rho_a.omega_axis.size == rho_b.omega_axis.size
-        and np.allclose(rho_a.omega_axis, rho_b.omega_axis, rtol=1e-12)
+    sources = (source_a, source_b)
+    thetas = [src.resolve_theta() for src in sources]
+    windows = [
+        build_grid(src.crystal, src.pump, n_points=src.n_points,
+                   span_sigmas=src.span_sigmas, theta_deg=theta).omega_e
+        for src, theta in zip(sources, thetas)
+    ]
+    axis = np.linspace(min(w[0] for w in windows), max(w[-1] for w in windows),
+                       max(src.n_points for src in sources))
+    grid = FrequencyGrid(omega_e=axis, omega_o=axis.copy())
+    rho_a, rho_b = (
+        heralded_density_matrix(
+            joint_amplitude(src.crystal, theta, src.pump, grid,
+                            flat_phase=src.flat_phase),
+            heralded_arm=interfered_arm, herald_filter=src.herald_filter)
+        for src, theta in zip(sources, thetas)
     )
-    if not same_axis:
-        lo = min(rho_a.omega_axis[0], rho_b.omega_axis[0])
-        hi = max(rho_a.omega_axis[-1], rho_b.omega_axis[-1])
-        n = max(rho_a.omega_axis.size, rho_b.omega_axis.size)
-        axis = np.linspace(lo, hi, n)
-        rho_a = _regrid_density(rho_a, axis)
-        rho_b = _regrid_density(rho_b, axis)
     return hom_dip(rho_a, rho_b, delays_fs)

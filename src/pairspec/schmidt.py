@@ -157,15 +157,3 @@ def export_schmidt_csv(result: SchmidtResult, path, max_modes=None):
         fh.write("k,c_k,c_k_squared\n")
         for k, c in enumerate(coeff, start=1):
             fh.write(f"{k},{c:.12g},{c ** 2:.12g}\n")
-
-
-def export_density_matrix_csv(rho: ReducedDensityMatrix, path):
-    """CSV of complex entries as (re, im) pairs, axis in the header."""
-    with open(path, "w") as fh:
-        fh.write("# omega_rad_s," + ",".join(f"{x:.9g}" for x in rho.omega_axis) + "\n")
-        n = rho.omega_axis.size
-        fh.write("row,col,re,im\n")
-        for i in range(n):
-            for j in range(n):
-                v = rho.values[i, j]
-                fh.write(f"{i},{j},{v.real:.12g},{v.imag:.12g}\n")

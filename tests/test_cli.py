@@ -198,6 +198,24 @@ source_citation = inline test record
         meta = json.loads((out / "schmidt_meta.json").read_text())
         assert meta["purity"] >= 0.95
 
+    def test_malformed_inline_coefficients_rejected(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, """\
+[source]
+length_mm = 5
+pump_center_nm = 415
+pump_fwhm_nm = 4
+
+[crystal]
+formula_id = sellmeier_2pole
+coefficients_o = 2.259276, 0.01008956, oops, 13.00522, 400
+coefficients_e = 2.132668, 0.008637494, 0.012281043, 3.2279924, 400
+valid_um_min = 0.25
+valid_um_max = 1.5
+source_citation = inline test record
+""")
+        assert run(["schmidt", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert cfg in capsys.readouterr().err
+
     def test_inline_and_named_conflict(self, tmp_path):
         cfg = self.write(tmp_path, """\
 [source]

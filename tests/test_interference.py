@@ -3,11 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from pairspec.crystals import get_crystal
 from pairspec.errors import ConfigError
 from pairspec.interference import (SourceSpec, coherence_time, hom_dip,
                                    two_source_experiment)
-from pairspec.jsa import FilterSpec, FrequencyGrid, PumpSpec, normalize
+from pairspec.jsa import FilterSpec, PumpSpec, build_grid
 from pairspec.schmidt import (ReducedDensityMatrix, heralded_density_matrix,
                               purity, schmidt_decompose)
 
@@ -154,11 +157,88 @@ class TestTwoSourceExperiment:
             two_source_experiment(kdp_source, kdp_source, "x", [0, 1, 2])
 
 
-class TestRegridding:
+class TestCoveringGrid:
     def test_mismatched_grids_still_interfere(self, kdp_source):
+        # Identical windows at 512 and 384 points: both sources run on the
+        # same 512-point grid, so the result is the 512/512 one exactly.
         other = replace(kdp_source, n_points=384)
         delays = np.linspace(-1500, 1500, 301)
         same = two_source_experiment(kdp_source, kdp_source, "o", delays)
         mixed = two_source_experiment(kdp_source, other, "o", delays)
-        assert mixed.visibility == pytest.approx(same.visibility, abs=5e-3)
-        assert mixed.dip_fwhm_fs == pytest.approx(same.dip_fwhm_fs, rel=2e-2)
+        np.testing.assert_array_equal(mixed.rates, same.rates)
+        assert mixed.visibility == same.visibility
+        assert mixed.dip_fwhm_fs == same.dip_fwhm_fs
+
+    def test_mismatched_pump_bandwidths(self, kdp_source):
+        # Reference: both JSAs on one converged union grid
+        # (hom.kdp4_kdp8_o in perfbench/reference.json).
+        other = replace(kdp_source, pump=PumpSpec(415.0, 8.0))
+        scan = two_source_experiment(kdp_source, other, "o",
+                                     np.linspace(-1500, 1500, 301))
+        assert abs(scan.visibility - 0.957470) < 1e-4
+
+
+MIN_POINTS = 64
+
+
+def grid_step(src):
+    return build_grid(src.crystal, src.pump, n_points=src.n_points).d_omega_e
+
+
+@st.composite
+def source_pairs(draw):
+    """Two flat-phase sources sharing crystal, pump centre and grid size.
+
+    The windows share their centre, so the covering grid is the wider one.
+    Pairs are kept when it samples the narrower window at least as finely
+    as that source's own grid at the smallest drawn size would; coarser
+    sampling can leave a narrow photon spectrum on too few points to show
+    a dip.
+    """
+    name = draw(st.sampled_from(["KDP", "BBO"]))
+    center_nm = draw(st.floats(405.0, 420.0))
+    n_points = draw(st.integers(MIN_POINTS, 128))
+    length = st.floats(1.0, 10.0)
+    fwhm = st.floats(1.0, 10.0)
+    pair = tuple(
+        SourceSpec(crystal=get_crystal(name, draw(length)),
+                   pump=PumpSpec(center_nm, draw(fwhm)),
+                   n_points=n_points, flat_phase=True)
+        for _ in range(2)
+    )
+    fine, coarse = sorted(grid_step(src) for src in pair)
+    assume((n_points - 1) * fine / coarse >= MIN_POINTS - 1)
+    return pair
+
+
+def alias_safe_delays(*sources):
+    """Symmetric scan to just short of half the overlap's period 2*pi/d_omega
+    on the covering grid, whose step is the largest of the sources' steps."""
+    half_range_fs = 0.49 * 2.0 * math.pi / max(map(grid_step, sources)) * 1e15
+    return np.linspace(-half_range_fs, half_range_fs, 201)
+
+
+property_settings = settings(max_examples=15, deadline=None, derandomize=True,
+                             database=None)
+
+
+class TestTwoSourceProperties:
+    @property_settings
+    @given(source_pairs())
+    def test_identical_visibility_is_purity(self, pair):
+        for src in pair:
+            scan = two_source_experiment(src, src, "o", alias_safe_delays(src))
+            assert scan.visibility == pytest.approx(
+                schmidt_decompose(src.build_jsa()).purity, abs=1e-9)
+
+    @property_settings
+    @given(source_pairs())
+    def test_swapping_sources_is_symmetric(self, pair):
+        # Flat phase keeps both density matrices real, so the overlap is
+        # even in the delay and a symmetric scan is unchanged by the swap.
+        a, b = pair
+        delays = alias_safe_delays(a, b)
+        forward = two_source_experiment(a, b, "o", delays)
+        backward = two_source_experiment(b, a, "o", delays)
+        np.testing.assert_allclose(forward.rates, backward.rates, rtol=0, atol=1e-12)
+        assert forward.visibility == pytest.approx(backward.visibility, abs=1e-12)
