@@ -13,7 +13,7 @@ from scipy.interpolate import RegularGridInterpolator
 from .errors import ConfigError, FilterSupportError
 from .interference import HomScan, SourceSpec
 from .jsa import FilterSpec, JointAmplitude, apply_filters, nm_from_omega
-from .schmidt import heralding_efficiency, schmidt_decompose
+from .schmidt import heralded_density_matrix, heralding_efficiency, purity
 
 FOUR_LN2 = 4.0 * math.log(2.0)
 
@@ -39,13 +39,15 @@ class SweepResult:
 
 def filter_sweep(source: SourceSpec, bandwidths_nm, filter_shape="gaussian",
                  symmetric=True, herald_arm="o"):
-    """Schmidt purity and heralding efficiency along a filter-bandwidth ladder.
+    """Heralded-photon purity and heralding efficiency along a bandwidth ladder.
 
-    Filters are centered on the degenerate wavelength. The herald arm is
-    always filtered; with symmetric=True the signal arm gets an identical
-    filter. A bandwidth of inf (or filter_shape "none") means no filter.
-    Per-point filter failures are recorded as gaps (NaN in the arrays),
-    not a global error.
+    The purity at each bandwidth is Tr rho^2 of the signal photon heralded
+    from the filtered joint amplitude. It equals the Schmidt purity
+    sum_k lambda_k^2, so no per-point SVD is needed. Filters are centered
+    on the degenerate wavelength. The herald arm is always filtered; with
+    symmetric=True the signal arm gets an identical filter. A bandwidth of
+    inf (or filter_shape "none") means no filter. Per-point filter failures
+    are recorded as gaps (NaN in the arrays), not a global error.
     """
     if herald_arm not in ("e", "o"):
         raise ConfigError(f"herald_arm must be 'e' or 'o', got {herald_arm!r}")
@@ -72,7 +74,7 @@ def filter_sweep(source: SourceSpec, bandwidths_nm, filter_shape="gaussian",
             )
         try:
             filtered, _ = apply_filters(jsa, [herald_f, signal_f])
-            purities[i] = schmidt_decompose(filtered).purity
+            purities[i] = purity(heralded_density_matrix(filtered, signal_arm))
             efficiencies[i] = heralding_efficiency(jsa, herald_f, signal_f)
         except FilterSupportError as exc:
             purities[i] = np.nan

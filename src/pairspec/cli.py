@@ -10,7 +10,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -198,7 +198,8 @@ def cmd_gvm(args):
 
 def cmd_jsa(args):
     config, filters = load_config(args.config, args.grid_points, args.flat_phase)
-    source = config.source
+    # Solve the phasematching angle once for both the JSA and its metadata.
+    source = replace(config.source, theta_deg=config.source.resolve_theta())
     jsa = source.build_jsa()
     if filters:
         jsa, _ = apply_filters(jsa, filters)
@@ -207,7 +208,7 @@ def cmd_jsa(args):
     export_jsi_csv(jsa, out / "jsi.csv")
     export_metadata(
         out / "jsi_meta.json", source.crystal, source.pump, jsa,
-        theta_deg=source.resolve_theta(), filters=filters,
+        theta_deg=source.theta_deg, filters=filters,
         extra={"pearson_correlation": pearson, **config.metadata()},
     )
     print(f"JSI written to {out / 'jsi.csv'} "

@@ -181,12 +181,13 @@ def two_source_experiment(source_a: SourceSpec, source_b: SourceSpec,
     interferes the e-rays and vice versa). Both JSAs are evaluated on one
     grid that covers both sources' windows, at the larger n_points, so the
     two heralded states share one frequency axis. For identical windows
-    this is each source's own grid.
+    this is each source's own grid. Equal specs share one heralded state.
     """
     if herald_arm not in ("e", "o"):
         raise ConfigError(f"herald_arm must be 'e' or 'o', got {herald_arm!r}")
     interfered_arm = "e" if herald_arm == "o" else "o"
-    sources = (source_a, source_b)
+    # Specs compare by value, so a source given twice is built once.
+    sources = (source_a,) if source_b == source_a else (source_a, source_b)
     thetas = [src.resolve_theta() for src in sources]
     windows = [
         build_grid(src.crystal, src.pump, n_points=src.n_points,
@@ -196,11 +197,11 @@ def two_source_experiment(source_a: SourceSpec, source_b: SourceSpec,
     axis = np.linspace(min(w[0] for w in windows), max(w[-1] for w in windows),
                        max(src.n_points for src in sources))
     grid = FrequencyGrid(omega_e=axis, omega_o=axis.copy())
-    rho_a, rho_b = (
+    rhos = [
         heralded_density_matrix(
             joint_amplitude(src.crystal, theta, src.pump, grid,
                             flat_phase=src.flat_phase),
             heralded_arm=interfered_arm, herald_filter=src.herald_filter)
         for src, theta in zip(sources, thetas)
-    )
-    return hom_dip(rho_a, rho_b, delays_fs)
+    ]
+    return hom_dip(rhos[0], rhos[-1], delays_fs)

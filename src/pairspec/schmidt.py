@@ -104,8 +104,11 @@ def heralded_density_matrix(jsa: JointAmplitude, heralded_arm,
         herald_axis = jsa.grid.omega_e
         f = jsa.values.T
         d_herald = jsa.grid.d_omega_e
-    t_h = filter_transmission(herald_filter, herald_axis)
-    rho = (f * t_h[None, :]) @ f.conj().T * d_herald
+    if herald_filter.shape != "none":
+        f_h = f * filter_transmission(herald_filter, herald_axis)[None, :]
+    else:
+        f_h = f  # unit transmission: skip an n x n copy
+    rho = f_h @ f.conj().T * d_herald
     d_omega = float(axis[1] - axis[0])
     tr = float(np.real(np.trace(rho)) * d_omega)
     if tr <= 0.0:

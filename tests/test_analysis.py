@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from pairspec import analysis
 from pairspec.analysis import (CountRecord, FitResult, filter_sweep,
                                fit_gaussian_dip, scan_purity, simulate_counts,
                                simulate_jsi_scan)
 from pairspec.errors import ConfigError
 from pairspec.interference import HomScan, two_source_experiment
-from pairspec.jsa import jsi_pearson
+from pairspec.jsa import FilterSpec, apply_filters, jsi_pearson
+from pairspec.schmidt import schmidt_decompose
 
 
 FOUR_LN2 = 4.0 * math.log(2.0)
@@ -50,17 +52,53 @@ class TestFilterSweep:
         assert np.all(np.diff(sweep.heralding_efficiencies) < 0)
 
     def test_infinite_bandwidth_matches_unfiltered(self, bbo_source, bbo_jsa):
-        from pairspec.schmidt import schmidt_decompose
         sweep = filter_sweep(bbo_source, np.array([np.inf, 4.0]))
         assert sweep.purities[0] == pytest.approx(
             schmidt_decompose(bbo_jsa).purity, abs=1e-9)
         assert sweep.heralding_efficiencies[0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("source_name", ["kdp_source", "bbo_source"])
+    @pytest.mark.parametrize("shape,symmetric,herald_arm", [
+        ("gaussian", True, "o"),
+        ("gaussian", False, "e"),
+        ("rectangular", True, "e"),
+        ("rectangular", False, "o"),
+    ])
+    def test_purity_matches_schmidt_of_filtered_jsa(self, request, source_name,
+                                                     shape, symmetric, herald_arm):
+        source = request.getfixturevalue(source_name)
+        jsa = source.build_jsa()
+        center_nm = 2.0 * source.pump.center_nm
+        signal_arm = "e" if herald_arm == "o" else "o"
+        bandwidths = np.array([np.inf, 8.0, 3.0])
+        sweep = filter_sweep(source, bandwidths, filter_shape=shape,
+                             symmetric=symmetric, herald_arm=herald_arm)
+        for bw, got in zip(bandwidths, sweep.purities):
+            if np.isinf(bw):
+                filters = [FilterSpec.none(herald_arm), FilterSpec.none(signal_arm)]
+            else:
+                filters = [FilterSpec(shape, herald_arm, center_nm, bw)]
+                if symmetric:
+                    filters.append(FilterSpec(shape, signal_arm, center_nm, bw))
+            expected = schmidt_decompose(apply_filters(jsa, filters)[0]).purity
+            assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_sweep_takes_no_svd(self, bbo_source, monkeypatch):
+        # Each point's purity comes from the heralded rho, not an SVD.
+        def no_svd(*args, **kwargs):
+            raise AssertionError("filter_sweep must not decompose per point")
+
+        monkeypatch.setattr(analysis, "schmidt_decompose", no_svd, raising=False)
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        sweep = filter_sweep(bbo_source, np.array([np.inf, 4.0]))
+        assert np.all(np.isfinite(sweep.purities))
 
     def test_unsupported_bandwidth_is_gap_not_crash(self, bbo_source):
         sweep = filter_sweep(bbo_source, np.array([4.0, 1e-6]),
                              filter_shape="rectangular")
         assert np.isfinite(sweep.purities[0])
         assert np.isnan(sweep.purities[1])
+        assert np.isnan(sweep.heralding_efficiencies[1])
         assert len(sweep.gaps) == 1 and sweep.gaps[0][0] == pytest.approx(1e-6)
 
     def test_invalid_inputs(self, bbo_source):

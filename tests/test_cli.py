@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pairspec import interference
 from pairspec.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -52,6 +53,21 @@ class TestJsaCommand:
             assert run(["jsa", "--config", BBO_CFG, "--grid-points", "128",
                         "--out", str(out)]) == 0
         assert (out_a / "jsi.csv").read_bytes() == (out_b / "jsi.csv").read_bytes()
+
+    def test_phasematching_solved_once(self, tmp_path, monkeypatch):
+        solve = interference.phasematching_angle
+        thetas = []
+
+        def counting_solve(*args, **kwargs):
+            thetas.append(solve(*args, **kwargs))
+            return thetas[-1]
+
+        monkeypatch.setattr(interference, "phasematching_angle", counting_solve)
+        assert run(["jsa", "--config", BBO_CFG, "--grid-points", "128",
+                    "--out", str(tmp_path)]) == 0
+        assert len(thetas) == 1
+        meta = json.loads((tmp_path / "jsi_meta.json").read_text())
+        assert meta["crystal"]["cut_angle_deg"] == thetas[0]
 
 
 class TestSchmidtCommand:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pairspec import interference
 from pairspec.crystals import get_crystal
 from pairspec.errors import ConfigError
 from pairspec.interference import (SourceSpec, coherence_time, hom_dip,
@@ -155,6 +156,34 @@ class TestTwoSourceExperiment:
     def test_bad_herald_arm(self, kdp_source):
         with pytest.raises(ConfigError):
             two_source_experiment(kdp_source, kdp_source, "x", [0, 1, 2])
+
+
+class TestIdenticalSources:
+    @pytest.fixture
+    def rho_calls(self, monkeypatch):
+        build = interference.heralded_density_matrix
+        calls = []
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(interference, "heralded_density_matrix", counting_build)
+        return calls
+
+    def test_equal_specs_build_one_state(self, kdp_source, rho_calls):
+        delays = np.linspace(-1500, 1500, 301)
+        twin = replace(kdp_source)  # equal by value, a distinct object
+        scan = two_source_experiment(kdp_source, twin, "o", delays)
+        assert len(rho_calls) == 1
+        rho_a, rho_b = (heralded_density_matrix(kdp_source.build_jsa(), "e")
+                        for _ in range(2))
+        np.testing.assert_array_equal(scan.rates, hom_dip(rho_a, rho_b, delays).rates)
+
+    def test_different_specs_build_two_states(self, kdp_source, rho_calls):
+        other = replace(kdp_source, pump=PumpSpec(415.0, 8.0))
+        two_source_experiment(kdp_source, other, "o", np.linspace(-1500, 1500, 301))
+        assert len(rho_calls) == 2
 
 
 class TestCoveringGrid:

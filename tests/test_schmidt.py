@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pairspec.crystals import get_crystal
 from pairspec.errors import ConfigError, FilterSupportError
-from pairspec.jsa import FilterSpec, FrequencyGrid, normalize
+from pairspec.interference import SourceSpec
+from pairspec.jsa import FilterSpec, FrequencyGrid, PumpSpec, normalize
 from pairspec.schmidt import (heralded_density_matrix, heralding_efficiency,
                               purity, schmidt_decompose)
 
@@ -126,6 +130,36 @@ class TestHeraldedDensityMatrix:
         flipped = normalize(grid, jsa.values[::-1, ::-1])
         assert purity(heralded_density_matrix(flipped, "e")) == pytest.approx(
             purity(heralded_density_matrix(jsa, "e")), abs=1e-12)
+
+
+PUMP_CENTER_NM = {"KDP": 415.0, "BBO": 400.0}
+
+
+@st.composite
+def sources(draw):
+    """KDP or BBO at its shipped pump centre, with drawn length, pump
+    bandwidth, grid size and phase."""
+    name = draw(st.sampled_from(sorted(PUMP_CENTER_NM)))
+    return SourceSpec(
+        crystal=get_crystal(name, draw(st.floats(1.0, 10.0))),
+        pump=PumpSpec(PUMP_CENTER_NM[name], draw(st.floats(1.0, 10.0))),
+        n_points=draw(st.integers(64, 128)),
+        flat_phase=draw(st.booleans()),
+    )
+
+
+class TestPurityIdentity:
+    # Tr rho^2 of either heralded photon is the Schmidt purity sum_k
+    # lambda_k^2 (Law, Walmsley & Eberly 2000); filter_sweep relies on it.
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(sources(), st.sampled_from(["e", "o"]))
+    def test_heralded_purity_is_schmidt_purity(self, source, arm):
+        jsa = source.build_jsa()
+        rho = heralded_density_matrix(jsa, arm)
+        assert purity(rho) == pytest.approx(schmidt_decompose(jsa).purity, abs=1e-12)
+        assert rho.trace() == pytest.approx(1.0, abs=1e-12)
+        hermitian_err = np.max(np.abs(rho.values - rho.values.conj().T)) * rho.d_omega
+        assert hermitian_err <= 1e-12
 
 
 class TestHeraldingEfficiency:
