@@ -14,36 +14,48 @@ import numpy as np
 
 from .errors import ConfigError, DispersionRangeError
 
+# formula_id -> (n(c, lam_um), dn/dlambda(c, lam_um) per micrometre, number of coefficients)
 _FORMULAS = {}
 
 
-def _formula(formula_id, n_coeff):
+def _formula(formula_id, n_coeff, slope):
     def register(fn):
-        _FORMULAS[formula_id] = (fn, n_coeff)
+        _FORMULAS[formula_id] = (fn, slope, n_coeff)
         return fn
     return register
 
 
-@_formula("sellmeier_2pole", 5)
+def _sellmeier_2pole_slope(c, lam_um):
+    l2 = lam_um ** 2
+    _, b, cc, d, e = c
+    return lam_um * (-b / (l2 - cc) ** 2 - d * e / (l2 - e) ** 2) / _sellmeier_2pole(c, lam_um)
+
+
+@_formula("sellmeier_2pole", 5, _sellmeier_2pole_slope)
 def _sellmeier_2pole(c, lam_um):
     l2 = lam_um ** 2
     a, b, cc, d, e = c
     return np.sqrt(a + b / (l2 - cc) + d * l2 / (l2 - e))
 
 
-@_formula("sellmeier_pole_quadratic", 4)
+def _sellmeier_pole_quadratic_slope(c, lam_um):
+    _, b, cc, d = c
+    return lam_um * (d - b / (lam_um ** 2 - cc) ** 2) / _sellmeier_pole_quadratic(c, lam_um)
+
+
+@_formula("sellmeier_pole_quadratic", 4, _sellmeier_pole_quadratic_slope)
 def _sellmeier_pole_quadratic(c, lam_um):
     l2 = lam_um ** 2
     a, b, cc, d = c
     return np.sqrt(a + b / (l2 - cc) + d * l2)
 
 
-@_formula("constant", 1)
+@_formula("constant", 1, lambda c, lam_um: 0.0 * lam_um)
 def _constant(c, lam_um):
     return c[0] * np.ones_like(lam_um) if np.ndim(lam_um) else c[0]
 
 
-@_formula("cauchy2", 2)
+@_formula("cauchy2", 2, lambda c, lam_um: -2.0 * c[1] / lam_um ** 3)
 def _cauchy2(c, lam_um):
     return c[0] + c[1] / lam_um ** 2
 
@@ -63,7 +75,7 @@ class SellmeierForm:
                 f"unknown formula_id {self.formula_id!r}; "
                 f"supported: {sorted(_FORMULAS)}"
             )
-        _, n_coeff = _FORMULAS[self.formula_id]
+        n_coeff = _FORMULAS[self.formula_id][2]
         if len(self.coefficients) != n_coeff:
             raise ConfigError(
                 f"formula {self.formula_id!r} takes {n_coeff} coefficients, "
@@ -72,8 +84,7 @@ class SellmeierForm:
         if not 0 < self.valid_um_min < self.valid_um_max:
             raise ConfigError("invalid validity range")
 
-    def index(self, wavelength_nm, crystal_name="?"):
-        """Refractive index at the given wavelength (nm; scalar or array)."""
+    def _evaluate(self, fn, wavelength_nm, crystal_name):
         lam_um = np.asarray(wavelength_nm) * 1e-3
         if np.min(lam_um) < self.valid_um_min or np.max(lam_um) > self.valid_um_max:
             bad = lam_um if lam_um.ndim == 0 else lam_um.flat[
@@ -84,9 +95,16 @@ class SellmeierForm:
                 f"[{self.valid_um_min * 1e3:.6g}, {self.valid_um_max * 1e3:.6g}] nm "
                 f"of crystal {crystal_name}"
             )
-        fn, _ = _FORMULAS[self.formula_id]
-        n = fn(self.coefficients, lam_um)
-        return float(n) if np.ndim(n) == 0 else n
+        value = fn(self.coefficients, lam_um)
+        return float(value) if np.ndim(value) == 0 else value
+
+    def index(self, wavelength_nm, crystal_name="?"):
+        """Refractive index at the given wavelength (nm; scalar or array)."""
+        return self._evaluate(_FORMULAS[self.formula_id][0], wavelength_nm, crystal_name)
+
+    def slope(self, wavelength_nm, crystal_name="?"):
+        """Analytic dn/dlambda per nanometre at the given wavelength (nm)."""
+        return 1e-3 * self._evaluate(_FORMULAS[self.formula_id][1], wavelength_nm, crystal_name)
 
 
 @dataclass(frozen=True)

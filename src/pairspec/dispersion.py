@@ -13,14 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import c as C_LIGHT
+from scipy.optimize import brentq
 
 from .crystals import CrystalSpec
 from .errors import NoGvmPointError, NoPhasematchingError
 
-# Relative wavelength step for the central-difference group-index derivative.
-GROUP_INDEX_REL_STEP = 1e-4
-
-PM_ANGLE_TOL_DEG = 1e-9
 GVM_TOL_NM = 1e-4
 
 
@@ -49,9 +46,12 @@ def index_e(crystal: CrystalSpec, wavelength_nm, theta_deg):
     """
     n_o = crystal.sellmeier_o.index(wavelength_nm, crystal.name)
     n_e = crystal.sellmeier_e.index(wavelength_nm, crystal.name)
+    return _ellipsoid(n_o, n_e, theta_deg)
+
+
+def _ellipsoid(n_o, n_e, theta_deg):
     th = math.radians(theta_deg)
-    inv_sq = math.cos(th) ** 2 / n_o ** 2 + math.sin(th) ** 2 / n_e ** 2
-    return 1.0 / np.sqrt(inv_sq)
+    return 1.0 / np.sqrt(math.cos(th) ** 2 / n_o ** 2 + math.sin(th) ** 2 / n_e ** 2)
 
 
 def _index(crystal, polarization, wavelength_nm, theta_deg):
@@ -62,19 +62,22 @@ def _index(crystal, polarization, wavelength_nm, theta_deg):
     raise ValueError(f"polarization must be 'o' or 'e', got {polarization!r}")
 
 
-def group_index(crystal: CrystalSpec, polarization, wavelength_nm, theta_deg=0.0,
-                rel_step=GROUP_INDEX_REL_STEP):
-    """Group index n_g = n - lambda * dn/dlambda.
+def group_index(crystal: CrystalSpec, polarization, wavelength_nm, theta_deg=0.0):
+    """Group index n_g = n - lambda * dn/dlambda from the analytic Sellmeier slope.
 
-    The derivative is a central finite difference with step
-    rel_step * wavelength; both stencil points must sit inside the
-    Sellmeier validity range.
+    For the e-wave, differentiating the index ellipsoid gives
+    dn/dlambda = n^3 (cos^2(theta) n_o'/n_o^3 + sin^2(theta) n_e'/n_e^3).
     """
-    h = rel_step * wavelength_nm
     n = _index(crystal, polarization, wavelength_nm, theta_deg)
-    n_plus = _index(crystal, polarization, wavelength_nm + h, theta_deg)
-    n_minus = _index(crystal, polarization, wavelength_nm - h, theta_deg)
-    return n - wavelength_nm * (n_plus - n_minus) / (2.0 * h)
+    if polarization == "o":
+        return n - wavelength_nm * crystal.sellmeier_o.slope(wavelength_nm, crystal.name)
+    th = math.radians(theta_deg)
+    slope = 0.0
+    for weight, form in ((math.cos(th) ** 2, crystal.sellmeier_o),
+                         (math.sin(th) ** 2, crystal.sellmeier_e)):
+        slope += (weight * form.slope(wavelength_nm, crystal.name)
+                  / form.index(wavelength_nm, crystal.name) ** 3)
+    return n - wavelength_nm * n ** 3 * slope
 
 
 def delta_k(crystal: CrystalSpec, theta_deg, omega_e, omega_o):
@@ -98,15 +101,22 @@ def phasematching_angle(crystal: CrystalSpec, pump_wavelength_nm,
                         degenerate_wavelength_nm):
     """Angle theta (degrees) at which degenerate collinear type-II is phasematched.
 
-    Bisection of delta_k(theta) on (0, 90) degrees down to a 1e-9 degree
-    bracket. Raises NoPhasematchingError if delta_k does not change sign.
+    At degeneracy delta_k = k0 (2 n_e(lambda0/2, theta) - n_e(lambda0, theta)
+    - n_o(lambda0)) with k0 = 2 pi / lambda0. The four principal indices
+    do not depend on theta, so they are evaluated once and brentq solves
+    the ellipsoid mismatch on (0, 90) degrees. Raises NoPhasematchingError
+    if delta_k does not change sign there.
     """
     if abs(degenerate_wavelength_nm - 2.0 * pump_wavelength_nm) > 1e-9 * degenerate_wavelength_nm:
         raise ValueError("degenerate wavelength must equal twice the pump wavelength")
-    omega0 = 2.0 * math.pi * C_LIGHT / (degenerate_wavelength_nm * 1e-9)
+    lam0 = degenerate_wavelength_nm
+    n_o_p, n_e_p, n_o_0, n_e_0 = (form.index(lam, crystal.name) for lam in (lam0 / 2.0, lam0)
+                                  for form in (crystal.sellmeier_o, crystal.sellmeier_e))
+    k0 = 2.0 * math.pi / (lam0 * 1e-9)
 
     def mismatch(theta):
-        return delta_k(crystal, theta, omega0, omega0)
+        return k0 * (2.0 * _ellipsoid(n_o_p, n_e_p, theta)
+                     - _ellipsoid(n_o_0, n_e_0, theta) - n_o_0)
 
     lo, hi = 1e-9, 90.0
     f_lo, f_hi = mismatch(lo), mismatch(hi)
@@ -119,74 +129,50 @@ def phasematching_angle(crystal: CrystalSpec, pump_wavelength_nm,
             f"no phasematching: delta_k has no sign change on (0, 90) deg for "
             f"{crystal.name} pumped at {pump_wavelength_nm:.6g} nm"
         )
-    # Bisect past the 1e-9 degree bracket until the wavevector residual at
-    # the midpoint is also well below 1e-6 rad/m (or float resolution).
-    f_mid = f_lo
-    while (hi - lo > PM_ANGLE_TOL_DEG or abs(f_mid) > 1e-8) and (hi - lo) > 1e-13:
-        mid = 0.5 * (lo + hi)
-        f_mid = mismatch(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    return brentq(mismatch, lo, hi, xtol=1e-13)
 
 
 def gvm_pump_wavelength(crystal: CrystalSpec, daughter_o_wavelength_nm,
-                        scan_halfwidth_nm=50.0, rel_step=GROUP_INDEX_REL_STEP):
+                        scan_halfwidth_nm=50.0):
     """Pump wavelength at which the e-pump group-matches its o-daughter.
 
     Scans pump wavelengths in [d/2 - 50, d/2 + 50] nm, re-solving the
-    degenerate phasematching angle at each trial, and bisects the
-    group-index mismatch n_g,e(pump, theta_pm) - n_g,o(2*pump) to a
-    1e-4 nm bracket. The daughter wavelength is tied to the pump by
-    lambda_daughter = 2 * lambda_pump throughout the scan.
+    degenerate phasematching angle at each trial, and solves the
+    group-index mismatch n_g,e(pump, theta_pm) - n_g,o(2*pump) with brentq
+    in the first bracketed sign change, well inside GVM_TOL_NM. The
+    daughter wavelength is tied to the pump by lambda_daughter =
+    2 * lambda_pump throughout the scan.
     """
     center = daughter_o_wavelength_nm / 2.0
 
     def mismatch(lam_p):
         theta = phasematching_angle(crystal, lam_p, 2.0 * lam_p)
-        ng_pump = group_index(crystal, "e", lam_p, theta, rel_step=rel_step)
-        ng_daughter = group_index(crystal, "o", 2.0 * lam_p, rel_step=rel_step)
+        ng_pump = group_index(crystal, "e", lam_p, theta)
+        ng_daughter = group_index(crystal, "o", 2.0 * lam_p)
         return ng_pump - ng_daughter, theta, ng_pump, ng_daughter
 
     # Coarse scan first: parts of the window may have no phasematching
     # solution at all, so bracket the sign change between valid points only.
     n_coarse = 101
     step = 2.0 * scan_halfwidth_nm / (n_coarse - 1)
-    lo = hi = None
     prev = None
     for i in range(n_coarse):
         lam = center - scan_halfwidth_nm + i * step
         try:
-            f, _, _, _ = mismatch(lam)
+            f = mismatch(lam)[0]
         except NoPhasematchingError:
             prev = None
             continue
         if prev is not None and prev[1] * f <= 0.0:
-            lo, f_lo = prev
-            hi = lam
             break
         prev = (lam, f)
-    if lo is None:
+    else:
         raise NoGvmPointError(
             f"no GVM point: group-index mismatch has no sign change in "
             f"[{center - scan_halfwidth_nm:.6g}, {center + scan_halfwidth_nm:.6g}] nm "
             f"for {crystal.name}"
         )
-    # The 1e-4 nm bracket already pins the wavelength; keep bisecting a
-    # little further so the reported group-index residual is < 1e-9.
-    f_mid = f_lo
-    while hi - lo > GVM_TOL_NM or (abs(f_mid) > 1e-10 and hi - lo > 1e-12):
-        mid = 0.5 * (lo + hi)
-        f_mid, _, _, _ = mismatch(mid)
-        if f_lo * f_mid <= 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    lam_p = 0.5 * (lo + hi)
+    lam_p = brentq(lambda x: mismatch(x)[0], prev[0], lam, xtol=1e-12)
     residual, theta, ng_pump, ng_daughter = mismatch(lam_p)
     return GvmSolution(
         pump_wavelength_nm=lam_p,
@@ -194,5 +180,4 @@ def gvm_pump_wavelength(crystal: CrystalSpec, daughter_o_wavelength_nm,
         group_index_pump_e=ng_pump,
         group_index_daughter_o=ng_daughter,
         residual=residual,
-        tolerance_nm=GVM_TOL_NM,
     )

@@ -130,24 +130,15 @@ def heralding_efficiency(jsa: JointAmplitude, herald_filter: FilterSpec,
     """
     if herald_filter.arm == signal_filter.arm:
         raise ConfigError("herald and signal filters must be on opposite arms")
-    t = {
-        "e": filter_transmission(
-            herald_filter if herald_filter.arm == "e" else signal_filter,
-            jsa.grid.omega_e),
-        "o": filter_transmission(
-            herald_filter if herald_filter.arm == "o" else signal_filter,
-            jsa.grid.omega_o),
-    }
-    t_herald_only = (
-        filter_transmission(herald_filter, jsa.grid.omega_e)[:, None]
-        if herald_filter.arm == "e"
-        else filter_transmission(herald_filter, jsa.grid.omega_o)[None, :]
-    )
+    axes = {"e": jsa.grid.omega_e, "o": jsa.grid.omega_o}
+    t = {filt.arm: filter_transmission(filt, axes[filt.arm])
+         for filt in (herald_filter, signal_filter)}
     intensity = jsa.intensity
-    herald_rate = float(np.sum(intensity * t_herald_only) * jsa.grid.measure)
+    marginal = intensity.sum(axis=1 if herald_filter.arm == "e" else 0)
+    herald_rate = float(marginal @ t[herald_filter.arm]) * jsa.grid.measure
     if herald_rate <= 0.0:
         raise FilterSupportError("herald filter passes nothing")
-    both_rate = float(np.sum(intensity * t["e"][:, None] * t["o"][None, :]) * jsa.grid.measure)
+    both_rate = float(t["e"] @ intensity @ t["o"]) * jsa.grid.measure
     return both_rate / herald_rate
 
 

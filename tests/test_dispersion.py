@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import c as c_light
+from scipy.optimize import brentq
 
 from pairspec import dispersion as disp
-from pairspec.crystals import get_crystal
+from pairspec.crystals import _FORMULAS, SellmeierForm, builtin_database, get_crystal
 from pairspec.errors import (DispersionRangeError, NoGvmPointError,
                              NoPhasematchingError)
 
@@ -14,6 +17,19 @@ from conftest import cauchy_crystal, constant_crystal
 
 def omega(nm):
     return 2.0 * math.pi * c_light / (nm * 1e-9)
+
+
+def richardson_slope(n, lam, h):
+    """dn/dlambda from two central differences, extrapolated to O(h^4)."""
+    def central(step):
+        return (n(lam + step) - n(lam - step)) / (2.0 * step)
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
+def richardson_group_index(crystal, pol, lam_nm, theta):
+    def n(lam):
+        return disp.index_o(crystal, lam) if pol == "o" else disp.index_e(crystal, lam, theta)
+    return n(lam_nm) - lam_nm * richardson_slope(n, lam_nm, 1e-3 * lam_nm)
 
 
 class TestIndexO:
@@ -90,9 +106,44 @@ class TestGroupIndex:
         ng_daughter = disp.group_index(kdp, "o", 830.0)
         assert ng_pump == pytest.approx(ng_daughter, abs=1e-2)
 
-    def test_stencil_outside_range_is_error(self, kdp):
+    def test_valid_up_to_range_edge(self, kdp):
+        assert math.isfinite(disp.group_index(kdp, "o", 250.0))  # KDP range starts at 250 nm
         with pytest.raises(DispersionRangeError):
-            disp.group_index(kdp, "o", 250.0)  # lower stencil point below 250 nm
+            disp.group_index(kdp, "o", 249.0)
+
+    @pytest.mark.parametrize("name,pol,lam,theta", [("KDP", "e", 415.0, 67.8),
+                                                    ("KDP", "o", 830.0, 0.0),
+                                                    ("BBO", "e", 400.0, 42.0),
+                                                    ("BBO", "e", 700.0, 0.0),
+                                                    ("BBO", "e", 700.0, 90.0)])
+    def test_matches_richardson_difference(self, name, pol, lam, theta):
+        crystal = get_crystal(name, 1.0)
+        assert disp.group_index(crystal, pol, lam, theta) == pytest.approx(
+            richardson_group_index(crystal, pol, lam, theta), rel=1e-10)
+
+
+# Every o and e curve of the shipped database, plus the conftest test-crystal
+# coefficients for the formulas no record uses; each over every shipped range.
+_SHIPPED_FORMS = [form for name in builtin_database().names()
+                  for form in (get_crystal(name, 1.0).sellmeier_o, get_crystal(name, 1.0).sellmeier_e)]
+_SLOPE_CASES = {"constant": [(1.5,)], "cauchy2": [(1.5, 0.02)]}
+for _form in _SHIPPED_FORMS:
+    _SLOPE_CASES.setdefault(_form.formula_id, []).append(_form.coefficients)
+_VALID_RANGES = sorted({(f.valid_um_min, f.valid_um_max) for f in _SHIPPED_FORMS})
+
+
+class TestAnalyticSlope:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(formula_id=st.sampled_from(sorted(_FORMULAS)), data=st.data())
+    def test_matches_richardson_difference(self, formula_id, data):
+        valid = data.draw(st.sampled_from(_VALID_RANGES))
+        form = SellmeierForm(formula_id, data.draw(st.sampled_from(_SLOPE_CASES[formula_id])),
+                             *valid)
+        # Keep the stencil lam +- 1e-3 lam inside the validity range.
+        lo, hi = valid[0] * 1e3 * 1.002, valid[1] * 1e3 / 1.002
+        lam = lo + data.draw(st.floats(0.0, 1.0)) * (hi - lo)
+        expected = richardson_slope(form.index, lam, 1e-3 * lam)
+        assert abs(form.slope(lam) - expected) <= 1e-9 * abs(expected)
 
 
 class TestDeltaK:
@@ -161,6 +212,25 @@ class TestPhasematchingAngle:
         with pytest.raises(ValueError):
             disp.phasematching_angle(kdp, 415.0, 850.0)
 
+    def test_principal_indices_evaluated_once(self, kdp, monkeypatch):
+        # The four principal indices do not depend on theta; the solve must
+        # not go back to evaluating Sellmeier (or delta_k) per iteration.
+        calls = {"index": 0, "delta_k": 0}
+        index, delta_k = SellmeierForm.index, disp.delta_k
+
+        def counted_index(self, *args, **kwargs):
+            calls["index"] += 1
+            return index(self, *args, **kwargs)
+
+        def counted_delta_k(*args, **kwargs):
+            calls["delta_k"] += 1
+            return delta_k(*args, **kwargs)
+
+        monkeypatch.setattr(SellmeierForm, "index", counted_index)
+        monkeypatch.setattr(disp, "delta_k", counted_delta_k)
+        disp.phasematching_angle(kdp, 415.0, 830.0)
+        assert calls == {"index": 4, "delta_k": 0}
+
 
 class TestGvmPumpWavelength:
     def test_kdp_gvm_near_415(self, kdp):
@@ -175,8 +245,16 @@ class TestGvmPumpWavelength:
         with pytest.raises(NoGvmPointError):
             disp.gvm_pump_wavelength(zerobiref, 830.0)
 
-    def test_invariant_under_halved_derivative_step(self, kdp):
-        full = disp.gvm_pump_wavelength(kdp, 830.0)
-        halved = disp.gvm_pump_wavelength(kdp, 830.0, rel_step=0.5e-4)
-        assert halved.pump_wavelength_nm == pytest.approx(
-            full.pump_wavelength_nm, abs=1e-3)
+    def test_matches_richardson_reference(self, kdp):
+        # Independent solve: brentq on delta_k for the angle and on a
+        # Richardson-extrapolated group index for the pump wavelength.
+        def mismatch(lam_p):
+            w = omega(2.0 * lam_p)
+            theta = brentq(lambda th: disp.delta_k(kdp, th, w, w), 1e-6, 90.0,
+                           xtol=1e-13, rtol=1e-15)
+            return (richardson_group_index(kdp, "e", lam_p, theta)
+                    - richardson_group_index(kdp, "o", 2.0 * lam_p, 0.0))
+
+        reference = brentq(mismatch, 414.0, 416.0, xtol=1e-12, rtol=1e-15)
+        solution = disp.gvm_pump_wavelength(kdp, 830.0)
+        assert abs(solution.pump_wavelength_nm - reference) <= 1e-8
