@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
+from scipy.optimize import leastsq
 
 from .errors import ConfigError, FilterSupportError
 from .interference import HomScan, SourceSpec
@@ -180,7 +181,7 @@ class FitResult:
     uncertainties: np.ndarray  # sigma of (baseline, visibility, center, fwhm)
     chi2_reduced: float
     converged: bool
-    n_iterations: int
+    n_iterations: int  # residual evaluations, not LM steps
 
     def to_json(self, path=None):
         payload = {
@@ -245,17 +246,15 @@ def _initial_guess(delays, counts):
     return np.array([baseline, v, t0, w])
 
 
-MAX_FIT_ITERATIONS = 200
-PARAM_CHANGE_TOL = 1e-10
-GRADIENT_TOL = 1e-8
-
-
 def fit_gaussian_dip(record: CountRecord):
-    """Fit B * (1 - V exp(-4 ln2 (t - t0)^2 / w^2)) by damped least squares.
+    """Fit B * (1 - V exp(-4 ln2 (t - t0)^2 / w^2)) by Levenberg-Marquardt.
 
-    Weights are 1 / max(count, 1) (Poisson variance with a floor at one
-    count). Uncertainties come from the inverse of the weighted normal
-    matrix; chi2_reduced uses n - 4 degrees of freedom.
+    MINPACK's lmder (scipy.optimize.leastsq) minimizes the weighted
+    residual sqrt(w) (counts - model) with weights 1 / max(count, 1)
+    (Poisson variance with a floor at one count). Uncertainties come from
+    the inverse of the weighted normal matrix at the solution;
+    chi2_reduced uses n - 4 degrees of freedom. n_iterations is the number
+    of residual evaluations MINPACK made.
     """
     delays = np.asarray(record.delays_fs, dtype=float)
     counts = np.asarray(record.counts, dtype=float)
@@ -266,7 +265,6 @@ def fit_gaussian_dip(record: CountRecord):
     if np.all(counts == counts[0]):
         # Flat data: the dip amplitude is zero and the width is undetermined.
         base = float(counts[0])
-        dof = max(delays.size - 4, 1)
         return FitResult(
             baseline=base, visibility=0.0, center_fs=float(np.mean(delays)),
             fwhm_fs=float(np.ptp(delays)) / 4.0,
@@ -275,44 +273,14 @@ def fit_gaussian_dip(record: CountRecord):
             chi2_reduced=0.0, converged=True, n_iterations=0,
         )
 
-    params = _initial_guess(delays, counts)
-    lam = 1e-3
-    residuals = counts - _dip_model(params, delays)
-    chi2 = float(np.sum(weights * residuals ** 2))
-    converged = False
-    iteration = 0
-    for iteration in range(1, MAX_FIT_ITERATIONS + 1):
-        jac = _dip_jacobian(params, delays)
-        grad = jac.T @ (weights * residuals)
-        normal = (jac * weights[:, None]).T @ jac
-        step = None
-        for _ in range(50):
-            try:
-                step = np.linalg.solve(
-                    normal + lam * np.diag(np.diag(normal)), grad
-                )
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = params + step
-            trial_res = counts - _dip_model(trial, delays)
-            trial_chi2 = float(np.sum(weights * trial_res ** 2))
-            if np.isfinite(trial_chi2) and trial_chi2 <= chi2:
-                break
-            lam *= 10.0
-        else:
-            break
-        rel_change = float(np.max(np.abs(step) / np.maximum(np.abs(params), 1e-300)))
-        params, residuals, chi2 = trial, trial_res, trial_chi2
-        lam = max(lam / 10.0, 1e-14)
-        grad_norm = float(np.linalg.norm(
-            _dip_jacobian(params, delays).T @ (weights * residuals)))
-        # The gradient scale grows with the count level, so the absolute
-        # gradient test is scaled by chi2; a negligible accepted step is
-        # sufficient on its own.
-        if rel_change < PARAM_CHANGE_TOL or grad_norm < GRADIENT_TOL * (1.0 + chi2):
-            converged = True
-            break
+    sqrt_w = np.sqrt(weights)
+    params, _, info, _, ier = leastsq(
+        lambda p: sqrt_w * (counts - _dip_model(p, delays)),
+        _initial_guess(delays, counts),
+        Dfun=lambda p: -sqrt_w[:, None] * _dip_jacobian(p, delays),
+        full_output=True,
+    )
+    chi2 = float(np.sum(info["fvec"] ** 2))
 
     jac = _dip_jacobian(params, delays)
     normal = (jac * weights[:, None]).T @ jac
@@ -329,8 +297,8 @@ def fit_gaussian_dip(record: CountRecord):
         fwhm_fs=float(abs(params[3])),
         uncertainties=sigma,
         chi2_reduced=chi2 / dof,
-        converged=converged,
-        n_iterations=iteration,
+        converged=ier in (1, 2, 3, 4),
+        n_iterations=int(info["nfev"]),
     )
 
 

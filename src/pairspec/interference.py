@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .crystals import CrystalSpec
 from .dispersion import phasematching_angle
@@ -93,29 +94,27 @@ class _Overlap:
 def hom_dip(rho_a: ReducedDensityMatrix, rho_b: ReducedDensityMatrix, delays_fs):
     """Normalized coincidence rates over the given delays plus dip metrics.
 
-    Visibility is the maximum overlap over a dense refinement of the
-    delay range; the dip FWHM comes from linear interpolation of the
-    scan's crossings of 1 - V/2.
+    Visibility is the maximum overlap found by a bounded scalar search
+    within one mean scan step of the best scan sample, and never less than
+    that sample; the dip FWHM comes from linear interpolation of the scan's
+    crossings of 1 - V/2.
     """
     delays_fs = np.asarray(delays_fs, dtype=float)
     if delays_fs.ndim != 1 or delays_fs.size < 3:
         raise ConfigError("need at least 3 delay points")
     overlap = _Overlap(rho_a, rho_b)
-    tau_s = delays_fs * 1e-15
-    rates = 1.0 - overlap(tau_s)
+    rates = 1.0 - overlap(delays_fs * 1e-15)
 
-    # Refine the overlap maximum: coarse location from the scan, then two
-    # rounds of dense local search.
-    center = tau_s[int(np.argmax(overlap(tau_s)))]
-    width = max(np.ptp(tau_s) / (delays_fs.size - 1), 1e-18)
-    for _ in range(3):
-        local = np.linspace(center - width, center + width, 401)
-        vals = overlap(local)
-        center = local[int(np.argmax(vals))]
-        width /= 100.0
-    visibility = float(overlap(center))
-    visibility = min(max(visibility, 0.0), 1.0)
-    dip_center_fs = float(center * 1e15)
+    i_peak = int(np.argmin(rates))
+    center, visibility = delays_fs[i_peak], 1.0 - rates[i_peak]
+    # In fs the solver's default absolute tolerance (1e-5) is meaningful.
+    step = max(np.ptp(delays_fs) / (delays_fs.size - 1), 1e-3)
+    best = minimize_scalar(lambda t: -overlap(t * 1e-15),
+                           bounds=(center - step, center + step), method="bounded")
+    if -best.fun > visibility:
+        center, visibility = best.x, -best.fun
+    visibility = min(max(float(visibility), 0.0), 1.0)
+    dip_center_fs = float(center)
 
     half_level = 1.0 - visibility / 2.0
     below = rates <= half_level

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from pairspec import analysis
 from pairspec.analysis import (CountRecord, FitResult, filter_sweep,
@@ -204,6 +205,28 @@ class TestFitGaussianDip:
             if abs(fit.visibility - truth[1]) <= 3.0 * fit.uncertainties[1]:
                 hits += 1
         assert hits / trials >= 0.98
+
+    def test_reaches_weighted_least_squares_optimum(self):
+        # An independent solver (trust-region reflective, finite-difference
+        # Jacobian) on the same weighted residual, started away from both
+        # the truth and the fitter's own start, on acceptance 8's replicates.
+        truth = (1000.0, 0.944, 0.0, 440.0)
+        delays = np.linspace(-1500.0, 1500.0, 61)
+        scan = make_scan(delays, dip_curve(delays, 1.0, *truth[1:]))
+        start = np.array(truth) * [1.1, 0.9, 1.0, 1.2] + [0.0, 0.0, 30.0, 0.0]
+        for trial in range(200):
+            record = simulate_counts(scan, truth[0], seed=5000 + 997 * trial)
+            counts = record.counts.astype(float)
+            sqrt_w = 1.0 / np.sqrt(np.maximum(counts, 1.0))
+            ref = least_squares(lambda p: sqrt_w * (counts - dip_curve(delays, *p)),
+                                start, jac="3-point", method="trf",
+                                xtol=1e-12, ftol=1e-12, gtol=1e-12)
+            sigma = np.sqrt(np.diag(np.linalg.inv(ref.jac.T @ ref.jac)))
+            fit = fit_gaussian_dip(record)
+            got = np.array([fit.baseline, fit.visibility, fit.center_fs, fit.fwhm_fs])
+            assert fit.converged
+            assert np.all(np.abs(got - ref.x) <= 1e-3 * sigma)
+            np.testing.assert_allclose(fit.uncertainties, sigma, rtol=1e-5)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ConfigError):

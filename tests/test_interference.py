@@ -28,6 +28,11 @@ def pure_state_density(axis, sigma, center=None):
 AXIS = np.linspace(2.22e15, 2.32e15, 257)
 
 
+def assert_peak_not_below_scan(scan):
+    """The refined visibility is at least the best sampled overlap."""
+    assert scan.visibility >= np.max(1.0 - scan.rates)
+
+
 class TestCoherenceTime:
     def test_scaling(self):
         assert coherence_time(440.0) == pytest.approx(311.1, abs=0.1)
@@ -46,6 +51,20 @@ class TestHomDip:
         assert scan.visibility == pytest.approx(1.0, abs=1e-9)
         assert scan.rates[np.argmin(np.abs(scan.delays_fs))] < 1e-9
         assert scan.dip_center_fs == pytest.approx(0.0, abs=1.0)
+        assert_peak_not_below_scan(scan)
+
+    @pytest.mark.parametrize("tau0_fs", [123.4, -37.77])
+    def test_peak_between_scan_samples(self, tau0_fs):
+        # A linear spectral phase delays rho_b by tau0, which falls between
+        # the 50 fs scan samples; the dip must be found there at full depth.
+        rho_a = pure_state_density(AXIS, 5e12)
+        phase = np.exp(1j * (AXIS - AXIS.mean()) * tau0_fs * 1e-15)
+        rho_b = ReducedDensityMatrix(omega_axis=AXIS,
+                                     values=rho_a.values * np.outer(phase, phase.conj()))
+        scan = hom_dip(rho_a, rho_b, np.linspace(-2000, 2000, 81))
+        assert scan.visibility == pytest.approx(1.0, abs=1e-12)
+        assert scan.dip_center_fs == pytest.approx(tau0_fs, abs=1e-3)
+        assert_peak_not_below_scan(scan)
 
     def test_gaussian_dip_width_analytic(self):
         # Identical pure Gaussians: overlap(tau) = exp(-sigma^2 tau^2), so
@@ -55,6 +74,7 @@ class TestHomDip:
         scan = hom_dip(rho, rho, np.linspace(-2000, 2000, 2001))
         expected_fs = 2 * math.sqrt(math.log(2)) / sigma * 1e15
         assert scan.dip_fwhm_fs == pytest.approx(expected_fs, rel=5e-3)
+        assert_peak_not_below_scan(scan)
 
     def test_disjoint_spectra_flat(self):
         rho_a = pure_state_density(AXIS, 1.5e12, center=2.24e15)
@@ -63,11 +83,13 @@ class TestHomDip:
         assert scan.visibility < 1e-6
         assert scan.dip_fwhm_fs == 0.0
         np.testing.assert_allclose(scan.rates, 1.0, atol=1e-6)
+        assert_peak_not_below_scan(scan)
 
     def test_visibility_equals_purity_for_identical_sources(self, kdp_jsa):
         rho = heralded_density_matrix(kdp_jsa, "e")
         scan = hom_dip(rho, rho, np.linspace(-1500, 1500, 301))
         assert scan.visibility == pytest.approx(purity(rho), abs=1e-9)
+        assert_peak_not_below_scan(scan)
 
     def test_symmetric_in_delay_sign(self, kdp_jsa):
         rho = heralded_density_matrix(kdp_jsa, "e")
@@ -83,6 +105,8 @@ class TestHomDip:
         backward = hom_dip(rho_b, rho_a, delays)
         np.testing.assert_allclose(forward.rates, backward.rates, atol=1e-12)
         assert forward.visibility == pytest.approx(backward.visibility, abs=1e-12)
+        assert_peak_not_below_scan(forward)
+        assert_peak_not_below_scan(backward)
 
     def test_cauchy_schwarz_bound(self, kdp_jsa, bbo_jsa):
         rho_a = heralded_density_matrix(kdp_jsa, "e")
@@ -90,6 +114,7 @@ class TestHomDip:
         scan = hom_dip(rho_a, rho_b, np.linspace(-1500, 1500, 201))
         bound = math.sqrt(purity(rho_a) * purity(rho_b))
         assert scan.visibility <= bound + 1e-9
+        assert_peak_not_below_scan(scan)
 
     def test_baseline_recovered_at_large_delay(self, kdp_jsa):
         rho = heralded_density_matrix(kdp_jsa, "e")
@@ -111,6 +136,7 @@ class TestTwoSourceExperiment:
                                      np.linspace(-1500, 1500, 301))
         assert scan.visibility >= 0.95
         assert scan.dip_fwhm_fs == pytest.approx(440.0, rel=0.30)
+        assert_peak_not_below_scan(scan)
         assert coherence_time(scan.dip_fwhm_fs) == pytest.approx(
             scan.dip_fwhm_fs / math.sqrt(2), abs=1e-12)
 
@@ -118,6 +144,7 @@ class TestTwoSourceExperiment:
         scan = two_source_experiment(kdp_source, kdp_source, "e",
                                      np.linspace(-400, 400, 401))
         assert scan.dip_fwhm_fs == pytest.approx(92.0, rel=0.30)
+        assert_peak_not_below_scan(scan)
 
     def test_dip_width_ratio(self, kdp_source):
         wide = two_source_experiment(kdp_source, kdp_source, "o",
@@ -259,6 +286,7 @@ class TestTwoSourceProperties:
             scan = two_source_experiment(src, src, "o", alias_safe_delays(src))
             assert scan.visibility == pytest.approx(
                 schmidt_decompose(src.build_jsa()).purity, abs=1e-9)
+            assert_peak_not_below_scan(scan)
 
     @property_settings
     @given(source_pairs())

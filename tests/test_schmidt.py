@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from pairspec.crystals import get_crystal
 from pairspec.errors import ConfigError, FilterSupportError
 from pairspec.interference import SourceSpec
-from pairspec.jsa import FilterSpec, FrequencyGrid, PumpSpec, normalize
+from pairspec.jsa import (FilterSpec, FrequencyGrid, PumpSpec, apply_filters,
+                          normalize)
 from pairspec.schmidt import (heralded_density_matrix, heralding_efficiency,
                               purity, schmidt_decompose)
 
@@ -148,6 +149,26 @@ def sources(draw):
     )
 
 
+@st.composite
+def filtered_sources(draw):
+    """A source from sources(), a herald arm, and on each arm either no
+    filter or a Gaussian or rectangular one at the degenerate wavelength."""
+    source = draw(sources())
+    herald_arm = draw(st.sampled_from(["e", "o"]))
+    center_nm = 2.0 * source.pump.center_nm
+
+    def optional_filter(arm):
+        shape = draw(st.sampled_from(["none", "gaussian", "rectangular"]))
+        if shape == "none":
+            return FilterSpec.none(arm)
+        # Wider than any drawn grid step (< 2.5 nm), so a rectangular
+        # filter always passes some samples.
+        return FilterSpec(shape, arm, center_nm, draw(st.floats(5.0, 40.0)))
+
+    signal_arm = "e" if herald_arm == "o" else "o"
+    return source, optional_filter(herald_arm), optional_filter(signal_arm)
+
+
 class TestPurityIdentity:
     # Tr rho^2 of either heralded photon is the Schmidt purity sum_k
     # lambda_k^2 (Law, Walmsley & Eberly 2000); filter_sweep relies on it.
@@ -160,6 +181,24 @@ class TestPurityIdentity:
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)
         hermitian_err = np.max(np.abs(rho.values - rho.values.conj().T)) * rho.d_omega
         assert hermitian_err <= 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(filtered_sources())
+    def test_filtered_state_is_physical(self, case):
+        source, herald_f, signal_f = case
+        jsa = source.build_jsa()
+        rho = heralded_density_matrix(apply_filters(jsa, [signal_f])[0],
+                                      signal_f.arm, herald_f)
+        assert rho.trace() == pytest.approx(1.0, abs=1e-12)
+        weighted = rho.values * rho.d_omega
+        assert np.max(np.abs(weighted - weighted.conj().T)) <= 1e-12
+        eigs = np.linalg.eigvalsh(weighted)
+        assert eigs.min() >= -1e-12 * eigs.max()
+        # The filter_sweep identity, with both filters in place.
+        filtered = apply_filters(jsa, [herald_f, signal_f])[0]
+        assert purity(rho) == pytest.approx(schmidt_decompose(filtered).purity,
+                                            abs=1e-12)
+        assert 0.0 <= heralding_efficiency(jsa, herald_f, signal_f) <= 1.0
 
 
 class TestHeraldingEfficiency:
