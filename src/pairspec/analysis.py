@@ -274,13 +274,19 @@ def fit_gaussian_dip(record: CountRecord):
         )
 
     sqrt_w = np.sqrt(weights)
-    params, _, info, _, ier = leastsq(
-        lambda p: sqrt_w * (counts - _dip_model(p, delays)),
-        _initial_guess(delays, counts),
-        Dfun=lambda p: -sqrt_w[:, None] * _dip_jacobian(p, delays),
-        full_output=True,
-    )
-    chi2 = float(np.sum(info["fvec"] ** 2))
+    n_calls = 0
+
+    def residual(p):
+        nonlocal n_calls
+        n_calls += 1
+        return sqrt_w * (counts - _dip_model(p, delays))
+
+    # Without full_output, leastsq skips MINPACK's unused covariance. It and
+    # its extension evaluate the start point twice outside MINPACK's count.
+    params, ier = leastsq(residual, _initial_guess(delays, counts),
+                          Dfun=lambda p: -sqrt_w[:, None] * _dip_jacobian(p, delays))
+    nfev = n_calls - 2
+    chi2 = float(np.sum(residual(params) ** 2))
 
     jac = _dip_jacobian(params, delays)
     normal = (jac * weights[:, None]).T @ jac
@@ -298,7 +304,7 @@ def fit_gaussian_dip(record: CountRecord):
         uncertainties=sigma,
         chi2_reduced=chi2 / dof,
         converged=ier in (1, 2, 3, 4),
-        n_iterations=int(info["nfev"]),
+        n_iterations=nfev,
     )
 
 

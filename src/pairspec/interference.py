@@ -62,7 +62,7 @@ def _diagonal_sums(product):
     frequency differences, so each delay evaluation is O(n).
     """
     n = product.shape[0]
-    sums = np.zeros(2 * n - 1, dtype=complex)
+    sums = np.zeros(2 * n - 1, dtype=product.dtype)
     for k in range(-(n - 1), n):
         sums[k + n - 1] = np.trace(product, offset=k)
     return sums

@@ -72,12 +72,12 @@ def pump_envelope(pump: PumpSpec, omega_sum):
 def phasematching_function(crystal: CrystalSpec, theta_deg, omega_e, omega_o,
                            flat_phase=False):
     """sinc(dk L / 2) * exp(i dk L / 2); the phase factor is dropped in
-    flat-phase mode."""
+    flat-phase mode, which leaves a real amplitude."""
     length = crystal.length_mm * 1e-3
     x = delta_k(crystal, theta_deg, omega_e, omega_o) * length / 2.0
     amp = np.sinc(x / np.pi)
     if flat_phase:
-        return amp.astype(complex) if np.ndim(amp) else complex(amp)
+        return amp
     return amp * np.exp(1j * x)
 
 
@@ -113,7 +113,7 @@ class FrequencyGrid:
 
 @dataclass(frozen=True)
 class JointAmplitude:
-    """Complex two-photon amplitude, unit L2 norm including grid measure."""
+    """Two-photon amplitude, unit L2 norm with grid measure; float64 if real."""
 
     grid: FrequencyGrid
     values: np.ndarray  # indexed [e, o]
@@ -121,7 +121,7 @@ class JointAmplitude:
     norm_convention: str = "unit-L2-with-grid-measure"
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
+        v = np.asarray(self.values, dtype=complex if np.iscomplexobj(self.values) else float)
         if v.shape != (self.grid.omega_e.size, self.grid.omega_o.size):
             raise ConfigError("values shape does not match the grid")
         if not np.all(np.isfinite(v)):
@@ -138,7 +138,7 @@ class JointAmplitude:
 
 def normalize(grid: FrequencyGrid, values, flat_phase=False):
     """Wrap raw amplitudes into a unit-norm JointAmplitude."""
-    values = np.asarray(values, dtype=complex)
+    values = np.asarray(values)
     norm_sq = np.sum(np.abs(values) ** 2) * grid.measure
     if not np.isfinite(norm_sq) or norm_sq == 0.0:
         raise NumericalError("cannot normalize: joint amplitude has zero norm")
@@ -237,10 +237,11 @@ def apply_filters(jsa: JointAmplitude, filters):
         else:
             t_o = t_o * filter_transmission(filt, jsa.grid.omega_o)
     values = jsa.values * np.sqrt(t_e)[:, None] * np.sqrt(t_o)[None, :]
-    passed = float(np.sum(np.abs(values) ** 2) * jsa.grid.measure) / jsa.norm_sq()
-    if passed == 0.0:
+    kept = float(np.sum(np.abs(values) ** 2) * jsa.grid.measure)
+    if kept == 0.0:
         raise FilterSupportError("filter removes all support of the joint amplitude")
-    return normalize(jsa.grid, values, flat_phase=jsa.flat_phase), passed
+    filtered = JointAmplitude(jsa.grid, values / math.sqrt(kept), flat_phase=jsa.flat_phase)
+    return filtered, kept / jsa.norm_sq()
 
 
 def marginal_spectrum(jsa: JointAmplitude, arm):

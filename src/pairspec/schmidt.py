@@ -63,7 +63,7 @@ class ReducedDensityMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
+        v = np.asarray(self.values, dtype=complex if np.iscomplexobj(self.values) else float)
         if v.shape != (self.omega_axis.size, self.omega_axis.size):
             raise ConfigError("density matrix shape does not match its axis")
         object.__setattr__(self, "values", v)

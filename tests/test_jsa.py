@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,6 +201,16 @@ class TestJointAmplitude:
 
 
 class TestApplyFilters:
+    @pytest.mark.parametrize("flat_phase, dtype",
+                             [(True, np.float64), (False, np.complex128)])
+    def test_dtype_follows_phase(self, kdp_source, flat_phase, dtype):
+        # A flat-phase amplitude is real and stays float64 through the
+        # build and the filters; with the phasematching phase it is complex.
+        jsa = replace(kdp_source, n_points=64, flat_phase=flat_phase).build_jsa()
+        filt = FilterSpec(shape="gaussian", arm="o", center_nm=830.0, fwhm_nm=4.0)
+        assert jsa.values.dtype == dtype
+        assert apply_filters(jsa, [filt])[0].values.dtype == dtype
+
     def test_none_filters_are_identity(self, kdp_jsa):
         filtered, passed = apply_filters(
             kdp_jsa, [FilterSpec.none("e"), FilterSpec.none("o")])

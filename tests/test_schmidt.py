@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from pairspec.crystals import get_crystal
 from pairspec.errors import ConfigError, FilterSupportError
-from pairspec.interference import SourceSpec
-from pairspec.jsa import (FilterSpec, FrequencyGrid, PumpSpec, apply_filters,
-                          normalize)
+from pairspec.interference import SourceSpec, hom_dip
+from pairspec.jsa import (FilterSpec, FrequencyGrid, JointAmplitude, PumpSpec,
+                          apply_filters, normalize)
 from pairspec.schmidt import (heralded_density_matrix, heralding_efficiency,
                               purity, schmidt_decompose)
 
@@ -112,6 +113,14 @@ class TestHeraldedDensityMatrix:
         assert all(a < b for a, b in zip(purities, purities[1:]))
         assert purities[-1] > 0.95
 
+    @pytest.mark.parametrize("flat_phase, dtype",
+                             [(True, np.float64), (False, np.complex128)])
+    def test_dtype_follows_phase(self, kdp_source, flat_phase, dtype):
+        jsa = replace(kdp_source, n_points=64, flat_phase=flat_phase).build_jsa()
+        filt = FilterSpec(shape="gaussian", arm="o", center_nm=830.0, fwhm_nm=4.0)
+        assert heralded_density_matrix(jsa, "e").values.dtype == dtype
+        assert heralded_density_matrix(jsa, "e", filt).values.dtype == dtype
+
     def test_filter_on_wrong_arm_is_error(self, kdp_jsa):
         filt = FilterSpec(shape="gaussian", arm="e", center_nm=830.0, fwhm_nm=3.0)
         with pytest.raises(ConfigError):
@@ -199,6 +208,30 @@ class TestPurityIdentity:
         assert purity(rho) == pytest.approx(schmidt_decompose(filtered).purity,
                                             abs=1e-12)
         assert 0.0 <= heralding_efficiency(jsa, herald_f, signal_f) <= 1.0
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(filtered_sources())
+    def test_real_amplitude_matches_complex(self, case):
+        # A flat-phase amplitude is real and takes the real BLAS/LAPACK
+        # kernels; cast to complex it takes the complex ones. Both must give
+        # the same state, Schmidt spectrum and HOM dip.
+        source, herald_f, signal_f = case
+        real = replace(source, flat_phase=True).build_jsa()
+        results = []
+        for values in (real.values, real.values.astype(complex)):
+            jsa = apply_filters(JointAmplitude(real.grid, values, flat_phase=True),
+                                [signal_f])[0]
+            rho = heralded_density_matrix(jsa, signal_f.arm, herald_f)
+            half_period_fs = math.pi / rho.d_omega * 1e15
+            scan = hom_dip(rho, rho, np.linspace(-half_period_fs, half_period_fs, 201))
+            results.append((rho, schmidt_decompose(jsa).coefficients, scan))
+        (rho_r, coeff_r, scan_r), (rho_c, coeff_c, scan_c) = results
+        assert rho_r.values.dtype == np.float64 and rho_c.values.dtype == np.complex128
+        assert np.max(np.abs(rho_r.values - rho_c.values)) * rho_r.d_omega <= 1e-12
+        assert purity(rho_r) == pytest.approx(purity(rho_c), abs=1e-12)
+        np.testing.assert_allclose(coeff_r, coeff_c, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(scan_r.rates, scan_c.rates, rtol=0, atol=1e-12)
+        assert scan_r.visibility == pytest.approx(scan_c.visibility, abs=1e-12)
 
 
 class TestHeraldingEfficiency:
