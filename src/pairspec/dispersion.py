@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.constants import c as C_LIGHT
 from scipy.optimize import brentq
 
@@ -80,6 +81,32 @@ def group_index(crystal: CrystalSpec, polarization, wavelength_nm, theta_deg=0.0
     return n - wavelength_nm * n ** 3 * slope
 
 
+def _on_sums(fn, omega_e, omega_o):
+    """fn(omega_e + omega_o) for an elementwise fn, once per distinct sum.
+
+    When omega_e is an (n, 1) column and omega_o a (1, m) row of
+    nonnegative whole rad/s on one common whole step, with sums below
+    2**53, every sum is an exact float64 integer and the n*m sums take
+    only n + m - 1 values, the sum at [i, j] depending on i + j alone.
+    fn is evaluated on those values, taken from the grid's own entries,
+    and read back through a zero-copy Hankel view, so the result equals
+    the direct evaluation bit for bit. Any other input is evaluated
+    directly.
+    """
+    e, o = np.asarray(omega_e), np.asarray(omega_o)
+    if e.ndim == o.ndim == 2 and e.shape[1] == o.shape[0] == 1 and min(e.size, o.size) > 1:
+        e, o = e[:, 0], o[0]
+        step = e[1] - e[0]
+        if (step > 0 and e[0] >= 0 and o[0] >= 0 and e[-1] + o[-1] < 2.0 ** 53
+                and float(step).is_integer() and float(e[0]).is_integer()
+                and float(o[0]).is_integer()
+                and np.array_equal(e, e[0] + step * np.arange(e.size))
+                and np.array_equal(o, o[0] + step * np.arange(o.size))):
+            sums = np.concatenate([e + o[0], e[-1] + o[1:]])
+            return sliding_window_view(fn(sums), o.size)
+    return fn(omega_e + omega_o)
+
+
 def delta_k(crystal: CrystalSpec, theta_deg, omega_e, omega_o):
     """Collinear wavevector mismatch k_p(w_e + w_o) - k_e(w_e) - k_o(w_o), rad/m.
 
@@ -87,11 +114,13 @@ def delta_k(crystal: CrystalSpec, theta_deg, omega_e, omega_o):
     index; the o-daughter sees the ordinary index. Frequencies may be
     broadcastable arrays (rad/s).
     """
-    omega_p = omega_e + omega_o
-    lam_p = 2.0 * math.pi * C_LIGHT / omega_p * 1e9
+    def pump_k(omega_p):
+        lam_p = 2.0 * math.pi * C_LIGHT / omega_p * 1e9
+        return index_e(crystal, lam_p, theta_deg) * omega_p / C_LIGHT
+
     lam_e = 2.0 * math.pi * C_LIGHT / omega_e * 1e9
     lam_o = 2.0 * math.pi * C_LIGHT / omega_o * 1e9
-    k_p = index_e(crystal, lam_p, theta_deg) * omega_p / C_LIGHT
+    k_p = _on_sums(pump_k, omega_e, omega_o)
     k_e = index_e(crystal, lam_e, theta_deg) * omega_e / C_LIGHT
     k_o = index_o(crystal, lam_o) * omega_o / C_LIGHT
     return k_p - k_e - k_o

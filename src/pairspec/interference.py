@@ -19,7 +19,7 @@ from .crystals import CrystalSpec
 from .dispersion import phasematching_angle
 from .errors import ConfigError
 from .jsa import (FilterSpec, FrequencyGrid, JointAmplitude, PumpSpec, build_grid,
-                  joint_amplitude)
+                  joint_amplitude, lattice_axis)
 from .schmidt import ReducedDensityMatrix, heralded_density_matrix
 
 SQRT2 = math.sqrt(2.0)
@@ -193,8 +193,8 @@ def two_source_experiment(source_a: SourceSpec, source_b: SourceSpec,
                    span_sigmas=src.span_sigmas, theta_deg=theta).omega_e
         for src, theta in zip(sources, thetas)
     ]
-    axis = np.linspace(min(w[0] for w in windows), max(w[-1] for w in windows),
-                       max(src.n_points for src in sources))
+    axis = lattice_axis(min(w[0] for w in windows), max(w[-1] for w in windows),
+                        max(src.n_points for src in sources))
     grid = FrequencyGrid(omega_e=axis, omega_o=axis.copy())
     rhos = [
         heralded_density_matrix(

@@ -9,6 +9,7 @@ wavelengths appear only at construction and export boundaries.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.constants import c as C_LIGHT
 
 from .crystals import CrystalSpec
-from .dispersion import delta_k, group_index, phasematching_angle
+from .dispersion import _on_sums, delta_k, group_index, phasematching_angle
 from .errors import ConfigError, FilterSupportError, NumericalError
 
 TWO_PI_C = 2.0 * math.pi * C_LIGHT
@@ -128,9 +129,12 @@ class JointAmplitude:
             raise NumericalError("joint amplitude contains non-finite values")
         object.__setattr__(self, "values", v)
 
-    @property
+    @functools.cached_property
     def intensity(self):
-        return np.abs(self.values) ** 2
+        """|f|^2, computed once per amplitude and read-only."""
+        intensity = np.abs(self.values) ** 2
+        intensity.flags.writeable = False
+        return intensity
 
     def norm_sq(self):
         return float(np.sum(self.intensity) * self.grid.measure)
@@ -143,6 +147,23 @@ def normalize(grid: FrequencyGrid, values, flat_phase=False):
     if not np.isfinite(norm_sq) or norm_sq == 0.0:
         raise NumericalError("cannot normalize: joint amplitude has zero norm")
     return JointAmplitude(grid, values / math.sqrt(norm_sq), flat_phase=flat_phase)
+
+
+def lattice_axis(lo, hi, n):
+    """n points from round(lo) on a whole-rad/s step close to (hi - lo) / (n - 1).
+
+    Every point, and every sum of two points of such axes below 2**53
+    rad/s, is an exact float64 integer, so a grid of them has only
+    n + m - 1 distinct sums omega_e + omega_o. The last point is within
+    n / 2 rad/s of hi.
+    """
+    step = float(round((hi - lo) / (n - 1)))
+    if step <= 0:
+        raise ConfigError(
+            f"frequency window [{lo:.9g}, {hi:.9g}] rad/s at {n} points gives a "
+            f"step of {step:g} rad/s; it must be at least 1 rad/s"
+        )
+    return float(round(lo)) + step * np.arange(n)
 
 
 def build_grid(crystal: CrystalSpec, pump: PumpSpec, n_points=512,
@@ -176,7 +197,7 @@ def build_grid(crystal: CrystalSpec, pump: PumpSpec, n_points=512,
     sigma_est = math.sqrt(pump.sigma_omega * sigma_pm)
     omega0 = pump.omega_p / 2.0
     half = span_sigmas * sigma_est
-    axis = np.linspace(omega0 - half, omega0 + half, n_points)
+    axis = lattice_axis(omega0 - half, omega0 + half, n_points)
     return FrequencyGrid(omega_e=axis, omega_o=axis.copy())
 
 
@@ -185,7 +206,7 @@ def joint_amplitude(crystal: CrystalSpec, theta_deg, pump: PumpSpec,
     """f = pump envelope times phasematching function, unit-normalized."""
     we = grid.omega_e[:, None]
     wo = grid.omega_o[None, :]
-    alpha = pump_envelope(pump, we + wo)
+    alpha = _on_sums(lambda omega_sum: pump_envelope(pump, omega_sum), we, wo)
     phi = phasematching_function(crystal, theta_deg, we, wo, flat_phase=flat_phase)
     return normalize(grid, alpha * phi, flat_phase=flat_phase)
 

@@ -63,6 +63,13 @@ def cauchy_crystal(a_o=1.5, b_o=0.02, a_e=1.6, b_e=0.03, length_mm=5.0):
     )
 
 
+def assert_lattice(axis):
+    """Whole rad/s on one whole step."""
+    step = axis[1] - axis[0]
+    assert step > 0 and float(step).is_integer() and float(axis[0]).is_integer()
+    np.testing.assert_array_equal(axis, axis[0] + step * np.arange(axis.size))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)

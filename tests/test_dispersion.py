@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as c_light
 from scipy.optimize import brentq
@@ -11,6 +11,7 @@ from pairspec import dispersion as disp
 from pairspec.crystals import _FORMULAS, SellmeierForm, builtin_database, get_crystal
 from pairspec.errors import (DispersionRangeError, NoGvmPointError,
                              NoPhasematchingError)
+from pairspec.jsa import PumpSpec, pump_envelope
 
 from conftest import cauchy_crystal, constant_crystal
 
@@ -174,6 +175,70 @@ class TestDeltaK:
             for j, wo in enumerate(axis):
                 assert grid[i, j] == pytest.approx(
                     disp.delta_k(kdp, theta, we, wo), rel=1e-12)
+
+
+def pump_wavevector(crystal, theta):
+    """k_p(omega_p) as delta_k evaluates it."""
+    def k_p(omega_p):
+        lam_p = 2.0 * math.pi * c_light / omega_p * 1e9
+        return disp.index_e(crystal, lam_p, theta) * omega_p / c_light
+    return k_p
+
+
+def recording(fn, shapes):
+    def recorded(x):
+        shapes.append(np.shape(x))
+        return fn(x)
+    return recorded
+
+
+class TestOnSums:
+    """fn(omega_e + omega_o) once per distinct sum, bitwise equal to direct."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(e0=st.integers(10**15, 24 * 10**14), o0=st.integers(10**15, 24 * 10**14),
+           step=st.integers(10**9, 10**11), n=st.integers(2, 40), m=st.integers(2, 40))
+    def test_lattice_gather_is_bitwise_direct(self, kdp, e0, o0, step, n, m):
+        assume(n != m)
+        e = (float(e0) + float(step) * np.arange(n))[:, None]
+        o = (float(o0) + float(step) * np.arange(m))[None, :]
+        fns = (pump_wavevector(kdp, 59.0),
+               lambda s: pump_envelope(PumpSpec(415.0, 4.0), s))
+        for fn in fns:
+            shapes = []
+            gathered = disp._on_sums(recording(fn, shapes), e, o)
+            assert shapes == [(n + m - 1,)]
+            assert gathered.shape == (n, m)
+            np.testing.assert_array_equal(gathered, fn(e + o))
+
+    @pytest.mark.parametrize("e,o", [
+        # 7-point axis of test_vectorized_matches_scalar: not whole rad/s.
+        (np.linspace(omega(860.0), omega(800.0), 7)[:, None],
+         np.linspace(omega(860.0), omega(800.0), 7)[None, :]),
+        # Whole values on two different steps.
+        (2.2e15 + 1e11 * np.arange(5.0)[:, None], 2.2e15 + 2e11 * np.arange(6.0)[None, :]),
+        # Whole values off a uniform step.
+        (2.2e15 + 1e11 * np.array([0.0, 1.0, 3.0])[:, None],
+         2.2e15 + 1e11 * np.arange(4.0)[None, :]),
+        # Not a column and a row.
+        (2.2e15 + 1e11 * np.arange(5.0), 2.3e15 + 1e11 * np.arange(5.0)),
+        (omega(830.0), omega(830.0)),
+    ])
+    def test_other_inputs_take_direct_path(self, kdp, e, o):
+        k_p = pump_wavevector(kdp, 59.0)
+        shapes = []
+        got = disp._on_sums(recording(k_p, shapes), e, o)
+        assert shapes == [np.shape(np.add(e, o))]
+        np.testing.assert_array_equal(got, k_p(np.add(e, o)))
+
+    def test_linspace_axis_equals_direct(self, kdp):
+        # The 257-point HOM test axis happens to be whole rad/s on a whole
+        # step, so it is gathered; either way it must equal the direct sum.
+        axis = np.linspace(2.22e15, 2.32e15, 257)
+        k_p = pump_wavevector(kdp, 59.0)
+        np.testing.assert_array_equal(
+            disp._on_sums(k_p, axis[:, None], axis[None, :]),
+            k_p(axis[:, None] + axis[None, :]))
 
 
 class TestPhasematchingAngle:

@@ -15,6 +15,8 @@ from pairspec.jsa import FilterSpec, PumpSpec, build_grid
 from pairspec.schmidt import (ReducedDensityMatrix, heralded_density_matrix,
                               purity, schmidt_decompose)
 
+from conftest import assert_lattice
+
 
 def pure_state_density(axis, sigma, center=None):
     """rho = |psi><psi| for a Gaussian spectral amplitude."""
@@ -224,6 +226,21 @@ class TestCoveringGrid:
         np.testing.assert_array_equal(mixed.rates, same.rates)
         assert mixed.visibility == same.visibility
         assert mixed.dip_fwhm_fs == same.dip_fwhm_fs
+
+    def test_covering_grid_is_a_lattice(self, kdp_source, monkeypatch):
+        grids = []
+        build = interference.joint_amplitude
+
+        def recording_build(crystal, theta, pump, grid, **kwargs):
+            grids.append(grid)
+            return build(crystal, theta, pump, grid, **kwargs)
+
+        monkeypatch.setattr(interference, "joint_amplitude", recording_build)
+        other = replace(kdp_source, pump=PumpSpec(415.0, 8.0))
+        two_source_experiment(kdp_source, other, "o", np.linspace(-1500, 1500, 31))
+        assert len(grids) == 2 and grids[0] is grids[1]
+        assert_lattice(grids[0].omega_e)
+        assert_lattice(grids[0].omega_o)
 
     def test_mismatched_pump_bandwidths(self, kdp_source):
         # Reference: both JSAs on one converged union grid

@@ -6,14 +6,15 @@ import pytest
 from scipy.constants import c as c_light
 
 from pairspec import dispersion as disp
+from pairspec.crystals import SellmeierForm
 from pairspec.errors import ConfigError, FilterSupportError
 from pairspec.jsa import (FilterSpec, FrequencyGrid, JointAmplitude, PumpSpec,
                           apply_filters, build_grid, filter_transmission,
                           fwhm_of_curve, joint_amplitude, jsi_pearson,
-                          marginal_spectrum, normalize, phasematching_function,
-                          pump_envelope)
+                          lattice_axis, marginal_spectrum, normalize,
+                          phasematching_function, pump_envelope)
 
-from conftest import constant_crystal
+from conftest import assert_lattice, constant_crystal
 
 
 def make_grid(center_omega, half, n=64):
@@ -147,8 +148,37 @@ class TestBuildGrid:
             build_grid(constant_crystal(n_o=1.5, n_e=1.5),
                        PumpSpec(415.0, 4.0), theta_deg=45.0)
 
+    @pytest.mark.parametrize("source", ["kdp_source", "bbo_source"])
+    def test_shipped_axes_are_lattices(self, source, request):
+        src = request.getfixturevalue(source)
+        grid = build_grid(src.crystal, src.pump, n_points=src.n_points,
+                          span_sigmas=src.span_sigmas)
+        assert_lattice(grid.omega_e)
+        assert_lattice(grid.omega_o)
+
+    def test_step_rounding_to_zero_rejected(self):
+        with pytest.raises(ConfigError, match="step of 0"):
+            lattice_axis(2.27e15, 2.27e15 + 10.0, 64)
+
 
 class TestJointAmplitude:
+    def test_pump_terms_evaluated_once_per_sum(self, kdp, monkeypatch):
+        # On a lattice grid k_p sees the 2n - 1 distinct sums, not n^2 points.
+        n = 64
+        pump = PumpSpec(415.0, 4.0)
+        theta = disp.phasematching_angle(kdp, 415.0, 830.0)
+        grid = build_grid(kdp, pump, n_points=n, theta_deg=theta)
+        points = {"e": 0, "o": 0}
+        index = SellmeierForm.index
+
+        def counted_index(self, wavelength_nm, *args, **kwargs):
+            points["e" if self is kdp.sellmeier_e else "o"] += np.size(wavelength_nm)
+            return index(self, wavelength_nm, *args, **kwargs)
+
+        monkeypatch.setattr(SellmeierForm, "index", counted_index)
+        joint_amplitude(kdp, theta, pump, grid, flat_phase=True)
+        assert points == {"e": (2 * n - 1) + n, "o": (2 * n - 1) + 2 * n}
+
     def test_kdp_weakly_correlated(self, kdp_jsa):
         # Plane-wave pump with the full sinc response keeps a residual
         # sidelobe correlation; the KDP source is still far less
