@@ -258,13 +258,30 @@ def _parse_delays(spec):
         ) from exc
 
 
+def _hom_source(path, args):
+    """A config's source with its herald-arm filter; the interfered photon
+    must reach the beamsplitter unfiltered."""
+    config, filters = load_config(path, args.grid_points, args.flat_phase)
+    herald_filter = None
+    for filt in filters:
+        if filt.shape == "none":
+            continue
+        if filt.arm != args.herald_arm:
+            raise ConfigError(
+                f"{path}: [filter.{filt.arm}] filters the interfered {filt.arm!r} "
+                f"photon; hom --herald-arm {args.herald_arm} accepts only a "
+                f"[filter.{args.herald_arm}] herald filter"
+            )
+        herald_filter = filt
+    return replace(config.source, herald_filter=herald_filter)
+
+
 def cmd_hom(args):
-    config_a, _ = load_config(args.config_a, args.grid_points, args.flat_phase)
-    config_b, _ = load_config(args.config_b, args.grid_points, args.flat_phase)
+    source_a = _hom_source(args.config_a, args)
+    source_b = _hom_source(args.config_b, args)
     delays = _parse_delays(args.delays)
     scan = two_source_experiment(
-        config_a.source, config_b.source, herald_arm=args.herald_arm,
-        delays_fs=delays,
+        source_a, source_b, herald_arm=args.herald_arm, delays_fs=delays,
     )
     out = _out_dir(args)
     scan.to_csv(out / "hom.csv", metadata_lines=[

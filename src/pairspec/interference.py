@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.optimize import minimize_scalar
 
 from .crystals import CrystalSpec
@@ -23,6 +24,9 @@ from .jsa import (FilterSpec, FrequencyGrid, JointAmplitude, PumpSpec, build_gri
 from .schmidt import ReducedDensityMatrix, heralded_density_matrix
 
 SQRT2 = math.sqrt(2.0)
+# Relative slack on the alias limit pi/d_omega, so a scan computed to end
+# exactly there is not refused for its last bits.
+_ALIAS_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,44 +59,58 @@ def coherence_time(dip_fwhm_fs):
     return dip_fwhm_fs / SQRT2
 
 
-def _diagonal_sums(product):
-    """Sums of the k-th diagonals of a square matrix, k in [-(n-1), n-1].
-
-    Collapses the double sum over matrix entries into a single sum over
-    frequency differences, so each delay evaluation is O(n).
-    """
-    n = product.shape[0]
-    sums = np.zeros(2 * n - 1, dtype=product.dtype)
-    for k in range(-(n - 1), n):
-        sums[k + n - 1] = np.trace(product, offset=k)
-    return sums
-
-
 class _Overlap:
-    """Re Tr[rho_a rho_b(tau)] as a fast function of the delay."""
+    """Re Tr[rho_a rho_b(tau)] as a fast function of the delay.
+
+    On a uniform axis the phase exp(-i (w_j - w_i) tau) depends only on
+    k = j - i, so the trace collapses to the diagonal sums D_k of
+    P = rho_a * rho_b^T. Both states are Hermitian, so rho_b^T = conj(rho_b)
+    and D_-k = conj(D_k): only the upper diagonals are summed, and
+
+        overlap(tau) = D_0 + 2 sum_{k>=1} [Re D_k cos(k dw tau) + Im D_k sin(k dw tau)].
+
+    For real states (flat phase) D is real and the sine term drops out.
+    """
 
     def __init__(self, rho_a: ReducedDensityMatrix, rho_b: ReducedDensityMatrix):
         if rho_a.omega_axis.size != rho_b.omega_axis.size or not np.allclose(
             rho_a.omega_axis, rho_b.omega_axis, rtol=1e-12
         ):
             raise ConfigError("density matrices must share an identical frequency axis")
+        n = rho_a.omega_axis.size
         d_omega = rho_a.d_omega
-        # (rho_a * rho_b^T)_ij = rho_a_ij rho_b_ji; the phase depends only
-        # on j - i on a uniform axis.
-        product = rho_a.values * rho_b.values.T
-        n = product.shape[0]
-        self._diag = _diagonal_sums(product) * d_omega ** 2
-        self._freq_steps = np.arange(-(n - 1), n) * d_omega
+        # P fills the left n columns of a zero-padded n x (2n - 1) buffer;
+        # with row stride (row + col) the view below reads P[i, i + k] at
+        # [i, k], or a padding zero where i + k >= n.
+        buf = np.zeros((n, 2 * n - 1), dtype=np.result_type(rho_a.values, rho_b.values))
+        product = buf[:, :n]
+        np.conjugate(rho_b.values, out=product)
+        product *= rho_a.values
+        row, col = buf.strides
+        diag = as_strided(buf, shape=(n, n), strides=(row + col, col)).sum(axis=0)
+        diag *= d_omega ** 2
+        self._d0 = float(diag[0].real)
+        self._cos_weights = 2.0 * diag[1:].real
+        self._sin_weights = 2.0 * diag[1:].imag if np.iscomplexobj(diag) else None
+        self._freq_steps = np.arange(1, n) * d_omega
 
     def __call__(self, tau_s):
         tau_s = np.atleast_1d(np.asarray(tau_s, dtype=float))
-        phases = np.exp(-1j * np.outer(tau_s, self._freq_steps))
-        vals = np.real(phases @ self._diag)
+        phases = np.outer(tau_s, self._freq_steps)
+        vals = self._d0
+        if self._sin_weights is not None:
+            vals = vals + np.sin(phases) @ self._sin_weights
+        vals = vals + np.cos(phases, out=phases) @ self._cos_weights
         return vals if vals.size > 1 else float(vals[0])
 
 
 def hom_dip(rho_a: ReducedDensityMatrix, rho_b: ReducedDensityMatrix, delays_fs):
     """Normalized coincidence rates over the given delays plus dip metrics.
+
+    Both density matrices must be Hermitian, as every heralded state is,
+    and share one uniform frequency axis. On that axis of step dw the
+    overlap repeats every 2 pi / dw, so delays must lie within +-pi / dw
+    (up to rounding).
 
     Visibility is the maximum overlap found by a bounded scalar search
     within one mean scan step of the best scan sample, and never less than
@@ -103,6 +121,15 @@ def hom_dip(rho_a: ReducedDensityMatrix, rho_b: ReducedDensityMatrix, delays_fs)
     if delays_fs.ndim != 1 or delays_fs.size < 3:
         raise ConfigError("need at least 3 delay points")
     overlap = _Overlap(rho_a, rho_b)
+    n, d_omega = rho_a.omega_axis.size, rho_a.d_omega
+    half_period_fs = math.pi / d_omega * 1e15
+    grid_text = f"the n={n} grid (d_omega = {d_omega:.6g} rad/s)"
+    if np.max(np.abs(delays_fs)) > half_period_fs * (1.0 + _ALIAS_SLACK):
+        raise ConfigError(
+            f"delay {np.max(np.abs(delays_fs)):.6g} fs lies beyond the alias limit "
+            f"pi/d_omega = {half_period_fs:.6g} fs of {grid_text}: the overlap "
+            f"repeats every 2 pi/d_omega"
+        )
     rates = 1.0 - overlap(delays_fs * 1e-15)
 
     i_peak = int(np.argmin(rates))
@@ -122,7 +149,19 @@ def hom_dip(rho_a: ReducedDensityMatrix, rho_b: ReducedDensityMatrix, delays_fs)
     if visibility < 1e-12:
         dip_fwhm_fs = 0.0
     else:
-        if idx.size == 0 or idx[0] == 0 or idx[-1] == rates.size - 1:
+        # Scan ends on the side of a missing crossing; widening helps only
+        # where the scan stops short of the alias limit.
+        open_ends = [end for end, is_open in (
+            (-delays_fs[0], idx.size == 0 or idx[0] == 0),
+            (delays_fs[-1], idx.size == 0 or idx[-1] == rates.size - 1),
+        ) if is_open]
+        if open_ends and min(open_ends) >= half_period_fs * (1.0 - _ALIAS_SLACK):
+            raise ConfigError(
+                f"grid too coarse: the scan reaches the alias limit "
+                f"+-{half_period_fs:.6g} fs of {grid_text} but the dip is wider "
+                f"than that; use more grid points"
+            )
+        if open_ends:
             raise ConfigError(
                 "widen delay range: scan does not bracket the half-depth crossings"
             )

@@ -57,7 +57,11 @@ def schmidt_decompose(jsa: JointAmplitude, keep_modes=False):
 
 @dataclass(frozen=True)
 class ReducedDensityMatrix:
-    """Single-photon spectral density matrix, unit trace with grid measure."""
+    """Single-photon spectral density matrix, unit trace with grid measure.
+
+    The values are Hermitian on a uniform axis; `heralded_density_matrix`
+    builds them so, and `interference.hom_dip` relies on it.
+    """
 
     omega_axis: np.ndarray
     values: np.ndarray
@@ -105,10 +109,11 @@ def heralded_density_matrix(jsa: JointAmplitude, heralded_arm,
         f = jsa.values.T
         d_herald = jsa.grid.d_omega_e
     if herald_filter.shape != "none":
-        f_h = f * filter_transmission(herald_filter, herald_axis)[None, :]
-    else:
-        f_h = f  # unit transmission: skip an n x n copy
-    rho = f_h @ f.conj().T * d_herald
+        # The herald's intensity transmission T splits as sqrt(T) on each
+        # factor, so rho = A A^dagger is Hermitian by construction (and, for
+        # real amplitudes, bitwise symmetric from one SYRK).
+        f = f * np.sqrt(filter_transmission(herald_filter, herald_axis))[None, :]
+    rho = f @ f.conj().T * d_herald
     d_omega = float(axis[1] - axis[0])
     tr = float(np.real(np.trace(rho)) * d_omega)
     if tr <= 0.0:

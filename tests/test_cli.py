@@ -128,6 +128,51 @@ class TestHomFitRoundtrip:
         assert code == 2
 
 
+class TestHomFilters:
+    CONFIG = """\
+[source]
+crystal = BBO
+length_mm = 2
+pump_center_nm = 400
+pump_fwhm_nm = 4
+flat_phase = true
+
+[grid]
+n_points = 128
+
+[filter.o]
+shape = gaussian
+center_nm = 800
+fwhm_nm = 1
+"""
+
+    def config(self, tmp_path):
+        path = tmp_path / "bbo_filtered.cfg"
+        path.write_text(self.CONFIG)
+        return str(path)
+
+    def test_herald_filter_honoured(self, tmp_path):
+        # Identical sources: V = Tr rho^2 of the heralded photon, which is
+        # the Schmidt purity of the filtered amplitude.
+        cfg = self.config(tmp_path)
+        assert run(["hom", "--config-a", cfg, "--config-b", cfg,
+                    "--herald-arm", "o", "--out", str(tmp_path)]) == 0
+        header = dict(line[2:].split(",", 1)
+                      for line in (tmp_path / "hom.csv").read_text().splitlines()
+                      if line.startswith("# "))
+        assert run(["schmidt", "--config", cfg, "--out", str(tmp_path)]) == 0
+        purity = json.loads((tmp_path / "schmidt_meta.json").read_text())["purity"]
+        assert purity > 0.9
+        assert float(header["visibility"]) == pytest.approx(purity, abs=1e-9)
+
+    def test_interfered_arm_filter_is_config_error(self, tmp_path, capsys):
+        cfg = self.config(tmp_path)
+        assert run(["hom", "--config-a", BBO_CFG, "--config-b", cfg,
+                    "--herald-arm", "e", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert cfg in err and "[filter.o]" in err
+
+
 class TestScanCommand:
     def test_noiseless_scan(self, tmp_path):
         code = run(["scan", "--config", KDP_CFG, "--grid-points", "256",

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from pairspec.crystals import get_crystal
 from pairspec.errors import ConfigError
 from pairspec.interference import (SourceSpec, coherence_time, hom_dip,
                                    two_source_experiment)
-from pairspec.jsa import FilterSpec, PumpSpec, build_grid
+from pairspec.jsa import FilterSpec, PumpSpec, build_grid, lattice_axis
 from pairspec.schmidt import (ReducedDensityMatrix, heralded_density_matrix,
                               purity, schmidt_decompose)
 
@@ -316,3 +317,88 @@ class TestTwoSourceProperties:
         backward = two_source_experiment(b, a, "o", delays)
         np.testing.assert_allclose(forward.rates, backward.rates, rtol=0, atol=1e-12)
         assert forward.visibility == pytest.approx(backward.visibility, abs=1e-12)
+
+
+def covering_states(source_a, source_b, herald_arm):
+    """The two heralded states two_source_experiment hands to hom_dip."""
+    states = []
+    with mock.patch.object(interference, "hom_dip",
+                           lambda rho_a, rho_b, delays: states.append((rho_a, rho_b))):
+        two_source_experiment(source_a, source_b, herald_arm, [0.0, 0.0, 0.0])
+    return states[0]
+
+
+def reference_overlap(rho_a, rho_b, tau_s):
+    """Re sum_ij rho_a[i, j] rho_b[j, i] exp(-i (w_j - w_i) tau) dw^2, term by term."""
+    w = rho_a.omega_axis
+    phase = np.exp(-1j * (w[None, :] - w[:, None]) * tau_s)
+    return float(np.real(np.sum(rho_a.values * rho_b.values.T * phase))) * rho_a.d_omega ** 2
+
+
+@st.composite
+def overlap_cases(draw):
+    """One or two KDP/BBO sources of either phase on one covering grid, a
+    herald arm with an optional filter, and delays within +-pi / d_omega."""
+    name = draw(st.sampled_from(["KDP", "BBO"]))
+    center_nm = {"KDP": 415.0, "BBO": 400.0}[name]
+    n_points = draw(st.integers(MIN_POINTS, 128))
+    flat_phase = draw(st.booleans())
+    herald_arm = draw(st.sampled_from(["e", "o"]))
+    shape = draw(st.sampled_from(["none", "gaussian", "rectangular"]))
+    herald_filter = None if shape == "none" else FilterSpec(
+        shape, herald_arm, 2.0 * center_nm, draw(st.floats(5.0, 40.0)))
+
+    def source():
+        return SourceSpec(crystal=get_crystal(name, draw(st.floats(1.0, 10.0))),
+                          pump=PumpSpec(center_nm, draw(st.floats(1.0, 10.0))),
+                          n_points=n_points, flat_phase=flat_phase,
+                          herald_filter=herald_filter)
+
+    source_a = source()
+    source_b = source_a if draw(st.booleans()) else source()
+    fractions = draw(st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=12))
+    return source_a, source_b, herald_arm, np.array(fractions)
+
+
+class TestOverlapReference:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(overlap_cases())
+    def test_matches_direct_double_sum(self, case):
+        source_a, source_b, herald_arm, fractions = case
+        rho_a, rho_b = covering_states(source_a, source_b, herald_arm)
+        assert np.iscomplexobj(rho_a.values) == (not source_a.flat_phase)
+        taus = fractions * math.pi / rho_a.d_omega
+        expected = [reference_overlap(rho_a, rho_b, tau) for tau in taus]
+        np.testing.assert_allclose(interference._Overlap(rho_a, rho_b)(taus), expected,
+                                   rtol=0, atol=1e-12)
+
+
+class TestAliasLimit:
+    def test_delay_beyond_the_limit_is_error(self):
+        rho = pure_state_density(AXIS, 5e12)
+        half_period_fs = math.pi / rho.d_omega * 1e15
+        with pytest.raises(ConfigError, match=r"alias limit.*n=257 grid"):
+            hom_dip(rho, rho, np.linspace(-1.001 * half_period_fs, 0.0, 201))
+
+    def test_coarse_covering_grid_is_named(self):
+        # KDP 7 mm / 3 nm against 1 mm / 6 nm at n=64: the wide window sets
+        # the covering grid's step, and the narrow source's dip is wider
+        # than the overlap's period.
+        a, b = (SourceSpec(crystal=get_crystal("KDP", length), pump=PumpSpec(415.0, fwhm),
+                           n_points=64)
+                for length, fwhm in ((7.0, 3.0), (1.0, 6.0)))
+        windows = [build_grid(src.crystal, src.pump, n_points=64).omega_e for src in (a, b)]
+        axis = lattice_axis(min(w[0] for w in windows), max(w[-1] for w in windows), 64)
+        half_period_fs = math.pi / (axis[1] - axis[0]) * 1e15
+        assert half_period_fs == pytest.approx(710.5, abs=0.1)
+
+        def scan(reach):
+            delays = np.linspace(-reach * half_period_fs, reach * half_period_fs, 201)
+            return two_source_experiment(a, b, "o", delays)
+
+        with pytest.raises(ConfigError, match="widen"):
+            scan(0.5)
+        with pytest.raises(ConfigError, match=r"too coarse.*n=64 grid \(d_omega = 4\.42"):
+            scan(1.0)
+        with pytest.raises(ConfigError, match="alias limit"):
+            scan(2.0)
