@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import leastsq
 
 from .errors import ConfigError, FilterSupportError
@@ -53,7 +52,7 @@ def filter_sweep(source: SourceSpec, bandwidths_nm, filter_shape="gaussian",
     if herald_arm not in ("e", "o"):
         raise ConfigError(f"herald_arm must be 'e' or 'o', got {herald_arm!r}")
     bandwidths_nm = np.asarray(bandwidths_nm, dtype=float)
-    if bandwidths_nm.ndim != 1 or np.any(bandwidths_nm <= 0):
+    if bandwidths_nm.ndim != 1 or not np.all(bandwidths_nm > 0):
         raise ConfigError("bandwidths must be a 1-d positive array")
     jsa = source.build_jsa()
     center_nm = 2.0 * source.pump.center_nm
@@ -156,8 +155,8 @@ def simulate_counts(scan: HomScan, pairs_per_point, seed):
     Each point uses its own generator seeded with seed + index, so serial
     and parallel evaluations agree bit-exactly.
     """
-    if pairs_per_point <= 0:
-        raise ConfigError("pairs_per_point must be positive")
+    if not 0 < pairs_per_point < math.inf:
+        raise ConfigError("pairs_per_point must be positive and finite")
     counts = np.empty(scan.delays_fs.size, dtype=int)
     for i, rate in enumerate(scan.rates):
         rng = np.random.default_rng(seed + i)
@@ -336,34 +335,32 @@ def simulate_jsi_scan(jsa: JointAmplitude, resolution_fwhm_nm, step_nm,
 
     The true JSI is convolved with a separable Gaussian instrument
     response of the given intensity FWHM per axis and sampled on a
-    wavelength lattice with the given step. pairs_budget is distributed
-    over the lattice proportionally to the smoothed intensity and Poisson
-    sampled; pass pairs_budget=None for the noiseless sentinel and
-    resolution_fwhm_nm=0 for a delta-function instrument.
+    wavelength lattice with the given step, the same for both arms:
+    smoothed = R @ JSI @ R.T. pairs_budget is distributed over the
+    lattice proportionally to the smoothed intensity and Poisson sampled;
+    pass pairs_budget=None for the noiseless sentinel and
+    resolution_fwhm_nm=0 for a delta-function instrument, which reads
+    the JSI bilinearly interpolated (0 past the sampled window).
     """
-    if step_nm <= 0:
-        raise ConfigError("step_nm must be positive")
-    if resolution_fwhm_nm < 0:
-        raise ConfigError("resolution_fwhm_nm must be nonnegative")
-    lam_e = nm_from_omega(jsa.grid.omega_e)[::-1]
-    lam_o = nm_from_omega(jsa.grid.omega_o)[::-1]
-    lat_e = np.arange(lam_e[0], lam_e[-1] + step_nm / 2.0, step_nm)
-    lat_o = np.arange(lam_o[0], lam_o[-1] + step_nm / 2.0, step_nm)
-    intensity = jsa.intensity[::-1, ::-1]  # ascending in wavelength
-    if resolution_fwhm_nm == 0.0:
-        interp = RegularGridInterpolator(
-            (lam_e, lam_o), intensity, method="linear", bounds_error=False,
-            fill_value=0.0,
-        )
-        ee, oo = np.meshgrid(lat_e, lat_o, indexing="ij")
-        smoothed = interp(np.stack([ee.ravel(), oo.ravel()], axis=-1)).reshape(
-            lat_e.size, lat_o.size
-        )
-    else:
+    if not 0 < step_nm < math.inf:
+        raise ConfigError("step_nm must be positive and finite")
+    if not 0 <= resolution_fwhm_nm < math.inf:
+        raise ConfigError("resolution_fwhm_nm must be nonnegative and finite")
+    lam = nm_from_omega(jsa.grid.omega_e)[::-1]  # ascending
+    lattice = np.arange(lam[0], lam[-1] + step_nm / 2.0, step_nm)
+    # response[i, j]: weight of sample j in lattice point i.
+    if resolution_fwhm_nm > 0.0:
         s = resolution_fwhm_nm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-        resp_e = np.exp(-((lat_e[:, None] - lam_e[None, :]) ** 2) / (2.0 * s ** 2))
-        resp_o = np.exp(-((lat_o[:, None] - lam_o[None, :]) ** 2) / (2.0 * s ** 2))
-        smoothed = resp_e @ intensity @ resp_o.T
+        response = np.exp(-((lattice[:, None] - lam[None, :]) ** 2) / (2.0 * s ** 2))
+    else:
+        # Hat functions of linear interpolation; rows of zeros past the samples.
+        j = np.clip(np.searchsorted(lam, lattice) - 1, 0, lam.size - 2)
+        frac = (lattice - lam[j]) / (lam[j + 1] - lam[j])
+        rows = np.flatnonzero((lattice >= lam[0]) & (lattice <= lam[-1]))
+        response = np.zeros((lattice.size, lam.size))
+        response[rows, j[rows]] = 1.0 - frac[rows]
+        response[rows, j[rows] + 1] = frac[rows]
+    smoothed = response @ jsa.intensity[::-1, ::-1] @ response.T
     total = float(smoothed.sum())
     if total <= 0.0:
         raise FilterSupportError("scan sees no intensity on the lattice")
@@ -371,8 +368,8 @@ def simulate_jsi_scan(jsa: JointAmplitude, resolution_fwhm_nm, step_nm,
         counts = None
         expected = smoothed
     else:
-        if pairs_budget <= 0:
-            raise ConfigError("pairs_budget must be positive (or None for noiseless)")
+        if not 0 < pairs_budget < math.inf:
+            raise ConfigError("pairs_budget must be positive and finite (or None for noiseless)")
         expected = smoothed * (pairs_budget / total)
         if seed is None:
             raise ConfigError("seed is required when sampling counts")
@@ -383,8 +380,8 @@ def simulate_jsi_scan(jsa: JointAmplitude, resolution_fwhm_nm, step_nm,
             rng = np.random.default_rng(seed + i)
             counts[i] = rng.poisson(expected[i])
     return JsiScanResult(
-        lambda_e_nm=lat_e,
-        lambda_o_nm=lat_o,
+        lambda_e_nm=lattice,
+        lambda_o_nm=lattice,
         expected=expected,
         counts=counts,
         resolution_fwhm_nm=float(resolution_fwhm_nm),

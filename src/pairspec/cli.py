@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -18,8 +19,7 @@ import numpy as np
 from . import __version__
 from .analysis import (CountRecord, filter_sweep, fit_gaussian_dip,
                        simulate_counts, simulate_jsi_scan)
-from .crystals import (_DB_KEYS, CrystalDatabase, CrystalSpec, _record_to_forms,
-                       builtin_database)
+from .crystals import CrystalDatabase, builtin_database, crystal_from_record
 from .dispersion import gvm_pump_wavelength
 from .errors import (ConfigError, NumericalError, PairspecError,
                      PhysicsDomainError)
@@ -38,7 +38,6 @@ _SOURCE_KEYS = {
 }
 _GRID_KEYS = {"n_points", "span_sigmas"}
 _FILTER_KEYS = {"shape", "center_nm", "fwhm_nm"}
-_CRYSTAL_KEYS = set(_DB_KEYS) - {"name"}
 
 
 @dataclass
@@ -68,9 +67,12 @@ def _get_float(section, key, path, default=None):
             return default
         raise ConfigError(f"{path}: missing key {key!r}")
     try:
-        return float(section[key])
+        value = float(section[key])
     except ValueError as exc:
         raise ConfigError(f"{path}: key {key!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: key {key!r} must be finite, got {value}")
+    return value
 
 
 def load_config(path, grid_points=None, flat_phase=None):
@@ -98,24 +100,11 @@ def load_config(path, grid_points=None, flat_phase=None):
     length_mm = _get_float(src, "length_mm", path)
     cut_angle = _get_float(src, "cut_angle_deg", path) if "cut_angle_deg" in src else None
     if inline:
-        _check_keys(parser, "crystal", _CRYSTAL_KEYS, path)
-        record = {"name": "inline", **parser["crystal"]}
-        missing = _CRYSTAL_KEYS - set(record)
-        if missing:
-            raise ConfigError(
-                f"{path}: [crystal] missing keys: {', '.join(sorted(missing))}")
         try:
-            sellmeier_o, sellmeier_e = _record_to_forms(record)
+            crystal = crystal_from_record("inline", dict(parser["crystal"]),
+                                          length_mm, cut_angle)
         except ConfigError as exc:
             raise ConfigError(f"{path}: [crystal] {exc}") from exc
-        crystal = CrystalSpec(
-            name="inline",
-            sellmeier_o=sellmeier_o,
-            sellmeier_e=sellmeier_e,
-            length_mm=length_mm,
-            cut_angle_deg=cut_angle,
-            source_citation=record["source_citation"],
-        )
     else:
         db = (CrystalDatabase.from_file(src["crystal_file"])
               if "crystal_file" in src else builtin_database())
@@ -251,11 +240,14 @@ def cmd_sweep(args):
 def _parse_delays(spec):
     try:
         start, stop, count = spec.split(":")
-        return np.linspace(float(start), float(stop), int(count))
+        start, stop = float(start), float(stop)
+        if math.isfinite(start) and math.isfinite(stop):
+            return np.linspace(start, stop, int(count))
     except ValueError as exc:
         raise ConfigError(
             f"delay range must be start:stop:count in fs, got {spec!r}"
         ) from exc
+    raise ConfigError(f"delay range ends must be finite, got {spec!r}")
 
 
 def _hom_source(path, args):

@@ -125,8 +125,8 @@ class CrystalSpec:
     source_citation: str = ""
 
     def __post_init__(self):
-        if self.length_mm <= 0:
-            raise ConfigError(f"crystal length must be positive, got {self.length_mm}")
+        if not 0 < self.length_mm < np.inf:
+            raise ConfigError(f"crystal length must be positive and finite, got {self.length_mm}")
         if self.cut_angle_deg is not None and not 0 <= self.cut_angle_deg <= 90:
             raise ConfigError(
                 f"cut angle must lie in [0, 90] degrees, got {self.cut_angle_deg}"
@@ -145,7 +145,7 @@ _DB_KEYS = (
 
 
 def parse_crystal_database(text):
-    """Parse the crystal-database text format into raw record dicts.
+    """Parse the crystal-database text format into {name: fields} dicts.
 
     Records are blank-line-separated blocks of "key = value" lines.
     Unknown keys, duplicate keys, and missing keys are all errors.
@@ -163,7 +163,7 @@ def parse_crystal_database(text):
                 f"crystal record starting at line {lineno_of_block} is missing "
                 f"fields: {', '.join(missing)}"
             )
-        name = block["name"]
+        name = block.pop("name")
         if name in records:
             raise ConfigError(f"duplicate crystal record {name!r}")
         records[name] = dict(block)
@@ -197,17 +197,27 @@ def parse_crystal_database(text):
     return records
 
 
-def _record_to_forms(rec):
+def crystal_from_record(name, fields, length_mm, cut_angle_deg=None):
+    """CrystalSpec from the string fields of a database record or an
+    inline [crystal] section: every record key but the name, and no other."""
+    wrong = sorted(set(fields) ^ set(_DB_KEYS[1:]))
+    if wrong:
+        raise ConfigError(f"crystal {name!r}: missing or unknown fields: {', '.join(wrong)}")
     try:
-        vmin = float(rec["valid_um_min"])
-        vmax = float(rec["valid_um_max"])
-        co = tuple(float(x) for x in rec["coefficients_o"].split(","))
-        ce = tuple(float(x) for x in rec["coefficients_e"].split(","))
+        vmin = float(fields["valid_um_min"])
+        vmax = float(fields["valid_um_max"])
+        co = tuple(float(x) for x in fields["coefficients_o"].split(","))
+        ce = tuple(float(x) for x in fields["coefficients_e"].split(","))
     except ValueError as exc:
-        raise ConfigError(f"crystal {rec['name']!r}: {exc}") from exc
-    fo = SellmeierForm(rec["formula_id"], co, vmin, vmax)
-    fe = SellmeierForm(rec["formula_id"], ce, vmin, vmax)
-    return fo, fe
+        raise ConfigError(f"crystal {name!r}: {exc}") from exc
+    return CrystalSpec(
+        name=name,
+        sellmeier_o=SellmeierForm(fields["formula_id"], co, vmin, vmax),
+        sellmeier_e=SellmeierForm(fields["formula_id"], ce, vmin, vmax),
+        length_mm=length_mm,
+        cut_angle_deg=cut_angle_deg,
+        source_citation=fields["source_citation"],
+    )
 
 
 class CrystalDatabase:
@@ -235,16 +245,7 @@ class CrystalDatabase:
             raise ConfigError(
                 f"unknown crystal {name!r}; available: {', '.join(self.names())}"
             )
-        rec = self._records[name]
-        fo, fe = _record_to_forms(rec)
-        return CrystalSpec(
-            name=name,
-            sellmeier_o=fo,
-            sellmeier_e=fe,
-            length_mm=length_mm,
-            cut_angle_deg=cut_angle_deg,
-            source_citation=rec["source_citation"],
-        )
+        return crystal_from_record(name, self._records[name], length_mm, cut_angle_deg)
 
 
 _BUILTIN = None

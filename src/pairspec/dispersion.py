@@ -17,7 +17,7 @@ from scipy.constants import c as C_LIGHT
 from scipy.optimize import brentq
 
 from .crystals import CrystalSpec
-from .errors import NoGvmPointError, NoPhasematchingError
+from .errors import ConfigError, NoGvmPointError, NoPhasematchingError
 
 GVM_TOL_NM = 1e-4
 
@@ -172,6 +172,8 @@ def gvm_pump_wavelength(crystal: CrystalSpec, daughter_o_wavelength_nm,
     daughter wavelength is tied to the pump by lambda_daughter =
     2 * lambda_pump throughout the scan.
     """
+    if not 0 < daughter_o_wavelength_nm < math.inf:
+        raise ConfigError("daughter wavelength must be positive and finite")
     center = daughter_o_wavelength_nm / 2.0
 
     def mismatch(lam_p):

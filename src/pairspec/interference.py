@@ -120,6 +120,8 @@ def hom_dip(rho_a: ReducedDensityMatrix, rho_b: ReducedDensityMatrix, delays_fs)
     delays_fs = np.asarray(delays_fs, dtype=float)
     if delays_fs.ndim != 1 or delays_fs.size < 3:
         raise ConfigError("need at least 3 delay points")
+    if not np.all(np.isfinite(delays_fs)):
+        raise ConfigError("delays must be finite")
     overlap = _Overlap(rho_a, rho_b)
     n, d_omega = rho_a.omega_axis.size, rho_a.d_omega
     half_period_fs = math.pi / d_omega * 1e15
@@ -234,7 +236,7 @@ def two_source_experiment(source_a: SourceSpec, source_b: SourceSpec,
     ]
     axis = lattice_axis(min(w[0] for w in windows), max(w[-1] for w in windows),
                         max(src.n_points for src in sources))
-    grid = FrequencyGrid(omega_e=axis, omega_o=axis.copy())
+    grid = FrequencyGrid(omega_e=axis, omega_o=axis)
     rhos = [
         heralded_density_matrix(
             joint_amplitude(src.crystal, theta, src.pump, grid,

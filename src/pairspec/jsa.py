@@ -1,6 +1,6 @@
 """Joint spectral amplitude construction, filtering, and marginals.
 
-The two-photon amplitude on a rectangular frequency grid is the product
+The two-photon amplitude on a square frequency grid is the product
 of a Gaussian pump envelope evaluated at the daughter-frequency sum and
 the sinc-shaped phasematching response of the crystal, L2-normalized
 with the grid measure. All internal math is in angular frequency;
@@ -23,7 +23,7 @@ from .errors import ConfigError, FilterSupportError, NumericalError
 
 TWO_PI_C = 2.0 * math.pi * C_LIGHT
 
-NORM_TOL = 1e-9
+NORM_CONVENTION = "unit-L2-with-grid-measure"
 
 
 def omega_from_nm(wavelength_nm):
@@ -50,8 +50,8 @@ class PumpSpec:
     eta: float = 1.0
 
     def __post_init__(self):
-        if self.center_nm <= 0 or self.fwhm_nm <= 0:
-            raise ConfigError("pump center and FWHM must be positive")
+        if not (0 < self.center_nm < math.inf and 0 < self.fwhm_nm < math.inf):
+            raise ConfigError("pump center and FWHM must be positive and finite")
 
     @property
     def omega_p(self):
@@ -84,50 +84,51 @@ def phasematching_function(crystal: CrystalSpec, theta_deg, omega_e, omega_o,
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform ascending frequency axes for the two daughter photons."""
+    """One uniform ascending frequency axis shared by both daughter photons:
+    omega_o must equal omega_e, and both names hold the same array."""
 
     omega_e: np.ndarray
     omega_o: np.ndarray
 
     def __post_init__(self):
-        for name, ax in (("omega_e", self.omega_e), ("omega_o", self.omega_o)):
-            ax = np.asarray(ax, dtype=float)
-            if ax.ndim != 1 or ax.size < 16:
-                raise ConfigError(f"{name}: need a 1-d axis with >= 16 points")
-            steps = np.diff(ax)
-            if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9):
-                raise ConfigError(f"{name}: axis must be uniform and ascending")
-            object.__setattr__(self, name, ax)
+        ax = np.asarray(self.omega_e, dtype=float)
+        if ax.ndim != 1 or ax.size < 16:
+            raise ConfigError("need a 1-d frequency axis with >= 16 points")
+        steps = np.diff(ax)
+        if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9):
+            raise ConfigError("frequency axis must be uniform and ascending")
+        if not np.array_equal(np.asarray(self.omega_o, dtype=float), ax):
+            raise ConfigError("omega_o must equal omega_e: both photons share one axis")
+        object.__setattr__(self, "omega_e", ax)
+        object.__setattr__(self, "omega_o", ax)
 
     @property
-    def d_omega_e(self):
+    def d_omega(self):
         return float(self.omega_e[1] - self.omega_e[0])
 
     @property
-    def d_omega_o(self):
-        return float(self.omega_o[1] - self.omega_o[0])
-
-    @property
     def measure(self):
-        return self.d_omega_e * self.d_omega_o
+        return self.d_omega ** 2
 
 
 @dataclass(frozen=True)
 class JointAmplitude:
-    """Two-photon amplitude, unit L2 norm with grid measure; float64 if real."""
+    """Two-photon amplitude, unit L2 norm with grid measure; float64 if flat-phase."""
 
     grid: FrequencyGrid
     values: np.ndarray  # indexed [e, o]
-    flat_phase: bool = False
-    norm_convention: str = "unit-L2-with-grid-measure"
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex if np.iscomplexobj(self.values) else float)
-        if v.shape != (self.grid.omega_e.size, self.grid.omega_o.size):
+        if v.shape != (self.grid.omega_e.size,) * 2:
             raise ConfigError("values shape does not match the grid")
         if not np.all(np.isfinite(v)):
             raise NumericalError("joint amplitude contains non-finite values")
         object.__setattr__(self, "values", v)
+
+    @property
+    def flat_phase(self):
+        return not np.iscomplexobj(self.values)
 
     @functools.cached_property
     def intensity(self):
@@ -140,13 +141,13 @@ class JointAmplitude:
         return float(np.sum(self.intensity) * self.grid.measure)
 
 
-def normalize(grid: FrequencyGrid, values, flat_phase=False):
+def normalize(grid: FrequencyGrid, values):
     """Wrap raw amplitudes into a unit-norm JointAmplitude."""
     values = np.asarray(values)
     norm_sq = np.sum(np.abs(values) ** 2) * grid.measure
     if not np.isfinite(norm_sq) or norm_sq == 0.0:
         raise NumericalError("cannot normalize: joint amplitude has zero norm")
-    return JointAmplitude(grid, values / math.sqrt(norm_sq), flat_phase=flat_phase)
+    return JointAmplitude(grid, values / math.sqrt(norm_sq))
 
 
 def lattice_axis(lo, hi, n):
@@ -179,8 +180,8 @@ def build_grid(crystal: CrystalSpec, pump: PumpSpec, n_points=512,
     """
     if n_points < 16:
         raise ConfigError("n_points must be at least 16")
-    if span_sigmas <= 0:
-        raise ConfigError("span_sigmas must be positive")
+    if not 0 < span_sigmas < math.inf:
+        raise ConfigError("span_sigmas must be positive and finite")
     if theta_deg is None:
         theta_deg = crystal.cut_angle_deg
     if theta_deg is None:
@@ -198,7 +199,7 @@ def build_grid(crystal: CrystalSpec, pump: PumpSpec, n_points=512,
     omega0 = pump.omega_p / 2.0
     half = span_sigmas * sigma_est
     axis = lattice_axis(omega0 - half, omega0 + half, n_points)
-    return FrequencyGrid(omega_e=axis, omega_o=axis.copy())
+    return FrequencyGrid(omega_e=axis, omega_o=axis)
 
 
 def joint_amplitude(crystal: CrystalSpec, theta_deg, pump: PumpSpec,
@@ -208,7 +209,7 @@ def joint_amplitude(crystal: CrystalSpec, theta_deg, pump: PumpSpec,
     wo = grid.omega_o[None, :]
     alpha = _on_sums(lambda omega_sum: pump_envelope(pump, omega_sum), we, wo)
     phi = phasematching_function(crystal, theta_deg, we, wo, flat_phase=flat_phase)
-    return normalize(grid, alpha * phi, flat_phase=flat_phase)
+    return normalize(grid, alpha * phi)
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,7 @@ class FilterSpec:
             raise ConfigError(f"unknown filter shape {self.shape!r}")
         if self.arm not in ("e", "o"):
             raise ConfigError(f"filter arm must be 'e' or 'o', got {self.arm!r}")
-        if self.shape != "none" and (self.fwhm_nm <= 0 or self.center_nm <= 0):
+        if self.shape != "none" and not (self.fwhm_nm > 0 and self.center_nm > 0):
             raise ConfigError("filter center and FWHM must be positive")
 
     @classmethod
@@ -250,18 +251,15 @@ def apply_filters(jsa: JointAmplitude, filters):
     Returns (filtered JointAmplitude, passed fraction), where the passed
     fraction is the intensity surviving the filters before renormalization.
     """
-    t_e = np.ones_like(jsa.grid.omega_e)
-    t_o = np.ones_like(jsa.grid.omega_o)
+    axis = jsa.grid.omega_e
+    t = {"e": np.ones_like(axis), "o": np.ones_like(axis)}
     for filt in filters:
-        if filt.arm == "e":
-            t_e = t_e * filter_transmission(filt, jsa.grid.omega_e)
-        else:
-            t_o = t_o * filter_transmission(filt, jsa.grid.omega_o)
-    values = jsa.values * np.sqrt(t_e)[:, None] * np.sqrt(t_o)[None, :]
+        t[filt.arm] = t[filt.arm] * filter_transmission(filt, axis)
+    values = jsa.values * np.sqrt(t["e"])[:, None] * np.sqrt(t["o"])[None, :]
     kept = float(np.sum(np.abs(values) ** 2) * jsa.grid.measure)
     if kept == 0.0:
         raise FilterSupportError("filter removes all support of the joint amplitude")
-    filtered = JointAmplitude(jsa.grid, values / math.sqrt(kept), flat_phase=jsa.flat_phase)
+    filtered = JointAmplitude(jsa.grid, values / math.sqrt(kept))
     return filtered, kept / jsa.norm_sq()
 
 
@@ -272,15 +270,10 @@ def marginal_spectrum(jsa: JointAmplitude, arm):
     is relabeled in wavelength; no Jacobian is applied since the output
     is a peak-normalized shape on the sampled points.
     """
-    if arm == "e":
-        axis = jsa.grid.omega_e
-        intensity = np.sum(jsa.intensity, axis=1) * jsa.grid.d_omega_o
-    elif arm == "o":
-        axis = jsa.grid.omega_o
-        intensity = np.sum(jsa.intensity, axis=0) * jsa.grid.d_omega_e
-    else:
+    if arm not in ("e", "o"):
         raise ConfigError(f"arm must be 'e' or 'o', got {arm!r}")
-    lam = nm_from_omega(axis)
+    intensity = np.sum(jsa.intensity, axis=1 if arm == "e" else 0) * jsa.grid.d_omega
+    lam = nm_from_omega(jsa.grid.omega_e)
     order = np.argsort(lam)
     intensity = intensity[order]
     return lam[order], intensity / np.max(intensity)
@@ -307,28 +300,30 @@ def jsi_pearson(jsa: JointAmplitude):
     density = density / np.sum(density)
     p_e = density.sum(axis=1)
     p_o = density.sum(axis=0)
-    we, wo = jsa.grid.omega_e, jsa.grid.omega_o
-    mu_e = float(p_e @ we)
-    mu_o = float(p_o @ wo)
-    var_e = float(p_e @ (we - mu_e) ** 2)
-    var_o = float(p_o @ (wo - mu_o) ** 2)
-    cov = float(((we - mu_e)[:, None] * (wo - mu_o)[None, :] * density).sum())
+    w = jsa.grid.omega_e
+    mu_e = float(p_e @ w)
+    mu_o = float(p_o @ w)
+    var_e = float(p_e @ (w - mu_e) ** 2)
+    var_o = float(p_o @ (w - mu_o) ** 2)
+    cov = float(((w - mu_e)[:, None] * (w - mu_o)[None, :] * density).sum())
     return cov / math.sqrt(var_e * var_o)
 
 
 def export_jsi_csv(jsa: JointAmplitude, path):
-    """Write the JSI matrix row-major with both axes in nm and rad/s."""
+    """Write the JSI matrix row-major with each arm's axis in nm and rad/s."""
+    axis = jsa.grid.omega_e
+    nm = ",".join(f"{x:.9g}" for x in nm_from_omega(axis))
+    rad_s = ",".join(f"{x:.9g}" for x in axis)
     with open(path, "w") as fh:
-        fh.write("# axis_e_nm," + ",".join(f"{x:.9g}" for x in nm_from_omega(jsa.grid.omega_e)) + "\n")
-        fh.write("# axis_e_rad_s," + ",".join(f"{x:.9g}" for x in jsa.grid.omega_e) + "\n")
-        fh.write("# axis_o_nm," + ",".join(f"{x:.9g}" for x in nm_from_omega(jsa.grid.omega_o)) + "\n")
-        fh.write("# axis_o_rad_s," + ",".join(f"{x:.9g}" for x in jsa.grid.omega_o) + "\n")
+        for arm in ("e", "o"):
+            fh.write(f"# axis_{arm}_nm,{nm}\n# axis_{arm}_rad_s,{rad_s}\n")
         np.savetxt(fh, jsa.intensity, delimiter=",", fmt="%.9g")
 
 
 def export_metadata(path, crystal: CrystalSpec, pump: PumpSpec, jsa: JointAmplitude,
                     theta_deg=None, filters=(), extra=None):
     """Companion metadata: everything needed to reproduce the matrix."""
+    axis = jsa.grid.omega_e
     meta = {
         "crystal": {
             "name": crystal.name,
@@ -342,19 +337,19 @@ def export_metadata(path, crystal: CrystalSpec, pump: PumpSpec, jsa: JointAmplit
             "eta": pump.eta,
         },
         "grid": {
-            "n_e": int(jsa.grid.omega_e.size),
-            "n_o": int(jsa.grid.omega_o.size),
-            "omega_e_min": float(jsa.grid.omega_e[0]),
-            "omega_e_max": float(jsa.grid.omega_e[-1]),
-            "omega_o_min": float(jsa.grid.omega_o[0]),
-            "omega_o_max": float(jsa.grid.omega_o[-1]),
+            "n_e": axis.size,
+            "n_o": axis.size,
+            "omega_e_min": float(axis[0]),
+            "omega_e_max": float(axis[-1]),
+            "omega_o_min": float(axis[0]),
+            "omega_o_max": float(axis[-1]),
         },
         "filters": [
             {"shape": f.shape, "arm": f.arm, "center_nm": f.center_nm, "fwhm_nm": f.fwhm_nm}
             for f in filters
         ],
         "flat_phase": jsa.flat_phase,
-        "norm_convention": jsa.norm_convention,
+        "norm_convention": NORM_CONVENTION,
         "out_of_model": {
             "absolute_pair_rate": "not simulated; eta is a user-supplied scale only",
             "detector_and_collection_efficiency": "not simulated; reported efficiencies are filter-limited",

@@ -29,14 +29,14 @@ class SchmidtResult:
 
 def schmidt_decompose(jsa: JointAmplitude, keep_modes=False):
     """Singular value decomposition of the measure-weighted amplitude."""
-    weight = math.sqrt(jsa.grid.d_omega_e * jsa.grid.d_omega_o)
+    d_omega = jsa.grid.d_omega
     if not np.all(np.isfinite(jsa.values)):
         raise NumericalError("cannot decompose non-finite joint amplitude")
     try:
         if keep_modes:
-            u, s, vh = np.linalg.svd(jsa.values * weight, full_matrices=False)
+            u, s, vh = np.linalg.svd(jsa.values * d_omega, full_matrices=False)
         else:
-            s = np.linalg.svd(jsa.values * weight, compute_uv=False)
+            s = np.linalg.svd(jsa.values * d_omega, compute_uv=False)
             u = vh = None
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
@@ -49,8 +49,8 @@ def schmidt_decompose(jsa: JointAmplitude, keep_modes=False):
         coefficients=coeff,
         purity=purity,
         schmidt_number=1.0 / purity,
-        mode_functions_e=None if u is None else u / math.sqrt(jsa.grid.d_omega_e),
-        mode_functions_o=None if vh is None else vh.conj().T / math.sqrt(jsa.grid.d_omega_o),
+        mode_functions_e=None if u is None else u / math.sqrt(d_omega),
+        mode_functions_o=None if vh is None else vh.conj().T / math.sqrt(d_omega),
     )
     return result
 
@@ -98,23 +98,14 @@ def heralded_density_matrix(jsa: JointAmplitude, heralded_arm,
             f"herald filter must act on the {herald_arm!r} arm when heralding "
             f"the {heralded_arm!r} photon"
         )
-    if heralded_arm == "e":
-        axis = jsa.grid.omega_e
-        herald_axis = jsa.grid.omega_o
-        f = jsa.values
-        d_herald = jsa.grid.d_omega_o
-    else:
-        axis = jsa.grid.omega_o
-        herald_axis = jsa.grid.omega_e
-        f = jsa.values.T
-        d_herald = jsa.grid.d_omega_e
+    axis, d_omega = jsa.grid.omega_e, jsa.grid.d_omega
+    f = jsa.values if heralded_arm == "e" else jsa.values.T
     if herald_filter.shape != "none":
         # The herald's intensity transmission T splits as sqrt(T) on each
         # factor, so rho = A A^dagger is Hermitian by construction (and, for
         # real amplitudes, bitwise symmetric from one SYRK).
-        f = f * np.sqrt(filter_transmission(herald_filter, herald_axis))[None, :]
-    rho = f @ f.conj().T * d_herald
-    d_omega = float(axis[1] - axis[0])
+        f = f * np.sqrt(filter_transmission(herald_filter, axis))[None, :]
+    rho = f @ f.conj().T * d_omega
     tr = float(np.real(np.trace(rho)) * d_omega)
     if tr <= 0.0:
         raise FilterSupportError("filter removes all support: heralded state has zero trace")
@@ -135,8 +126,7 @@ def heralding_efficiency(jsa: JointAmplitude, herald_filter: FilterSpec,
     """
     if herald_filter.arm == signal_filter.arm:
         raise ConfigError("herald and signal filters must be on opposite arms")
-    axes = {"e": jsa.grid.omega_e, "o": jsa.grid.omega_o}
-    t = {filt.arm: filter_transmission(filt, axes[filt.arm])
+    t = {filt.arm: filter_transmission(filt, jsa.grid.omega_e)
          for filt in (herald_filter, signal_filter)}
     intensity = jsa.intensity
     marginal = intensity.sum(axis=1 if herald_filter.arm == "e" else 0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import least_squares, leastsq
 
 from pairspec import analysis
@@ -10,7 +11,7 @@ from pairspec.analysis import (CountRecord, FitResult, filter_sweep,
                                simulate_jsi_scan)
 from pairspec.errors import ConfigError
 from pairspec.interference import HomScan, two_source_experiment
-from pairspec.jsa import FilterSpec, apply_filters, jsi_pearson
+from pairspec.jsa import FilterSpec, apply_filters, jsi_pearson, nm_from_omega
 from pairspec.schmidt import schmidt_decompose
 
 
@@ -106,6 +107,8 @@ class TestFilterSweep:
         with pytest.raises(ConfigError):
             filter_sweep(bbo_source, np.array([-1.0]))
         with pytest.raises(ConfigError):
+            filter_sweep(bbo_source, np.array([math.nan, 4.0]))
+        with pytest.raises(ConfigError):
             filter_sweep(bbo_source, np.array([4.0]), herald_arm="x")
 
 
@@ -137,6 +140,8 @@ class TestSimulateCounts:
         scan = make_scan(self.delays, np.ones_like(self.delays))
         with pytest.raises(ConfigError):
             simulate_counts(scan, 0.0, seed=1)
+        with pytest.raises(ConfigError):
+            simulate_counts(scan, math.nan, seed=1)
 
     def test_csv_roundtrip(self, tmp_path):
         scan = make_scan(self.delays, dip_curve(self.delays, 1.0, 0.9, 0.0, 300.0))
@@ -280,6 +285,23 @@ class TestJsiScan:
             # flat-phase JSA: sqrt(JSI) recovers |f| exactly
             _reference_purity(kdp_jsa), abs=0.02)
 
+    @pytest.mark.parametrize("step_nm", [0.1, 0.37])
+    @pytest.mark.parametrize("jsa_name", ["kdp_jsa", "bbo_jsa"])
+    def test_zero_resolution_is_bilinear_interpolation(self, jsa_name, step_nm, request):
+        jsa = request.getfixturevalue(jsa_name)
+        result = simulate_jsi_scan(jsa, resolution_fwhm_nm=0.0, step_nm=step_nm)
+        lam = nm_from_omega(jsa.grid.omega_e)[::-1]
+        interp = RegularGridInterpolator((lam, lam), jsa.intensity[::-1, ::-1],
+                                         bounds_error=False, fill_value=0.0)
+        ee, oo = np.meshgrid(result.lambda_e_nm, result.lambda_o_nm, indexing="ij")
+        reference = interp(np.stack([ee, oo], axis=-1))
+        np.testing.assert_allclose(result.expected, reference, rtol=0,
+                                   atol=1e-15 * reference.max())
+        if step_nm == 0.37:
+            # The lattice overshoots the sampled window; past it the scan reads 0.
+            assert result.lambda_e_nm[-1] > lam[-1]
+            assert not result.expected[-1].any() and not result.expected[:, -1].any()
+
     def test_fine_scan_tracks_true_purity(self, kdp_jsa):
         result = simulate_jsi_scan(kdp_jsa, resolution_fwhm_nm=0.2, step_nm=0.1)
         assert scan_purity(result) == pytest.approx(
@@ -311,6 +333,10 @@ class TestJsiScan:
             simulate_jsi_scan(kdp_jsa, -0.5, 0.1)
         with pytest.raises(ConfigError):
             simulate_jsi_scan(kdp_jsa, 0.5, 0.1, pairs_budget=100.0, seed=None)
+        for resolution, step, budget in ((0.5, math.nan, None), (math.nan, 0.1, None),
+                                         (math.inf, 0.1, None), (0.5, 0.1, math.nan)):
+            with pytest.raises(ConfigError):
+                simulate_jsi_scan(kdp_jsa, resolution, step, pairs_budget=budget, seed=1)
 
 
 def _reference_purity(jsa):

@@ -277,6 +277,32 @@ source_citation = inline test record
         assert run(["schmidt", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert cfg in capsys.readouterr().err
 
+    HOM = ["hom", "--config-a", KDP_CFG, "--config-b", KDP_CFG, "--grid-points", "64"]
+    SCAN = ["scan", "--config", KDP_CFG, "--grid-points", "64"]
+
+    @pytest.mark.parametrize("args", [
+        HOM + ["--delays=nan:1500:61"],
+        HOM + ["--delays=-1500:inf:61"],
+        HOM + ["--delays=-1500:1500:61", "--pairs-per-point", "nan"],
+        ["schmidt", "--config", ("pump_fwhm_nm = 4", "pump_fwhm_nm = nan")],
+        ["schmidt", "--config", ("length_mm = 5", "length_mm = nan")],
+        SCAN + ["--resolution-nm", "0.2", "--step-nm", "nan"],
+        SCAN + ["--resolution-nm", "0.2", "--step-nm", "0.1", "--budget", "nan"],
+        SCAN + ["--resolution-nm", "nan", "--step-nm", "0.1"],
+        ["gvm", "--crystal", "KDP", "--daughter-nm", "nan"],
+        ["sweep", "--config", KDP_CFG, "--grid-points", "64", "--bandwidths", "nan,4"],
+    ], ids=["hom-delay-nan", "hom-delay-inf", "hom-pairs-nan", "pump-fwhm-nan",
+            "length-nan", "scan-step-nan", "scan-budget-nan", "scan-resolution-nan",
+            "gvm-daughter-nan", "sweep-bandwidth-nan"])
+    def test_non_finite_input_is_config_error(self, tmp_path, capsys, args):
+        # A (line, replacement) pair stands for a copy of configs/kdp.cfg
+        # with that line replaced.
+        text = Path(KDP_CFG).read_text()
+        args = [self.write(tmp_path, text.replace(*a)) if isinstance(a, tuple) else a
+                for a in args]
+        assert run(args + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_inline_and_named_conflict(self, tmp_path):
         cfg = self.write(tmp_path, """\
 [source]

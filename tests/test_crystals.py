@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pairspec.crystals import (CrystalDatabase, CrystalSpec, SellmeierForm,
-                               builtin_database, get_crystal,
+                               builtin_database, crystal_from_record, get_crystal,
                                parse_crystal_database)
 from pairspec.errors import ConfigError, DispersionRangeError
 
@@ -66,6 +66,8 @@ def test_crystal_spec_validation():
     form = SellmeierForm("constant", (1.5,), 0.2, 2.0)
     with pytest.raises(ConfigError, match="length"):
         CrystalSpec("X", form, form, length_mm=0.0)
+    with pytest.raises(ConfigError, match="length"):
+        CrystalSpec("X", form, form, length_mm=math.nan)
     with pytest.raises(ConfigError, match="angle"):
         CrystalSpec("X", form, form, length_mm=1.0, cut_angle_deg=120.0)
 
@@ -87,6 +89,16 @@ def test_database_parse_roundtrip():
     assert crystal.sellmeier_o.index(500.0) == 1.5
     assert crystal.sellmeier_e.index(500.0) == 1.6
     assert crystal.source_citation == "synthetic"
+
+
+def test_record_fields_must_match_the_database_keys():
+    fields = dict(line.split(" = ") for line in VALID_RECORD.splitlines()[1:])
+    assert crystal_from_record("T", fields, 3.0).sellmeier_e.index(500.0) == 1.6
+    for wrong, bad in (("valid_um_max", {k: v for k, v in fields.items()
+                                         if k != "valid_um_max"}),
+                       ("name", {**fields, "name": "T"})):
+        with pytest.raises(ConfigError, match=f"missing or unknown fields: {wrong}"):
+            crystal_from_record("T", bad, 3.0)
 
 
 def test_database_unknown_field_is_error():

@@ -256,7 +256,7 @@ MIN_POINTS = 64
 
 
 def grid_step(src):
-    return build_grid(src.crystal, src.pump, n_points=src.n_points).d_omega_e
+    return build_grid(src.crystal, src.pump, n_points=src.n_points).d_omega
 
 
 @st.composite
@@ -379,6 +379,9 @@ class TestAliasLimit:
         half_period_fs = math.pi / rho.d_omega * 1e15
         with pytest.raises(ConfigError, match=r"alias limit.*n=257 grid"):
             hom_dip(rho, rho, np.linspace(-1.001 * half_period_fs, 0.0, 201))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigError, match="finite"):
+                hom_dip(rho, rho, np.array([bad, 0.0, 100.0]))
 
     def test_coarse_covering_grid_is_named(self):
         # KDP 7 mm / 3 nm against 1 mm / 6 nm at n=64: the wide window sets

@@ -127,7 +127,7 @@ class TestBuildGrid:
         pump = PumpSpec(415.0, 4.0)
         coarse = build_grid(kdp, pump, n_points=128)
         fine = build_grid(kdp, pump, n_points=255)
-        assert fine.d_omega_e == pytest.approx(coarse.d_omega_e / 2, rel=1e-9)
+        assert fine.d_omega == pytest.approx(coarse.d_omega / 2, rel=1e-9)
 
     def test_kdp_marginals_decay_at_edges(self, kdp_jsa):
         # Truncation guard at the default window. The e-axis edge sits on
@@ -143,6 +143,13 @@ class TestBuildGrid:
         with pytest.raises(ConfigError):
             build_grid(kdp, PumpSpec(415.0, 4.0), span_sigmas=0.0)
         with pytest.raises(ConfigError):
+            build_grid(kdp, PumpSpec(415.0, 4.0), span_sigmas=math.nan)
+        for fwhm_nm in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                PumpSpec(415.0, fwhm_nm)
+        with pytest.raises(ConfigError):
+            FilterSpec(shape="gaussian", arm="o", center_nm=830.0, fwhm_nm=math.nan)
+        with pytest.raises(ConfigError):
             # Dispersionless and isotropic: no group-index mismatch to
             # size the phasematching bandwidth from.
             build_grid(constant_crystal(n_o=1.5, n_e=1.5),
@@ -155,6 +162,15 @@ class TestBuildGrid:
                           span_sigmas=src.span_sigmas)
         assert_lattice(grid.omega_e)
         assert_lattice(grid.omega_o)
+
+    def test_one_axis_shared_by_both_photons(self):
+        axis = np.linspace(2.2e15, 2.3e15, 32)
+        grid = FrequencyGrid(axis, axis.copy())
+        assert grid.omega_o is grid.omega_e
+        assert grid.measure == grid.d_omega ** 2
+        for other in (axis + 1.0, axis[:-1]):
+            with pytest.raises(ConfigError, match="omega_o must equal omega_e"):
+                FrequencyGrid(axis, other)
 
     def test_step_rounding_to_zero_rejected(self):
         with pytest.raises(ConfigError, match="step of 0"):
@@ -240,6 +256,7 @@ class TestApplyFilters:
         filt = FilterSpec(shape="gaussian", arm="o", center_nm=830.0, fwhm_nm=4.0)
         assert jsa.values.dtype == dtype
         assert apply_filters(jsa, [filt])[0].values.dtype == dtype
+        assert jsa.flat_phase is flat_phase
 
     def test_none_filters_are_identity(self, kdp_jsa):
         filtered, passed = apply_filters(

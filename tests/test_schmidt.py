@@ -69,9 +69,8 @@ class TestSchmidtDecompose:
 
     def test_mode_functions_orthonormal(self, kdp_jsa):
         result = schmidt_decompose(kdp_jsa, keep_modes=True)
-        for modes, d in ((result.mode_functions_e, kdp_jsa.grid.d_omega_e),
-                         (result.mode_functions_o, kdp_jsa.grid.d_omega_o)):
-            gram = modes.conj().T @ modes * d
+        for modes in (result.mode_functions_e, result.mode_functions_o):
+            gram = modes.conj().T @ modes * kdp_jsa.grid.d_omega
             np.testing.assert_allclose(gram[:5, :5], np.eye(5), atol=1e-9)
 
     def test_modes_reconstruct_amplitude(self, kdp_jsa):
@@ -219,7 +218,7 @@ class TestPurityIdentity:
         real = replace(source, flat_phase=True).build_jsa()
         results = []
         for values in (real.values, real.values.astype(complex)):
-            jsa = apply_filters(JointAmplitude(real.grid, values, flat_phase=True),
+            jsa = apply_filters(JointAmplitude(real.grid, values),
                                 [signal_f])[0]
             rho = heralded_density_matrix(jsa, signal_f.arm, herald_f)
             half_period_fs = math.pi / rho.d_omega * 1e15
