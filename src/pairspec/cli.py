@@ -24,8 +24,7 @@ from .dispersion import gvm_pump_wavelength
 from .errors import (ConfigError, NumericalError, PairspecError,
                      PhysicsDomainError)
 from .interference import SourceSpec, coherence_time, two_source_experiment
-from .jsa import (FilterSpec, PumpSpec, apply_filters, export_jsi_csv,
-                  export_metadata, jsi_pearson)
+from .jsa import FilterSpec, PumpSpec, export_jsi_csv, export_metadata, jsi_pearson
 from .schmidt import export_schmidt_csv, schmidt_decompose
 
 EXIT_CONFIG = 2
@@ -143,8 +142,8 @@ def load_config(path, grid_points=None, flat_phase=None):
                 ))
     raw = {s: dict(parser[s]) for s in parser.sections()}
     source = SourceSpec(
-        crystal=crystal, pump=pump, theta_deg=cut_angle,
-        n_points=n_points, span_sigmas=span_sigmas, flat_phase=use_flat,
+        crystal=crystal, pump=pump, n_points=n_points,
+        span_sigmas=span_sigmas, flat_phase=use_flat, filters=tuple(filters),
     )
     return RunConfig(source=source, path=str(path), raw=raw), filters
 
@@ -186,18 +185,18 @@ def cmd_gvm(args):
 
 
 def cmd_jsa(args):
-    config, filters = load_config(args.config, args.grid_points, args.flat_phase)
+    config, _ = load_config(args.config, args.grid_points, args.flat_phase)
     # Solve the phasematching angle once for both the JSA and its metadata.
-    source = replace(config.source, theta_deg=config.source.resolve_theta())
+    source = config.source
+    source = replace(source, crystal=replace(source.crystal,
+                                             cut_angle_deg=source.resolve_theta()))
     jsa = source.build_jsa()
-    if filters:
-        jsa, _ = apply_filters(jsa, filters)
     pearson = jsi_pearson(jsa)
     out = _out_dir(args)
     export_jsi_csv(jsa, out / "jsi.csv")
     export_metadata(
         out / "jsi_meta.json", source.crystal, source.pump, jsa,
-        theta_deg=source.theta_deg, filters=filters,
+        filters=source.filters,
         extra={"pearson_correlation": pearson, **config.metadata()},
     )
     print(f"JSI written to {out / 'jsi.csv'} "
@@ -206,11 +205,8 @@ def cmd_jsa(args):
 
 
 def cmd_schmidt(args):
-    config, filters = load_config(args.config, args.grid_points, args.flat_phase)
-    jsa = config.source.build_jsa()
-    if filters:
-        jsa, _ = apply_filters(jsa, filters)
-    result = schmidt_decompose(jsa)
+    config, _ = load_config(args.config, args.grid_points, args.flat_phase)
+    result = schmidt_decompose(config.source.build_jsa())
     out = _out_dir(args)
     export_schmidt_csv(result, out / "schmidt.csv", max_modes=64)
     _write_json(out / "schmidt_meta.json", {
@@ -226,8 +222,9 @@ def cmd_schmidt(args):
 def cmd_sweep(args):
     config, _ = load_config(args.config, args.grid_points, args.flat_phase)
     bandwidths = [float(x) for x in args.bandwidths.split(",")]
+    # The sweep sets its own filters; a config's filters do not apply.
     result = filter_sweep(
-        config.source, bandwidths, filter_shape=args.shape,
+        replace(config.source, filters=()), bandwidths, filter_shape=args.shape,
         symmetric=not args.asymmetric, herald_arm=args.herald_arm,
     )
     out = _out_dir(args)
@@ -251,21 +248,17 @@ def _parse_delays(spec):
 
 
 def _hom_source(path, args):
-    """A config's source with its herald-arm filter; the interfered photon
-    must reach the beamsplitter unfiltered."""
+    """A config's source, which may filter only its herald arm: the
+    interfered photon must reach the beamsplitter unfiltered."""
     config, filters = load_config(path, args.grid_points, args.flat_phase)
-    herald_filter = None
     for filt in filters:
-        if filt.shape == "none":
-            continue
-        if filt.arm != args.herald_arm:
+        if filt.shape != "none" and filt.arm != args.herald_arm:
             raise ConfigError(
                 f"{path}: [filter.{filt.arm}] filters the interfered {filt.arm!r} "
                 f"photon; hom --herald-arm {args.herald_arm} accepts only a "
                 f"[filter.{args.herald_arm}] herald filter"
             )
-        herald_filter = filt
-    return replace(config.source, herald_filter=herald_filter)
+    return config.source
 
 
 def cmd_hom(args):
@@ -275,6 +268,9 @@ def cmd_hom(args):
     scan = two_source_experiment(
         source_a, source_b, herald_arm=args.herald_arm, delays_fs=delays,
     )
+    # Simulated before anything is written, so a bad pair budget leaves no files.
+    record = (simulate_counts(scan, args.pairs_per_point, args.seed)
+              if args.pairs_per_point else None)
     out = _out_dir(args)
     scan.to_csv(out / "hom.csv", metadata_lines=[
         f"source_a,{args.config_a}",
@@ -282,8 +278,7 @@ def cmd_hom(args):
         f"herald_arm,{args.herald_arm}",
         f"tool_version,{__version__}",
     ])
-    if args.pairs_per_point:
-        record = simulate_counts(scan, args.pairs_per_point, args.seed)
+    if record is not None:
         record.to_csv(out / "hom_counts.csv")
     print(f"HOM scan: V = {scan.visibility:.4f}, dip FWHM = {scan.dip_fwhm_fs:.1f} fs, "
           f"coherence time = {coherence_time(scan.dip_fwhm_fs):.1f} fs")
@@ -302,14 +297,11 @@ def cmd_fit(args):
 
 
 def cmd_scan(args):
-    config, filters = load_config(args.config, args.grid_points, args.flat_phase)
-    jsa = config.source.build_jsa()
-    if filters:
-        jsa, _ = apply_filters(jsa, filters)
+    config, _ = load_config(args.config, args.grid_points, args.flat_phase)
     budget = None if args.budget == 0 else args.budget
     result = simulate_jsi_scan(
-        jsa, resolution_fwhm_nm=args.resolution_nm, step_nm=args.step_nm,
-        pairs_budget=budget, seed=args.seed,
+        config.source.build_jsa(), resolution_fwhm_nm=args.resolution_nm,
+        step_nm=args.step_nm, pairs_budget=budget, seed=args.seed,
     )
     out = _out_dir(args)
     result.to_csv(out / "scan.csv")
@@ -331,16 +323,20 @@ def build_parser():
         description="Spectrally engineered photon-pair source simulator",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=".", help="output directory")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--grid-points", type=int, default=None,
-                        help="override the grid point count per axis")
-    common.add_argument("--flat-phase", action="store_true", default=None,
-                        help="drop the phasematching phase factor")
+    # Each subcommand takes only the flags it acts on: --out everywhere, the
+    # grid flags where a JSA is built, and --seed where counts are drawn.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=".", help="output directory")
+    gridded = argparse.ArgumentParser(add_help=False, parents=[output])
+    gridded.add_argument("--grid-points", type=int, default=None,
+                         help="override the grid point count per axis")
+    gridded.add_argument("--flat-phase", action="store_true", default=None,
+                         help="drop the phasematching phase factor")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[gridded])
+    seeded.add_argument("--seed", type=int, default=0, help="random seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gvm", parents=[common],
+    p = sub.add_parser("gvm", parents=[output],
                        help="solve the group-velocity-matched pump wavelength")
     p.add_argument("--crystal", required=True)
     p.add_argument("--daughter-nm", type=float, required=True)
@@ -348,16 +344,16 @@ def build_parser():
     p.add_argument("--crystal-file", default=None)
     p.set_defaults(func=cmd_gvm)
 
-    p = sub.add_parser("jsa", parents=[common], help="compute and export the JSI")
+    p = sub.add_parser("jsa", parents=[gridded], help="compute and export the JSI")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_jsa)
 
-    p = sub.add_parser("schmidt", parents=[common],
+    p = sub.add_parser("schmidt", parents=[gridded],
                        help="Schmidt spectrum and purity of a source")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_schmidt)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[gridded],
                        help="purity/efficiency vs filter bandwidth")
     p.add_argument("--config", required=True)
     p.add_argument("--bandwidths", required=True,
@@ -369,7 +365,7 @@ def build_parser():
                    help="filter only the herald arm")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("hom", parents=[common],
+    p = sub.add_parser("hom", parents=[seeded],
                        help="two-source Hong-Ou-Mandel scan")
     p.add_argument("--config-a", required=True)
     p.add_argument("--config-b", required=True)
@@ -380,12 +376,12 @@ def build_parser():
                    help="also emit Poisson counts with this mean pair budget")
     p.set_defaults(func=cmd_hom)
 
-    p = sub.add_parser("fit", parents=[common],
+    p = sub.add_parser("fit", parents=[output],
                        help="weighted Gaussian fit of a counts CSV")
     p.add_argument("--counts", required=True)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("scan", parents=[common],
+    p = sub.add_parser("scan", parents=[seeded],
                        help="simulated monochromator scan of the JSI")
     p.add_argument("--config", required=True)
     p.add_argument("--resolution-nm", type=float, required=True)

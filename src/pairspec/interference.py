@@ -19,7 +19,7 @@ from scipy.optimize import minimize_scalar
 from .crystals import CrystalSpec
 from .dispersion import phasematching_angle
 from .errors import ConfigError
-from .jsa import (FilterSpec, FrequencyGrid, JointAmplitude, PumpSpec, build_grid,
+from .jsa import (FrequencyGrid, JointAmplitude, PumpSpec, apply_filters, build_grid,
                   joint_amplitude, lattice_axis)
 from .schmidt import ReducedDensityMatrix, heralded_density_matrix
 
@@ -184,33 +184,40 @@ def hom_dip(rho_a: ReducedDensityMatrix, rho_b: ReducedDensityMatrix, delays_fs)
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Everything needed to build one downconversion source's JSA."""
+    """Everything needed to build one downconversion source's JSA.
+
+    The phasematching angle is the crystal's cut angle, or solved for
+    degenerate phasematching when the crystal has none. The filters act on
+    the amplitude through `apply_filters`.
+    """
 
     crystal: CrystalSpec
     pump: PumpSpec
-    theta_deg: float | None = None  # None: solve degenerate phasematching
     n_points: int = 512
     span_sigmas: float = 4.0
     flat_phase: bool = False
-    herald_filter: FilterSpec | None = None
+    filters: tuple = ()
 
     def resolve_theta(self):
-        if self.theta_deg is not None:
-            return self.theta_deg
         if self.crystal.cut_angle_deg is not None:
             return self.crystal.cut_angle_deg
         return phasematching_angle(
             self.crystal, self.pump.center_nm, 2.0 * self.pump.center_nm
         )
 
-    def build_jsa(self) -> JointAmplitude:
+    def build_jsa(self, grid: FrequencyGrid | None = None) -> JointAmplitude:
+        """The filtered JSA on the source's own grid, or on the given one."""
         theta = self.resolve_theta()
-        grid = build_grid(
-            self.crystal, self.pump, n_points=self.n_points,
-            span_sigmas=self.span_sigmas, theta_deg=theta,
-        )
-        return joint_amplitude(self.crystal, theta, self.pump, grid,
-                               flat_phase=self.flat_phase)
+        if grid is None:
+            grid = build_grid(
+                self.crystal, self.pump, n_points=self.n_points,
+                span_sigmas=self.span_sigmas, theta_deg=theta,
+            )
+        jsa = joint_amplitude(self.crystal, theta, self.pump, grid,
+                              flat_phase=self.flat_phase)
+        if self.filters:
+            jsa, _ = apply_filters(jsa, self.filters)
+        return jsa
 
 
 def two_source_experiment(source_a: SourceSpec, source_b: SourceSpec,
@@ -228,20 +235,14 @@ def two_source_experiment(source_a: SourceSpec, source_b: SourceSpec,
     interfered_arm = "e" if herald_arm == "o" else "o"
     # Specs compare by value, so a source given twice is built once.
     sources = (source_a,) if source_b == source_a else (source_a, source_b)
-    thetas = [src.resolve_theta() for src in sources]
     windows = [
         build_grid(src.crystal, src.pump, n_points=src.n_points,
-                   span_sigmas=src.span_sigmas, theta_deg=theta).omega_e
-        for src, theta in zip(sources, thetas)
+                   span_sigmas=src.span_sigmas).omega_e
+        for src in sources
     ]
     axis = lattice_axis(min(w[0] for w in windows), max(w[-1] for w in windows),
                         max(src.n_points for src in sources))
     grid = FrequencyGrid(omega_e=axis, omega_o=axis)
-    rhos = [
-        heralded_density_matrix(
-            joint_amplitude(src.crystal, theta, src.pump, grid,
-                            flat_phase=src.flat_phase),
-            heralded_arm=interfered_arm, herald_filter=src.herald_filter)
-        for src, theta in zip(sources, thetas)
-    ]
+    rhos = [heralded_density_matrix(src.build_jsa(grid), interfered_arm)
+            for src in sources]
     return hom_dip(rhos[0], rhos[-1], delays_fs)

@@ -26,11 +26,6 @@ TWO_PI_C = 2.0 * math.pi * C_LIGHT
 NORM_CONVENTION = "unit-L2-with-grid-measure"
 
 
-def omega_from_nm(wavelength_nm):
-    """Vacuum wavelength (nm) to angular frequency (rad/s)."""
-    return TWO_PI_C / (np.asarray(wavelength_nm) * 1e-9)
-
-
 def nm_from_omega(omega):
     """Angular frequency (rad/s) to vacuum wavelength (nm)."""
     return TWO_PI_C / np.asarray(omega) * 1e9

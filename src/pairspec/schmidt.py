@@ -23,21 +23,14 @@ class SchmidtResult:
     coefficients: np.ndarray  # descending, sum of squares = 1
     purity: float
     schmidt_number: float
-    mode_functions_e: np.ndarray | None = None  # columns, orthonormal w.r.t. grid measure
-    mode_functions_o: np.ndarray | None = None
 
 
-def schmidt_decompose(jsa: JointAmplitude, keep_modes=False):
-    """Singular value decomposition of the measure-weighted amplitude."""
-    d_omega = jsa.grid.d_omega
+def schmidt_decompose(jsa: JointAmplitude):
+    """Singular values of the measure-weighted amplitude."""
     if not np.all(np.isfinite(jsa.values)):
         raise NumericalError("cannot decompose non-finite joint amplitude")
     try:
-        if keep_modes:
-            u, s, vh = np.linalg.svd(jsa.values * d_omega, full_matrices=False)
-        else:
-            s = np.linalg.svd(jsa.values * d_omega, compute_uv=False)
-            u = vh = None
+        s = np.linalg.svd(jsa.values * jsa.grid.d_omega, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
     total = float(np.sum(s ** 2))
@@ -45,14 +38,7 @@ def schmidt_decompose(jsa: JointAmplitude, keep_modes=False):
         raise NumericalError("joint amplitude has zero norm")
     coeff = s / math.sqrt(total)
     purity = float(np.sum(coeff ** 4))
-    result = SchmidtResult(
-        coefficients=coeff,
-        purity=purity,
-        schmidt_number=1.0 / purity,
-        mode_functions_e=None if u is None else u / math.sqrt(d_omega),
-        mode_functions_o=None if vh is None else vh.conj().T / math.sqrt(d_omega),
-    )
-    return result
+    return SchmidtResult(coefficients=coeff, purity=purity, schmidt_number=1.0 / purity)
 
 
 @dataclass(frozen=True)
@@ -80,35 +66,23 @@ class ReducedDensityMatrix:
         return float(np.real(np.trace(self.values)) * self.d_omega)
 
 
-def heralded_density_matrix(jsa: JointAmplitude, heralded_arm,
-                            herald_filter: FilterSpec | None = None):
+def heralded_density_matrix(jsa: JointAmplitude, heralded_arm):
     """Reduced state of one photon after its partner heralds.
 
-    rho(w, w') = sum_h f(w, w_h) f*(w', w_h) T_h(w_h) dw_h on the heralded
-    arm's axis, normalized to unit trace. The herald filter, if present,
-    must act on the non-heralded arm.
+    rho(w, w') = sum_h f(w, w_h) f*(w', w_h) dw_h on the heralded arm's
+    axis, normalized to unit trace. A herald filter acts through
+    `jsa.apply_filters` on the amplitude, as sqrt(T) on the herald's index,
+    so rho = f f^dagger stays Hermitian by construction (and, for real
+    amplitudes, bitwise symmetric from one SYRK).
     """
     if heralded_arm not in ("e", "o"):
         raise ConfigError(f"heralded_arm must be 'e' or 'o', got {heralded_arm!r}")
-    herald_arm = "o" if heralded_arm == "e" else "e"
-    if herald_filter is None:
-        herald_filter = FilterSpec.none(herald_arm)
-    if herald_filter.shape != "none" and herald_filter.arm != herald_arm:
-        raise ConfigError(
-            f"herald filter must act on the {herald_arm!r} arm when heralding "
-            f"the {heralded_arm!r} photon"
-        )
     axis, d_omega = jsa.grid.omega_e, jsa.grid.d_omega
     f = jsa.values if heralded_arm == "e" else jsa.values.T
-    if herald_filter.shape != "none":
-        # The herald's intensity transmission T splits as sqrt(T) on each
-        # factor, so rho = A A^dagger is Hermitian by construction (and, for
-        # real amplitudes, bitwise symmetric from one SYRK).
-        f = f * np.sqrt(filter_transmission(herald_filter, axis))[None, :]
     rho = f @ f.conj().T * d_omega
     tr = float(np.real(np.trace(rho)) * d_omega)
     if tr <= 0.0:
-        raise FilterSupportError("filter removes all support: heralded state has zero trace")
+        raise FilterSupportError("heralded state has zero trace")
     return ReducedDensityMatrix(omega_axis=axis, values=rho / tr)
 
 

@@ -25,6 +25,13 @@ class TestGvmCommand:
         assert payload["pump_wavelength_nm"] == pytest.approx(415.0, abs=5.0)
         assert abs(payload["residual"]) < 1e-9
 
+    def test_seed_is_rejected(self, tmp_path):
+        # --seed acts only where counts are drawn (hom, scan).
+        with pytest.raises(SystemExit) as exc:
+            run(["gvm", "--crystal", "KDP", "--daughter-nm", "830", "--seed", "3",
+                 "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_unknown_crystal_is_config_error(self, tmp_path):
         code = run(["gvm", "--crystal", "NOSUCH", "--daughter-nm", "830",
                     "--out", str(tmp_path)])
@@ -93,6 +100,17 @@ class TestSweepCommand:
         purities = [float(r[1]) for r in rows]
         assert purities == sorted(purities)
 
+    def test_config_filters_do_not_apply(self, tmp_path):
+        # The sweep sets its own filters on both arms.
+        cfg = tmp_path / "bbo_filtered.cfg"
+        cfg.write_text(Path(BBO_CFG).read_text()
+                       + "\n[filter.o]\nshape = gaussian\ncenter_nm = 800\nfwhm_nm = 4\n")
+        for name, path in (("plain", BBO_CFG), ("filtered", str(cfg))):
+            assert run(["sweep", "--config", path, "--grid-points", "64",
+                        "--bandwidths", "16,4,1", "--out", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "plain" / "sweep.csv").read_bytes()
+                == (tmp_path / "filtered" / "sweep.csv").read_bytes())
+
 
 class TestHomFitRoundtrip:
     def test_kdp_hom_and_fit(self, tmp_path):
@@ -121,6 +139,13 @@ class TestHomFitRoundtrip:
         # Gaussian model mismatch margin on top of the 3-sigma band.
         band = 3.0 * fit["uncertainties"]["visibility"] + 0.05
         assert abs(fit["visibility"] - visibility) <= band
+
+    def test_bad_pair_budget_writes_nothing(self, tmp_path):
+        code = run(["hom", "--config-a", KDP_CFG, "--config-b", KDP_CFG,
+                    "--grid-points", "64", "--delays=-1500:1500:61",
+                    "--pairs-per-point", "-5", "--out", str(tmp_path)])
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_delay_spec_is_config_error(self, tmp_path):
         code = run(["hom", "--config-a", KDP_CFG, "--config-b", KDP_CFG,

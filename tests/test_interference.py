@@ -178,7 +178,7 @@ class TestTwoSourceExperiment:
         delays = np.linspace(-3000, 3000, 601)
         raw = two_source_experiment(bbo_source, bbo_source, "o", delays).visibility
         filt = FilterSpec(shape="gaussian", arm="o", center_nm=800.0, fwhm_nm=4.0)
-        filtered_source = replace(bbo_source, herald_filter=filt)
+        filtered_source = replace(bbo_source, filters=(filt,))
         filtered = two_source_experiment(filtered_source, filtered_source, "o",
                                          delays).visibility
         assert filtered > raw + 0.2
@@ -345,14 +345,14 @@ def overlap_cases(draw):
     flat_phase = draw(st.booleans())
     herald_arm = draw(st.sampled_from(["e", "o"]))
     shape = draw(st.sampled_from(["none", "gaussian", "rectangular"]))
-    herald_filter = None if shape == "none" else FilterSpec(
-        shape, herald_arm, 2.0 * center_nm, draw(st.floats(5.0, 40.0)))
+    filters = () if shape == "none" else (FilterSpec(
+        shape, herald_arm, 2.0 * center_nm, draw(st.floats(5.0, 40.0))),)
 
     def source():
         return SourceSpec(crystal=get_crystal(name, draw(st.floats(1.0, 10.0))),
                           pump=PumpSpec(center_nm, draw(st.floats(1.0, 10.0))),
                           n_points=n_points, flat_phase=flat_phase,
-                          herald_filter=herald_filter)
+                          filters=filters)
 
     source_a = source()
     source_b = source_a if draw(st.booleans()) else source()

@@ -67,19 +67,6 @@ class TestSchmidtDecompose:
     def test_bbo_less_pure_than_kdp(self, kdp_jsa, bbo_jsa):
         assert schmidt_decompose(bbo_jsa).purity < schmidt_decompose(kdp_jsa).purity
 
-    def test_mode_functions_orthonormal(self, kdp_jsa):
-        result = schmidt_decompose(kdp_jsa, keep_modes=True)
-        for modes in (result.mode_functions_e, result.mode_functions_o):
-            gram = modes.conj().T @ modes * kdp_jsa.grid.d_omega
-            np.testing.assert_allclose(gram[:5, :5], np.eye(5), atol=1e-9)
-
-    def test_modes_reconstruct_amplitude(self, kdp_jsa):
-        result = schmidt_decompose(kdp_jsa, keep_modes=True)
-        rebuilt = (result.mode_functions_e
-                   @ np.diag(result.coefficients.astype(complex))
-                   @ result.mode_functions_o.conj().T)
-        np.testing.assert_allclose(rebuilt, kdp_jsa.values, atol=1e-6)
-
 
 class TestHeraldedDensityMatrix:
     def test_unit_trace_and_hermitian(self, kdp_jsa):
@@ -108,7 +95,8 @@ class TestHeraldedDensityMatrix:
         for bw in (10.0, 4.0, 2.0, 1.0, 0.5):
             filt = FilterSpec(shape="gaussian", arm="o", center_nm=800.0,
                               fwhm_nm=bw)
-            purities.append(purity(heralded_density_matrix(bbo_jsa, "e", filt)))
+            purities.append(purity(heralded_density_matrix(
+                apply_filters(bbo_jsa, [filt])[0], "e")))
         assert all(a < b for a, b in zip(purities, purities[1:]))
         assert purities[-1] > 0.95
 
@@ -118,18 +106,43 @@ class TestHeraldedDensityMatrix:
         jsa = replace(kdp_source, n_points=64, flat_phase=flat_phase).build_jsa()
         filt = FilterSpec(shape="gaussian", arm="o", center_nm=830.0, fwhm_nm=4.0)
         assert heralded_density_matrix(jsa, "e").values.dtype == dtype
-        assert heralded_density_matrix(jsa, "e", filt).values.dtype == dtype
-
-    def test_filter_on_wrong_arm_is_error(self, kdp_jsa):
-        filt = FilterSpec(shape="gaussian", arm="e", center_nm=830.0, fwhm_nm=3.0)
-        with pytest.raises(ConfigError):
-            heralded_density_matrix(kdp_jsa, "e", filt)
+        filtered = apply_filters(jsa, [filt])[0]
+        assert heralded_density_matrix(filtered, "e").values.dtype == dtype
 
     def test_filter_outside_support_is_error(self, kdp_jsa):
         filt = FilterSpec(shape="rectangular", arm="o", center_nm=400.0,
                           fwhm_nm=1.0)
         with pytest.raises(FilterSupportError):
-            heralded_density_matrix(kdp_jsa, "e", filt)
+            heralded_density_matrix(apply_filters(kdp_jsa, [filt])[0], "e")
+
+    @pytest.mark.parametrize("shape", ["gaussian", "rectangular"])
+    @pytest.mark.parametrize("heralded_arm", ["e", "o"])
+    @pytest.mark.parametrize("flat_phase", [True, False])
+    @pytest.mark.parametrize("source_name", ["kdp_source", "bbo_source"])
+    def test_source_filter_matches_weighted_sum(self, request, source_name,
+                                                flat_phase, heralded_arm, shape):
+        # rho(w, w') = sum_h f(w, w_h) f*(w', w_h) T(w_h) / trace, with T
+        # written out here and f the unfiltered amplitude.
+        source = replace(request.getfixturevalue(source_name), n_points=128,
+                         flat_phase=flat_phase)
+        herald_arm = "o" if heralded_arm == "e" else "e"
+        center_nm, fwhm_nm = 2.0 * source.pump.center_nm, 4.0
+        filt = FilterSpec(shape, herald_arm, center_nm, fwhm_nm)
+        rho = heralded_density_matrix(replace(source, filters=(filt,)).build_jsa(),
+                                      heralded_arm)
+
+        f = source.build_jsa().values
+        f = f if heralded_arm == "e" else f.T
+        lam_nm = 2e9 * math.pi * 299792458.0 / rho.omega_axis
+        if shape == "gaussian":
+            sigma_nm = fwhm_nm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+            t = np.exp(-(lam_nm - center_nm) ** 2 / (2.0 * sigma_nm ** 2))
+        else:
+            t = (np.abs(lam_nm - center_nm) <= fwhm_nm / 2.0).astype(float)
+        expected = np.einsum("ih,jh,h->ij", f, f.conj(), t)
+        expected /= np.trace(expected).real
+        np.testing.assert_allclose(rho.values * rho.d_omega, expected,
+                                   rtol=0, atol=1e-12)
 
     def test_axis_reversal_invariance(self):
         # Purity is basis-independent: flipping both frequency axes of the
@@ -195,15 +208,14 @@ class TestPurityIdentity:
     def test_filtered_state_is_physical(self, case):
         source, herald_f, signal_f = case
         jsa = source.build_jsa()
-        rho = heralded_density_matrix(apply_filters(jsa, [signal_f])[0],
-                                      signal_f.arm, herald_f)
+        filtered = apply_filters(jsa, [herald_f, signal_f])[0]
+        rho = heralded_density_matrix(filtered, signal_f.arm)
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)
         weighted = rho.values * rho.d_omega
         assert np.max(np.abs(weighted - weighted.conj().T)) <= 1e-12
         eigs = np.linalg.eigvalsh(weighted)
         assert eigs.min() >= -1e-12 * eigs.max()
         # The filter_sweep identity, with both filters in place.
-        filtered = apply_filters(jsa, [herald_f, signal_f])[0]
         assert purity(rho) == pytest.approx(schmidt_decompose(filtered).purity,
                                             abs=1e-12)
         assert 0.0 <= heralding_efficiency(jsa, herald_f, signal_f) <= 1.0
@@ -219,8 +231,8 @@ class TestPurityIdentity:
         results = []
         for values in (real.values, real.values.astype(complex)):
             jsa = apply_filters(JointAmplitude(real.grid, values),
-                                [signal_f])[0]
-            rho = heralded_density_matrix(jsa, signal_f.arm, herald_f)
+                                [herald_f, signal_f])[0]
+            rho = heralded_density_matrix(jsa, signal_f.arm)
             half_period_fs = math.pi / rho.d_omega * 1e15
             scan = hom_dip(rho, rho, np.linspace(-half_period_fs, half_period_fs, 201))
             results.append((rho, schmidt_decompose(jsa).coefficients, scan))
