@@ -46,8 +46,8 @@ def filter_sweep(source: SourceSpec, bandwidths_nm, filter_shape="gaussian",
     sum_k lambda_k^2, so no per-point SVD is needed. Filters are centered
     on the degenerate wavelength. The herald arm is always filtered; with
     symmetric=True the signal arm gets an identical filter. A bandwidth of
-    inf (or filter_shape "none") means no filter. Per-point filter failures
-    are recorded as gaps (NaN in the arrays), not a global error.
+    inf means no filter. Per-point filter failures are recorded as gaps
+    (NaN in the arrays), not a global error.
     """
     if herald_arm not in ("e", "o"):
         raise ConfigError(f"herald_arm must be 'e' or 'o', got {herald_arm!r}")
@@ -57,25 +57,17 @@ def filter_sweep(source: SourceSpec, bandwidths_nm, filter_shape="gaussian",
     jsa = source.build_jsa()
     center_nm = 2.0 * source.pump.center_nm
     signal_arm = "e" if herald_arm == "o" else "o"
+    filtered_arms = (herald_arm, signal_arm) if symmetric else (herald_arm,)
     purities = np.empty_like(bandwidths_nm)
     efficiencies = np.empty_like(bandwidths_nm)
     gaps = []
     for i, bw in enumerate(bandwidths_nm):
-        if math.isinf(bw) or filter_shape == "none":
-            herald_f = FilterSpec.none(herald_arm)
-            signal_f = FilterSpec.none(signal_arm)
-        else:
-            herald_f = FilterSpec(shape=filter_shape, arm=herald_arm,
-                                  center_nm=center_nm, fwhm_nm=bw)
-            signal_f = (
-                FilterSpec(shape=filter_shape, arm=signal_arm,
-                           center_nm=center_nm, fwhm_nm=bw)
-                if symmetric else FilterSpec.none(signal_arm)
-            )
+        arms = () if math.isinf(bw) else filtered_arms
+        filters = [FilterSpec(filter_shape, arm, center_nm, bw) for arm in arms]
         try:
-            filtered, _ = apply_filters(jsa, [herald_f, signal_f])
+            filtered, _ = apply_filters(jsa, filters)
             purities[i] = purity(heralded_density_matrix(filtered, signal_arm))
-            efficiencies[i] = heralding_efficiency(jsa, herald_f, signal_f)
+            efficiencies[i] = heralding_efficiency(jsa, filters, herald_arm)
         except FilterSupportError as exc:
             purities[i] = np.nan
             efficiencies[i] = np.nan
@@ -125,27 +117,31 @@ class CountRecord:
 
     @classmethod
     def from_csv(cls, path):
-        pairs = 0.0
-        seed = 0
+        pairs, seed, lineno = 0.0, 0, 1
         delays, counts = [], []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    _, _, rest = line.partition(" ")
-                    key, _, value = rest.partition(",")
-                    if key == "pairs_per_point":
-                        pairs = float(value)
-                    elif key == "seed":
-                        seed = int(value)
-                    continue
-                if line.startswith("delay_fs"):
-                    continue
-                t, _, n = line.partition(",")
-                delays.append(float(t))
-                counts.append(int(n))
+        try:
+            with open(path) as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    if line.startswith("#"):
+                        _, _, rest = line.partition(" ")
+                        key, _, value = rest.partition(",")
+                        if key == "pairs_per_point":
+                            pairs = float(value)
+                        elif key == "seed":
+                            seed = int(value)
+                        continue
+                    if line.startswith("delay_fs"):
+                        continue
+                    t, _, n = line.partition(",")
+                    delays.append(float(t))
+                    counts.append(int(n))
+        except OSError as exc:
+            raise ConfigError(f"cannot read counts file {path}: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
         return cls(np.array(delays), np.array(counts, dtype=int), pairs, seed)
 
 
@@ -157,6 +153,8 @@ def simulate_counts(scan: HomScan, pairs_per_point, seed):
     """
     if not 0 < pairs_per_point < math.inf:
         raise ConfigError("pairs_per_point must be positive and finite")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     counts = np.empty(scan.delays_fs.size, dtype=int)
     for i, rate in enumerate(scan.rates):
         rng = np.random.default_rng(seed + i)
@@ -371,8 +369,8 @@ def simulate_jsi_scan(jsa: JointAmplitude, resolution_fwhm_nm, step_nm,
         if not 0 < pairs_budget < math.inf:
             raise ConfigError("pairs_budget must be positive and finite (or None for noiseless)")
         expected = smoothed * (pairs_budget / total)
-        if seed is None:
-            raise ConfigError("seed is required when sampling counts")
+        if seed is None or seed < 0:
+            raise ConfigError(f"sampling counts needs a nonnegative seed, got {seed}")
         counts = np.empty_like(expected, dtype=int)
         # One generator per scan row keeps the output independent of any
         # parallel evaluation order over rows.

@@ -21,8 +21,7 @@ from .analysis import (CountRecord, filter_sweep, fit_gaussian_dip,
                        simulate_counts, simulate_jsi_scan)
 from .crystals import CrystalDatabase, builtin_database, crystal_from_record
 from .dispersion import gvm_pump_wavelength
-from .errors import (ConfigError, NumericalError, PairspecError,
-                     PhysicsDomainError)
+from .errors import ConfigError, NumericalError, PhysicsDomainError
 from .interference import SourceSpec, coherence_time, two_source_experiment
 from .jsa import FilterSpec, PumpSpec, export_jsi_csv, export_metadata, jsi_pearson
 from .schmidt import export_schmidt_csv, schmidt_decompose
@@ -117,7 +116,10 @@ def load_config(path, grid_points=None, flat_phase=None):
     n_points, span_sigmas = 512, 4.0
     if "grid" in parser:
         _check_keys(parser, "grid", _GRID_KEYS, path)
-        n_points = int(_get_float(parser["grid"], "n_points", path, default=512))
+        value = _get_float(parser["grid"], "n_points", path, default=512.0)
+        n_points = int(value)
+        if n_points != value:
+            raise ConfigError(f"{path}: key 'n_points' must be a whole number, got {value:g}")
         span_sigmas = _get_float(parser["grid"], "span_sigmas", path, default=4.0)
     if grid_points is not None:
         n_points = grid_points
@@ -132,9 +134,8 @@ def load_config(path, grid_points=None, flat_phase=None):
             _check_keys(parser, section, _FILTER_KEYS, path)
             sec = parser[section]
             shape = sec.get("shape", "gaussian")
-            if shape == "none":
-                filters.append(FilterSpec.none(arm))
-            else:
+            # shape = none spells out that the arm has no filter.
+            if shape != "none":
                 filters.append(FilterSpec(
                     shape=shape, arm=arm,
                     center_nm=_get_float(sec, "center_nm", path),
@@ -150,7 +151,11 @@ def load_config(path, grid_points=None, flat_phase=None):
 
 def _out_dir(args):
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out}: cannot create the output directory: "
+                          f"{exc.strerror}") from exc
     return out
 
 
@@ -208,7 +213,7 @@ def cmd_schmidt(args):
     config, _ = load_config(args.config, args.grid_points, args.flat_phase)
     result = schmidt_decompose(config.source.build_jsa())
     out = _out_dir(args)
-    export_schmidt_csv(result, out / "schmidt.csv", max_modes=64)
+    export_schmidt_csv(result, out / "schmidt.csv")
     _write_json(out / "schmidt_meta.json", {
         "purity": result.purity,
         "schmidt_number": result.schmidt_number,
@@ -221,7 +226,11 @@ def cmd_schmidt(args):
 
 def cmd_sweep(args):
     config, _ = load_config(args.config, args.grid_points, args.flat_phase)
-    bandwidths = [float(x) for x in args.bandwidths.split(",")]
+    try:
+        bandwidths = [float(x) for x in args.bandwidths.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--bandwidths must be a comma-separated list of nm, "
+                          f"got {args.bandwidths!r}") from exc
     # The sweep sets its own filters; a config's filters do not apply.
     result = filter_sweep(
         replace(config.source, filters=()), bandwidths, filter_shape=args.shape,
@@ -252,7 +261,7 @@ def _hom_source(path, args):
     interfered photon must reach the beamsplitter unfiltered."""
     config, filters = load_config(path, args.grid_points, args.flat_phase)
     for filt in filters:
-        if filt.shape != "none" and filt.arm != args.herald_arm:
+        if filt.arm != args.herald_arm:
             raise ConfigError(
                 f"{path}: [filter.{filt.arm}] filters the interfered {filt.arm!r} "
                 f"photon; hom --herald-arm {args.herald_arm} accepts only a "

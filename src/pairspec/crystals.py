@@ -233,8 +233,12 @@ class CrystalDatabase:
 
     @classmethod
     def from_file(cls, path):
-        with open(path) as fh:
-            return cls(fh.read())
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read crystal file {path}: {exc.strerror}") from exc
+        return cls(text)
 
     def names(self):
         return sorted(self._records)

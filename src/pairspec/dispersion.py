@@ -20,6 +20,7 @@ from .crystals import CrystalSpec
 from .errors import ConfigError, NoGvmPointError, NoPhasematchingError
 
 GVM_TOL_NM = 1e-4
+GVM_SCAN_HALFWIDTH_NM = 50.0  # pump window of the GVM scan, about d/2
 
 
 @dataclass(frozen=True)
@@ -161,11 +162,10 @@ def phasematching_angle(crystal: CrystalSpec, pump_wavelength_nm,
     return brentq(mismatch, lo, hi, xtol=1e-13)
 
 
-def gvm_pump_wavelength(crystal: CrystalSpec, daughter_o_wavelength_nm,
-                        scan_halfwidth_nm=50.0):
+def gvm_pump_wavelength(crystal: CrystalSpec, daughter_o_wavelength_nm):
     """Pump wavelength at which the e-pump group-matches its o-daughter.
 
-    Scans pump wavelengths in [d/2 - 50, d/2 + 50] nm, re-solving the
+    Scans pump wavelengths in d/2 +- GVM_SCAN_HALFWIDTH_NM, re-solving the
     degenerate phasematching angle at each trial, and solves the
     group-index mismatch n_g,e(pump, theta_pm) - n_g,o(2*pump) with brentq
     in the first bracketed sign change, well inside GVM_TOL_NM. The
@@ -185,10 +185,11 @@ def gvm_pump_wavelength(crystal: CrystalSpec, daughter_o_wavelength_nm,
     # Coarse scan first: parts of the window may have no phasematching
     # solution at all, so bracket the sign change between valid points only.
     n_coarse = 101
-    step = 2.0 * scan_halfwidth_nm / (n_coarse - 1)
+    lo, hi = center - GVM_SCAN_HALFWIDTH_NM, center + GVM_SCAN_HALFWIDTH_NM
+    step = 2.0 * GVM_SCAN_HALFWIDTH_NM / (n_coarse - 1)
     prev = None
     for i in range(n_coarse):
-        lam = center - scan_halfwidth_nm + i * step
+        lam = lo + i * step
         try:
             f = mismatch(lam)[0]
         except NoPhasematchingError:
@@ -200,8 +201,7 @@ def gvm_pump_wavelength(crystal: CrystalSpec, daughter_o_wavelength_nm,
     else:
         raise NoGvmPointError(
             f"no GVM point: group-index mismatch has no sign change in "
-            f"[{center - scan_halfwidth_nm:.6g}, {center + scan_halfwidth_nm:.6g}] nm "
-            f"for {crystal.name}"
+            f"[{lo:.6g}, {hi:.6g}] nm for {crystal.name}"
         )
     lam_p = brentq(lambda x: mismatch(x)[0], prev[0], lam, xtol=1e-12)
     residual, theta, ng_pump, ng_daughter = mismatch(lam_p)

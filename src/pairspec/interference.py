@@ -114,8 +114,9 @@ def hom_dip(rho_a: ReducedDensityMatrix, rho_b: ReducedDensityMatrix, delays_fs)
 
     Visibility is the maximum overlap found by a bounded scalar search
     within one mean scan step of the best scan sample, and never less than
-    that sample; the dip FWHM comes from linear interpolation of the scan's
-    crossings of 1 - V/2.
+    that sample. The dip centre leaves that sample only where the search
+    beats it by more than rounding. The dip FWHM comes from linear
+    interpolation of the scan's crossings of 1 - V/2.
     """
     delays_fs = np.asarray(delays_fs, dtype=float)
     if delays_fs.ndim != 1 or delays_fs.size < 3:
@@ -140,9 +141,10 @@ def hom_dip(rho_a: ReducedDensityMatrix, rho_b: ReducedDensityMatrix, delays_fs)
     step = max(np.ptp(delays_fs) / (delays_fs.size - 1), 1e-3)
     best = minimize_scalar(lambda t: -overlap(t * 1e-15),
                            bounds=(center - step, center + step), method="bounded")
-    if -best.fun > visibility:
-        center, visibility = best.x, -best.fun
-    visibility = min(max(float(visibility), 0.0), 1.0)
+    # On a flat-topped overlap a gain within rounding is no better centre.
+    if -best.fun > visibility + 8.0 * np.finfo(float).eps:
+        center = best.x
+    visibility = min(max(float(visibility), float(-best.fun), 0.0), 1.0)
     dip_center_fs = float(center)
 
     half_level = 1.0 - visibility / 2.0

@@ -211,33 +211,36 @@ def joint_amplitude(crystal: CrystalSpec, theta_deg, pump: PumpSpec,
 class FilterSpec:
     """Spectral intensity filter on one arm."""
 
-    shape: str  # gaussian | rectangular | none
+    shape: str  # gaussian | rectangular
     arm: str  # e | o
-    center_nm: float = 0.0
-    fwhm_nm: float = 0.0
+    center_nm: float
+    fwhm_nm: float
 
     def __post_init__(self):
-        if self.shape not in ("gaussian", "rectangular", "none"):
+        if self.shape not in ("gaussian", "rectangular"):
             raise ConfigError(f"unknown filter shape {self.shape!r}")
         if self.arm not in ("e", "o"):
             raise ConfigError(f"filter arm must be 'e' or 'o', got {self.arm!r}")
-        if self.shape != "none" and not (self.fwhm_nm > 0 and self.center_nm > 0):
+        if not (self.fwhm_nm > 0 and self.center_nm > 0):
             raise ConfigError("filter center and FWHM must be positive")
-
-    @classmethod
-    def none(cls, arm):
-        return cls(shape="none", arm=arm)
 
 
 def filter_transmission(filt: FilterSpec, omega_axis):
     """Intensity transmission of a filter sampled on a frequency axis."""
-    if filt.shape == "none":
-        return np.ones_like(omega_axis)
     lam = nm_from_omega(omega_axis)
     if filt.shape == "gaussian":
         s = filt.fwhm_nm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
         return np.exp(-((lam - filt.center_nm) ** 2) / (2.0 * s ** 2))
     return (np.abs(lam - filt.center_nm) <= filt.fwhm_nm / 2.0).astype(float)
+
+
+def arm_transmissions(filters, omega_axis):
+    """Intensity transmission of each arm, {"e": T_e, "o": T_o}: the product
+    of that arm's filters, or ones where the arm has none."""
+    t = {"e": np.ones_like(omega_axis), "o": np.ones_like(omega_axis)}
+    for filt in filters:
+        t[filt.arm] = t[filt.arm] * filter_transmission(filt, omega_axis)
+    return t
 
 
 def apply_filters(jsa: JointAmplitude, filters):
@@ -246,10 +249,7 @@ def apply_filters(jsa: JointAmplitude, filters):
     Returns (filtered JointAmplitude, passed fraction), where the passed
     fraction is the intensity surviving the filters before renormalization.
     """
-    axis = jsa.grid.omega_e
-    t = {"e": np.ones_like(axis), "o": np.ones_like(axis)}
-    for filt in filters:
-        t[filt.arm] = t[filt.arm] * filter_transmission(filt, axis)
+    t = arm_transmissions(filters, jsa.grid.omega_e)
     values = jsa.values * np.sqrt(t["e"])[:, None] * np.sqrt(t["o"])[None, :]
     kept = float(np.sum(np.abs(values) ** 2) * jsa.grid.measure)
     if kept == 0.0:

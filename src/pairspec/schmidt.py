@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FilterSupportError, NumericalError
-from .jsa import FilterSpec, JointAmplitude, filter_transmission
+from .jsa import JointAmplitude, arm_transmissions
 
 
 @dataclass(frozen=True)
@@ -91,34 +91,28 @@ def purity(rho: ReducedDensityMatrix):
     return float(np.sum(np.abs(rho.values) ** 2) * rho.d_omega ** 2)
 
 
-def heralding_efficiency(jsa: JointAmplitude, herald_filter: FilterSpec,
-                         signal_filter: FilterSpec):
-    """Probability the signal photon passes its filter given the herald passed.
-
-    Unit collection and detection efficiency; both filters act on
-    intensity and must sit on opposite arms.
-    """
-    if herald_filter.arm == signal_filter.arm:
-        raise ConfigError("herald and signal filters must be on opposite arms")
-    t = {filt.arm: filter_transmission(filt, jsa.grid.omega_e)
-         for filt in (herald_filter, signal_filter)}
+def heralding_efficiency(jsa: JointAmplitude, filters, herald_arm):
+    """Probability the signal photon passes its arm's filters given the
+    herald passed its own: sum T_e I T_o / sum m_h T_h, with m_h the herald
+    marginal. Unit collection and detection efficiency; filters act on
+    intensity."""
+    if herald_arm not in ("e", "o"):
+        raise ConfigError(f"herald_arm must be 'e' or 'o', got {herald_arm!r}")
+    t = arm_transmissions(filters, jsa.grid.omega_e)
     intensity = jsa.intensity
-    marginal = intensity.sum(axis=1 if herald_filter.arm == "e" else 0)
-    herald_rate = float(marginal @ t[herald_filter.arm]) * jsa.grid.measure
+    marginal = intensity.sum(axis=1 if herald_arm == "e" else 0)
+    herald_rate = float(marginal @ t[herald_arm]) * jsa.grid.measure
     if herald_rate <= 0.0:
         raise FilterSupportError("herald filter passes nothing")
     both_rate = float(t["e"] @ intensity @ t["o"]) * jsa.grid.measure
     # The two rates are summed in different orders, so an open signal
-    # filter can come out an ulp above the herald rate.
+    # arm can come out an ulp above the herald rate.
     return min(both_rate / herald_rate, 1.0)
 
 
-def export_schmidt_csv(result: SchmidtResult, path, max_modes=None):
-    """CSV (k, c_k, c_k^2), largest coefficient first."""
-    coeff = result.coefficients
-    if max_modes is not None:
-        coeff = coeff[:max_modes]
+def export_schmidt_csv(result: SchmidtResult, path):
+    """CSV (k, c_k, c_k^2) of the 64 largest coefficients, largest first."""
     with open(path, "w") as fh:
         fh.write("k,c_k,c_k_squared\n")
-        for k, c in enumerate(coeff, start=1):
+        for k, c in enumerate(result.coefficients[:64], start=1):
             fh.write(f"{k},{c:.12g},{c ** 2:.12g}\n")

@@ -6,9 +6,8 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import least_squares, leastsq
 
 from pairspec import analysis
-from pairspec.analysis import (CountRecord, FitResult, filter_sweep,
-                               fit_gaussian_dip, scan_purity, simulate_counts,
-                               simulate_jsi_scan)
+from pairspec.analysis import (CountRecord, filter_sweep, fit_gaussian_dip,
+                               scan_purity, simulate_counts, simulate_jsi_scan)
 from pairspec.errors import ConfigError
 from pairspec.interference import HomScan, two_source_experiment
 from pairspec.jsa import FilterSpec, apply_filters, jsi_pearson, nm_from_omega
@@ -76,9 +75,8 @@ class TestFilterSweep:
         sweep = filter_sweep(source, bandwidths, filter_shape=shape,
                              symmetric=symmetric, herald_arm=herald_arm)
         for bw, got in zip(bandwidths, sweep.purities):
-            if np.isinf(bw):
-                filters = [FilterSpec.none(herald_arm), FilterSpec.none(signal_arm)]
-            else:
+            filters = []
+            if not np.isinf(bw):
                 filters = [FilterSpec(shape, herald_arm, center_nm, bw)]
                 if symmetric:
                     filters.append(FilterSpec(shape, signal_arm, center_nm, bw))

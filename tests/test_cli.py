@@ -328,6 +328,54 @@ source_citation = inline test record
         assert run(args + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("case", [
+        "fit-missing-counts", "fit-non-numeric-row", "gvm-missing-crystal-file",
+        "config-missing-crystal-file", "out-below-a-file", "sweep-bandwidths-text",
+        "scan-negative-seed", "hom-negative-seed", "config-fractional-n-points",
+    ])
+    def test_bad_input_names_its_source(self, tmp_path, capsys, case):
+        # Unreadable files and unusable values exit 2, and the message names
+        # the path or flag at fault.
+        out = ["--out", str(tmp_path)]
+        missing = str(tmp_path / "missing.txt")
+        counts = tmp_path / "counts.csv"
+        counts.write_text("delay_fs,counts\n-10,5\nx,3\n")
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        kdp = Path(KDP_CFG).read_text()
+        cfg = self.write(tmp_path, {
+            "config-missing-crystal-file": kdp.replace(
+                "crystal = KDP", f"crystal = KDP\ncrystal_file = {missing}"),
+            "config-fractional-n-points": kdp.replace(
+                "n_points = 512", "n_points = 100.7"),
+        }.get(case, kdp))
+        args, named = {
+            "fit-missing-counts": (["fit", "--counts", missing] + out, missing),
+            "fit-non-numeric-row": (["fit", "--counts", str(counts)] + out,
+                                    f"{counts}: line 3"),
+            "gvm-missing-crystal-file": (
+                ["gvm", "--crystal", "KDP", "--daughter-nm", "830",
+                 "--crystal-file", missing] + out, missing),
+            "config-missing-crystal-file": (["schmidt", "--config", cfg] + out, missing),
+            "out-below-a-file": (
+                ["gvm", "--crystal", "KDP", "--daughter-nm", "830",
+                 "--out", str(a_file / "x")], "--out"),
+            "sweep-bandwidths-text": (
+                ["sweep", "--config", KDP_CFG, "--grid-points", "64",
+                 "--bandwidths", "a,b"] + out, "--bandwidths"),
+            "scan-negative-seed": (
+                self.SCAN + ["--resolution-nm", "0.5", "--step-nm", "0.5",
+                             "--budget", "1e6", "--seed", "-1"] + out, "seed"),
+            "hom-negative-seed": (
+                ["hom", "--config-a", KDP_CFG, "--config-b", KDP_CFG,
+                 "--grid-points", "128", "--delays=-1500:1500:61",
+                 "--pairs-per-point", "10", "--seed", "-1"] + out, "seed"),
+            "config-fractional-n-points": (["schmidt", "--config", cfg] + out, "n_points"),
+        }[case]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
+
     def test_inline_and_named_conflict(self, tmp_path):
         cfg = self.write(tmp_path, """\
 [source]

@@ -187,6 +187,25 @@ class TestTwoSourceExperiment:
         with pytest.raises(ConfigError):
             two_source_experiment(kdp_source, kdp_source, "x", [0, 1, 2])
 
+    @pytest.mark.parametrize("fwhm_nm", [1.0, 4.0])
+    @pytest.mark.parametrize("herald_arm", ["e", "o"])
+    @pytest.mark.parametrize("shape", ["gaussian", "rectangular"])
+    @pytest.mark.parametrize("source_name, flat_phase", [
+        ("kdp_source", True), ("bbo_source", True), ("bbo_source", False)])
+    def test_symmetric_dip_centre_is_exactly_zero(self, request, source_name,
+                                                  flat_phase, shape, herald_arm,
+                                                  fwhm_nm):
+        # A self-HOM dip is symmetric about 0, a scan sample. The overlap is
+        # flat to the last bits there, so the bounded search may gain only
+        # rounding, which must not move the centre off the sample.
+        source = replace(request.getfixturevalue(source_name), n_points=256,
+                         flat_phase=flat_phase)
+        filt = FilterSpec(shape, herald_arm, 2.0 * source.pump.center_nm, fwhm_nm)
+        source = replace(source, filters=(filt,))
+        scan = two_source_experiment(source, source, herald_arm,
+                                     np.linspace(-2000, 2000, 201))
+        assert scan.dip_center_fs == 0.0
+
 
 class TestIdenticalSources:
     @pytest.fixture

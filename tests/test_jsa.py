@@ -8,8 +8,8 @@ from scipy.constants import c as c_light
 from pairspec import dispersion as disp
 from pairspec.crystals import SellmeierForm
 from pairspec.errors import ConfigError, FilterSupportError
-from pairspec.jsa import (FilterSpec, FrequencyGrid, JointAmplitude, PumpSpec,
-                          apply_filters, build_grid, filter_transmission,
+from pairspec.jsa import (FilterSpec, FrequencyGrid, PumpSpec, apply_filters,
+                          arm_transmissions, build_grid, filter_transmission,
                           fwhm_of_curve, joint_amplitude, jsi_pearson,
                           lattice_axis, marginal_spectrum, normalize,
                           phasematching_function, pump_envelope)
@@ -150,6 +150,9 @@ class TestBuildGrid:
         with pytest.raises(ConfigError):
             FilterSpec(shape="gaussian", arm="o", center_nm=830.0, fwhm_nm=math.nan)
         with pytest.raises(ConfigError):
+            # No null filter: an arm without a filter is left out of the list.
+            FilterSpec(shape="none", arm="o", center_nm=830.0, fwhm_nm=4.0)
+        with pytest.raises(ConfigError):
             # Dispersionless and isotropic: no group-index mismatch to
             # size the phasematching bandwidth from.
             build_grid(constant_crystal(n_o=1.5, n_e=1.5),
@@ -258,17 +261,21 @@ class TestApplyFilters:
         assert apply_filters(jsa, [filt])[0].values.dtype == dtype
         assert jsa.flat_phase is flat_phase
 
-    def test_none_filters_are_identity(self, kdp_jsa):
-        filtered, passed = apply_filters(
-            kdp_jsa, [FilterSpec.none("e"), FilterSpec.none("o")])
-        np.testing.assert_allclose(filtered.values, kdp_jsa.values, rtol=1e-12)
-        assert passed == pytest.approx(1.0, abs=1e-12)
-
-    def test_none_is_idempotent(self, kdp_jsa):
+    def test_no_filters_is_identity(self, kdp_jsa):
         jsa = kdp_jsa
         for _ in range(3):
-            jsa, _ = apply_filters(jsa, [FilterSpec.none("e")])
-        np.testing.assert_allclose(jsa.values, kdp_jsa.values, rtol=1e-12)
+            jsa, passed = apply_filters(jsa, [])
+            np.testing.assert_allclose(jsa.values, kdp_jsa.values, rtol=1e-12)
+            assert passed == pytest.approx(1.0, abs=1e-12)
+
+    def test_arm_transmissions_multiply_per_arm(self, bbo_jsa):
+        axis = bbo_jsa.grid.omega_e
+        a = FilterSpec(shape="gaussian", arm="o", center_nm=800.0, fwhm_nm=4.0)
+        b = FilterSpec(shape="rectangular", arm="o", center_nm=801.0, fwhm_nm=6.0)
+        t = arm_transmissions([a, b], axis)
+        np.testing.assert_array_equal(t["e"], np.ones_like(axis))
+        np.testing.assert_array_equal(
+            t["o"], filter_transmission(a, axis) * filter_transmission(b, axis))
 
     def test_full_rectangular_filter_is_identity(self, kdp_jsa):
         lam = 2 * math.pi * c_light / kdp_jsa.grid.omega_e.mean() * 1e9

@@ -10,7 +10,7 @@ from pairspec.crystals import get_crystal
 from pairspec.errors import ConfigError, FilterSupportError
 from pairspec.interference import SourceSpec, hom_dip
 from pairspec.jsa import (FilterSpec, FrequencyGrid, JointAmplitude, PumpSpec,
-                          apply_filters, normalize)
+                          apply_filters, nm_from_omega, normalize)
 from pairspec.schmidt import (heralded_density_matrix, heralding_efficiency,
                               purity, schmidt_decompose)
 
@@ -170,24 +170,29 @@ def sources(draw):
     )
 
 
+def other_arm(arm):
+    return "e" if arm == "o" else "o"
+
+
 @st.composite
 def filtered_sources(draw):
-    """A source from sources(), a herald arm, and on each arm either no
-    filter or a Gaussian or rectangular one at the degenerate wavelength."""
+    """A source from sources(), a herald arm, and a filter list holding on
+    each arm either no filter or a Gaussian or rectangular one at the
+    degenerate wavelength."""
     source = draw(sources())
     herald_arm = draw(st.sampled_from(["e", "o"]))
     center_nm = 2.0 * source.pump.center_nm
 
     def optional_filter(arm):
-        shape = draw(st.sampled_from(["none", "gaussian", "rectangular"]))
-        if shape == "none":
-            return FilterSpec.none(arm)
+        shape = draw(st.sampled_from([None, "gaussian", "rectangular"]))
+        if shape is None:
+            return []
         # Wider than any drawn grid step (< 2.5 nm), so a rectangular
         # filter always passes some samples.
-        return FilterSpec(shape, arm, center_nm, draw(st.floats(5.0, 40.0)))
+        return [FilterSpec(shape, arm, center_nm, draw(st.floats(5.0, 40.0)))]
 
-    signal_arm = "e" if herald_arm == "o" else "o"
-    return source, optional_filter(herald_arm), optional_filter(signal_arm)
+    return source, herald_arm, optional_filter(herald_arm) + optional_filter(
+        other_arm(herald_arm))
 
 
 class TestPurityIdentity:
@@ -206,10 +211,10 @@ class TestPurityIdentity:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(filtered_sources())
     def test_filtered_state_is_physical(self, case):
-        source, herald_f, signal_f = case
+        source, herald_arm, filters = case
         jsa = source.build_jsa()
-        filtered = apply_filters(jsa, [herald_f, signal_f])[0]
-        rho = heralded_density_matrix(filtered, signal_f.arm)
+        filtered = apply_filters(jsa, filters)[0]
+        rho = heralded_density_matrix(filtered, other_arm(herald_arm))
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)
         weighted = rho.values * rho.d_omega
         assert np.max(np.abs(weighted - weighted.conj().T)) <= 1e-12
@@ -218,7 +223,7 @@ class TestPurityIdentity:
         # The filter_sweep identity, with both filters in place.
         assert purity(rho) == pytest.approx(schmidt_decompose(filtered).purity,
                                             abs=1e-12)
-        assert 0.0 <= heralding_efficiency(jsa, herald_f, signal_f) <= 1.0
+        assert 0.0 <= heralding_efficiency(jsa, filters, herald_arm) <= 1.0
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(filtered_sources())
@@ -226,13 +231,12 @@ class TestPurityIdentity:
         # A flat-phase amplitude is real and takes the real BLAS/LAPACK
         # kernels; cast to complex it takes the complex ones. Both must give
         # the same state, Schmidt spectrum and HOM dip.
-        source, herald_f, signal_f = case
+        source, herald_arm, filters = case
         real = replace(source, flat_phase=True).build_jsa()
         results = []
         for values in (real.values, real.values.astype(complex)):
-            jsa = apply_filters(JointAmplitude(real.grid, values),
-                                [herald_f, signal_f])[0]
-            rho = heralded_density_matrix(jsa, signal_f.arm)
+            jsa = apply_filters(JointAmplitude(real.grid, values), filters)[0]
+            rho = heralded_density_matrix(jsa, other_arm(herald_arm))
             half_period_fs = math.pi / rho.d_omega * 1e15
             scan = hom_dip(rho, rho, np.linspace(-half_period_fs, half_period_fs, 201))
             results.append((rho, schmidt_decompose(jsa).coefficients, scan))
@@ -246,15 +250,45 @@ class TestPurityIdentity:
 
 
 class TestHeraldingEfficiency:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(sources(), st.sampled_from(["e", "o"]), st.data())
+    def test_matches_written_out_sums(self, source, herald_arm, data):
+        # eta = sum T_e I T_o / sum m_h T_h, with each arm's T the product
+        # of its filters written out here. Zero to three filters on drawn
+        # arms, so one arm can carry two. Every filter is wider than any
+        # drawn grid step (< 2.5 nm) and centred within 1 nm of the
+        # degenerate wavelength, so the herald arm always passes something.
+        center_nm = 2.0 * source.pump.center_nm
+        filters = data.draw(st.lists(st.builds(
+            FilterSpec, st.sampled_from(["gaussian", "rectangular"]),
+            st.sampled_from(["e", "o"]), st.floats(center_nm - 1.0, center_nm + 1.0),
+            st.floats(5.0, 40.0)), max_size=3))
+        jsa = source.build_jsa()
+        lam_nm = nm_from_omega(jsa.grid.omega_e)
+        t = {"e": np.ones_like(lam_nm), "o": np.ones_like(lam_nm)}
+        for filt in filters:
+            if filt.shape == "gaussian":
+                sigma_nm = filt.fwhm_nm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+                t[filt.arm] = t[filt.arm] * np.exp(
+                    -(lam_nm - filt.center_nm) ** 2 / (2.0 * sigma_nm ** 2))
+            else:
+                t[filt.arm] = t[filt.arm] * (np.abs(lam_nm - filt.center_nm)
+                                             <= filt.fwhm_nm / 2.0)
+        intensity = np.abs(jsa.values) ** 2
+        both = np.einsum("i,ij,j->", t["e"], intensity, t["o"])
+        marginal = intensity.sum(axis=1 if herald_arm == "e" else 0)
+        expected = min(both / np.dot(marginal, t[herald_arm]), 1.0)
+        assert heralding_efficiency(jsa, filters, herald_arm) == pytest.approx(
+            expected, abs=1e-12)
+
     def test_open_filters_give_unity(self, bbo_jsa):
-        eff = heralding_efficiency(bbo_jsa, FilterSpec.none("o"),
-                                   FilterSpec.none("e"))
+        eff = heralding_efficiency(bbo_jsa, [], "o")
         assert eff == pytest.approx(1.0, abs=1e-12)
 
     def test_efficiency_bounded(self, bbo_jsa):
         herald = FilterSpec(shape="gaussian", arm="o", center_nm=800.0, fwhm_nm=4.0)
         signal = FilterSpec(shape="gaussian", arm="e", center_nm=800.0, fwhm_nm=4.0)
-        eff = heralding_efficiency(bbo_jsa, herald, signal)
+        eff = heralding_efficiency(bbo_jsa, [herald, signal], "o")
         assert 0.0 < eff < 1.0
 
     def test_bbo_matched_filters_near_075(self, bbo_jsa):
@@ -262,7 +296,7 @@ class TestHeraldingEfficiency:
         # heralded purity first reaches 0.95 for this source.
         herald = FilterSpec(shape="gaussian", arm="o", center_nm=800.0, fwhm_nm=4.0)
         signal = FilterSpec(shape="gaussian", arm="e", center_nm=800.0, fwhm_nm=4.0)
-        eff = heralding_efficiency(bbo_jsa, herald, signal)
+        eff = heralding_efficiency(bbo_jsa, [herald, signal], "o")
         assert eff == pytest.approx(0.75, abs=0.10)
 
     def test_widening_signal_filter_monotone(self, bbo_jsa):
@@ -271,16 +305,23 @@ class TestHeraldingEfficiency:
         for bw in (1.0, 2.0, 4.0, 8.0, 16.0):
             signal = FilterSpec(shape="gaussian", arm="e", center_nm=800.0,
                                 fwhm_nm=bw)
-            effs.append(heralding_efficiency(bbo_jsa, herald, signal))
+            effs.append(heralding_efficiency(bbo_jsa, [herald, signal], "o"))
         assert all(a < b for a, b in zip(effs, effs[1:]))
 
-    def test_same_arm_filters_rejected(self, bbo_jsa):
-        filt = FilterSpec(shape="gaussian", arm="o", center_nm=800.0, fwhm_nm=4.0)
+    def test_herald_arm_filters_only_give_unity(self, bbo_jsa):
+        # With nothing on the signal arm, every heralded photon passes.
+        filters = [FilterSpec(shape="gaussian", arm="o", center_nm=800.0, fwhm_nm=4.0),
+                   FilterSpec(shape="rectangular", arm="o", center_nm=801.0,
+                              fwhm_nm=6.0)]
+        eff = heralding_efficiency(bbo_jsa, filters, "o")
+        assert eff == pytest.approx(1.0, abs=1e-12)
+
+    def test_bad_herald_arm_is_error(self, bbo_jsa):
         with pytest.raises(ConfigError):
-            heralding_efficiency(bbo_jsa, filt, filt)
+            heralding_efficiency(bbo_jsa, [], "x")
 
     def test_empty_herald_is_error(self, bbo_jsa):
         herald = FilterSpec(shape="rectangular", arm="o", center_nm=400.0,
                             fwhm_nm=1.0)
         with pytest.raises(FilterSupportError):
-            heralding_efficiency(bbo_jsa, herald, FilterSpec.none("e"))
+            heralding_efficiency(bbo_jsa, [herald], "o")
