@@ -12,8 +12,8 @@ from scipy.optimize import leastsq
 
 from .errors import ConfigError, FilterSupportError
 from .interference import HomScan, SourceSpec
-from .jsa import FilterSpec, JointAmplitude, apply_filters, nm_from_omega
-from .schmidt import heralded_density_matrix, heralding_efficiency, purity
+from .jsa import FILTER_SHAPES, FilterSpec, JointAmplitude, arm_transmissions, nm_from_omega
+from .schmidt import heralding_efficiency, schmidt_decompose
 
 FOUR_LN2 = 4.0 * math.log(2.0)
 
@@ -41,20 +41,26 @@ def filter_sweep(source: SourceSpec, bandwidths_nm, filter_shape="gaussian",
                  symmetric=True, herald_arm="o"):
     """Heralded-photon purity and heralding efficiency along a bandwidth ladder.
 
-    The purity at each bandwidth is Tr rho^2 of the signal photon heralded
-    from the filtered joint amplitude. It equals the Schmidt purity
-    sum_k lambda_k^2, so no per-point SVD is needed. Filters are centered
-    on the degenerate wavelength. The herald arm is always filtered; with
+    The source is decomposed once (`schmidt_decompose`); the purity at each
+    bandwidth is the Schmidt purity of the filtered amplitude, equal to
+    Tr rho^2 of the heralded photon, taken as r x r algebra on that basis
+    (`SchmidtResult.filtered_purity`). The heralding efficiency is the
+    dense, exact `heralding_efficiency`. Filters are centered on the
+    degenerate wavelength. The herald arm is always filtered; with
     symmetric=True the signal arm gets an identical filter. A bandwidth of
     inf means no filter. Per-point filter failures are recorded as gaps
     (NaN in the arrays), not a global error.
     """
     if herald_arm not in ("e", "o"):
         raise ConfigError(f"herald_arm must be 'e' or 'o', got {herald_arm!r}")
+    if filter_shape not in FILTER_SHAPES:
+        raise ConfigError(f"unknown filter shape {filter_shape!r}")
     bandwidths_nm = np.asarray(bandwidths_nm, dtype=float)
     if bandwidths_nm.ndim != 1 or not np.all(bandwidths_nm > 0):
         raise ConfigError("bandwidths must be a 1-d positive array")
     jsa = source.build_jsa()
+    basis = schmidt_decompose(jsa)
+    axis = jsa.grid.omega_e
     center_nm = 2.0 * source.pump.center_nm
     signal_arm = "e" if herald_arm == "o" else "o"
     filtered_arms = (herald_arm, signal_arm) if symmetric else (herald_arm,)
@@ -65,8 +71,7 @@ def filter_sweep(source: SourceSpec, bandwidths_nm, filter_shape="gaussian",
         arms = () if math.isinf(bw) else filtered_arms
         filters = [FilterSpec(filter_shape, arm, center_nm, bw) for arm in arms]
         try:
-            filtered, _ = apply_filters(jsa, filters)
-            purities[i] = purity(heralded_density_matrix(filtered, signal_arm))
+            purities[i] = basis.filtered_purity(arm_transmissions(filters, axis))
             efficiencies[i] = heralding_efficiency(jsa, filters, herald_arm)
         except FilterSupportError as exc:
             purities[i] = np.nan
@@ -83,6 +88,8 @@ def filter_sweep(source: SourceSpec, bandwidths_nm, filter_shape="gaussian",
         "herald_arm": herald_arm,
         "flat_phase": source.flat_phase,
         "n_points": source.n_points,
+        "basis_rank": basis.rank,
+        "basis_residual": basis.residual,
     }
     return SweepResult(
         bandwidths_nm=bandwidths_nm,

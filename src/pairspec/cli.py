@@ -23,8 +23,9 @@ from .crystals import CrystalDatabase, builtin_database, crystal_from_record
 from .dispersion import gvm_pump_wavelength
 from .errors import ConfigError, NumericalError, PhysicsDomainError
 from .interference import SourceSpec, coherence_time, two_source_experiment
-from .jsa import FilterSpec, PumpSpec, export_jsi_csv, export_metadata, jsi_pearson
-from .schmidt import export_schmidt_csv, schmidt_decompose
+from .jsa import (FILTER_SHAPES, FilterSpec, PumpSpec, export_jsi_csv, export_metadata,
+                  jsi_pearson)
+from .schmidt import RESIDUAL_TOL, export_schmidt_csv, schmidt_decompose
 
 EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
@@ -76,7 +77,10 @@ def _get_float(section, key, path, default=None):
 def load_config(path, grid_points=None, flat_phase=None):
     """Parse a run configuration; strict about sections and keys."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     known_sections = {"source", "grid", "filter.e", "filter.o", "crystal"}
@@ -217,6 +221,9 @@ def cmd_schmidt(args):
     _write_json(out / "schmidt_meta.json", {
         "purity": result.purity,
         "schmidt_number": result.schmidt_number,
+        "basis_rank": result.rank,
+        "basis_residual": result.residual,
+        "basis_tolerance": RESIDUAL_TOL,
         **config.metadata(),
     })
     print(f"Schmidt purity {result.purity:.4f}, "
@@ -368,7 +375,7 @@ def build_parser():
     p.add_argument("--bandwidths", required=True,
                    help="comma-separated FWHM list in nm")
     p.add_argument("--shape", default="gaussian",
-                   choices=["gaussian", "rectangular"])
+                   choices=FILTER_SHAPES)
     p.add_argument("--herald-arm", default="o", choices=["e", "o"])
     p.add_argument("--asymmetric", action="store_true",
                    help="filter only the herald arm")

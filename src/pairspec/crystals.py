@@ -234,10 +234,12 @@ class CrystalDatabase:
     @classmethod
     def from_file(cls, path):
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read crystal file {path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"crystal file {path} is not UTF-8 text: {exc}") from exc
         return cls(text)
 
     def names(self):

@@ -217,9 +217,7 @@ class SourceSpec:
             )
         jsa = joint_amplitude(self.crystal, theta, self.pump, grid,
                               flat_phase=self.flat_phase)
-        if self.filters:
-            jsa, _ = apply_filters(jsa, self.filters)
-        return jsa
+        return apply_filters(jsa, self.filters)[0]
 
 
 def two_source_experiment(source_a: SourceSpec, source_b: SourceSpec,

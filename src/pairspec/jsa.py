@@ -25,6 +25,9 @@ TWO_PI_C = 2.0 * math.pi * C_LIGHT
 
 NORM_CONVENTION = "unit-L2-with-grid-measure"
 
+FILTER_SHAPES = ("gaussian", "rectangular")
+NO_SUPPORT = "filter removes all support of the joint amplitude"
+
 
 def nm_from_omega(omega):
     """Angular frequency (rad/s) to vacuum wavelength (nm)."""
@@ -211,13 +214,13 @@ def joint_amplitude(crystal: CrystalSpec, theta_deg, pump: PumpSpec,
 class FilterSpec:
     """Spectral intensity filter on one arm."""
 
-    shape: str  # gaussian | rectangular
+    shape: str  # one of FILTER_SHAPES
     arm: str  # e | o
     center_nm: float
     fwhm_nm: float
 
     def __post_init__(self):
-        if self.shape not in ("gaussian", "rectangular"):
+        if self.shape not in FILTER_SHAPES:
             raise ConfigError(f"unknown filter shape {self.shape!r}")
         if self.arm not in ("e", "o"):
             raise ConfigError(f"filter arm must be 'e' or 'o', got {self.arm!r}")
@@ -248,12 +251,15 @@ def apply_filters(jsa: JointAmplitude, filters):
 
     Returns (filtered JointAmplitude, passed fraction), where the passed
     fraction is the intensity surviving the filters before renormalization.
+    An empty list returns the amplitude itself and 1.0.
     """
+    if not filters:
+        return jsa, 1.0
     t = arm_transmissions(filters, jsa.grid.omega_e)
     values = jsa.values * np.sqrt(t["e"])[:, None] * np.sqrt(t["o"])[None, :]
     kept = float(np.sum(np.abs(values) ** 2) * jsa.grid.measure)
     if kept == 0.0:
-        raise FilterSupportError("filter removes all support of the joint amplitude")
+        raise FilterSupportError(NO_SUPPORT)
     filtered = JointAmplitude(jsa.grid, values / math.sqrt(kept))
     return filtered, kept / jsa.norm_sq()
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -73,3 +75,29 @@ def assert_lattice(axis):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+def count_calls(monkeypatch, qualnames):
+    """Count the calls to package functions named "layer.name" or
+    "layer.Class.method". A function is wrapped at every module that binds
+    it, since the package imports with `from .x import y`. Returns the
+    live {qualname: count} dict."""
+    modules = [module for name, module in sys.modules.items()
+               if name == "pairspec" or name.startswith("pairspec.")]
+    calls = dict.fromkeys(qualnames, 0)
+    for qualname in qualnames:
+        layer, _, attr = qualname.partition(".")
+        owner = sys.modules[f"pairspec.{layer}"]
+        *path, name = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        original = getattr(owner, name)
+
+        def counted(*args, _fn=original, _key=qualname, **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        for target in [owner] if path else modules:
+            if getattr(target, name, None) is original:
+                monkeypatch.setattr(target, name, counted)
+    return calls

@@ -8,10 +8,13 @@ from scipy.optimize import least_squares, leastsq
 from pairspec import analysis
 from pairspec.analysis import (CountRecord, filter_sweep, fit_gaussian_dip,
                                scan_purity, simulate_counts, simulate_jsi_scan)
-from pairspec.errors import ConfigError
-from pairspec.interference import HomScan, two_source_experiment
-from pairspec.jsa import FilterSpec, apply_filters, jsi_pearson, nm_from_omega
-from pairspec.schmidt import schmidt_decompose
+from pairspec.crystals import get_crystal
+from pairspec.errors import ConfigError, FilterSupportError
+from pairspec.interference import HomScan, SourceSpec, two_source_experiment
+from pairspec.jsa import FilterSpec, PumpSpec, apply_filters, jsi_pearson, nm_from_omega
+from pairspec.schmidt import heralded_density_matrix, purity, schmidt_decompose
+
+from conftest import count_calls
 
 
 FOUR_LN2 = 4.0 * math.log(2.0)
@@ -83,15 +86,49 @@ class TestFilterSweep:
             expected = schmidt_decompose(apply_filters(jsa, filters)[0]).purity
             assert got == pytest.approx(expected, abs=1e-12)
 
-    def test_sweep_takes_no_svd(self, bbo_source, monkeypatch):
-        # Each point's purity comes from the heralded rho, not an SVD.
-        def no_svd(*args, **kwargs):
-            raise AssertionError("filter_sweep must not decompose per point")
-
-        monkeypatch.setattr(analysis, "schmidt_decompose", no_svd, raising=False)
-        monkeypatch.setattr(np.linalg, "svd", no_svd)
-        sweep = filter_sweep(bbo_source, np.array([np.inf, 4.0]))
+    def test_sweep_decomposes_once_and_forms_no_rho(self, bbo_source, monkeypatch):
+        # One Schmidt basis serves every point: no heralded rho and no
+        # filtered amplitude per bandwidth. The one apply_filters call is the
+        # source build, which passes its (empty) filter list through it.
+        calls = count_calls(monkeypatch, ["schmidt.schmidt_decompose",
+                                          "schmidt.heralded_density_matrix",
+                                          "jsa.apply_filters"])
+        sweep = filter_sweep(bbo_source, np.array([np.inf, 8.0, 4.0, 2.0]))
         assert np.all(np.isfinite(sweep.purities))
+        assert calls == {"schmidt.schmidt_decompose": 1,
+                         "schmidt.heralded_density_matrix": 0, "jsa.apply_filters": 1}
+
+    @pytest.mark.parametrize("crystal,length_mm,pump_nm", [
+        ("KDP", 5.0, 415.0), ("BBO", 2.0, 400.0)])
+    @pytest.mark.parametrize("flat_phase", [True, False])
+    @pytest.mark.parametrize("shape", ["gaussian", "rectangular"])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("herald_arm", ["e", "o"])
+    def test_matches_dense_heralded_rho(self, crystal, length_mm, pump_nm, flat_phase,
+                                        shape, symmetric, herald_arm):
+        # The r x r purity on the Schmidt basis against the dense path: the
+        # filtered amplitude, its n x n heralded rho, and Tr rho^2.
+        source = SourceSpec(get_crystal(crystal, length_mm), PumpSpec(pump_nm, 4.0),
+                            n_points=256, flat_phase=flat_phase)
+        bandwidths = np.array([np.inf, 20.0, 8.0, 3.0, 1.0, 0.3, 0.1])
+        sweep = filter_sweep(source, bandwidths, filter_shape=shape,
+                             symmetric=symmetric, herald_arm=herald_arm)
+        jsa = source.build_jsa()
+        signal_arm = "e" if herald_arm == "o" else "o"
+        arms = (herald_arm, signal_arm) if symmetric else (herald_arm,)
+        dense_gaps = []
+        for bw, got in zip(bandwidths, sweep.purities):
+            filters = [] if np.isinf(bw) else [
+                FilterSpec(shape, arm, 2.0 * pump_nm, bw) for arm in arms]
+            try:
+                filtered = apply_filters(jsa, filters)[0]
+            except FilterSupportError as exc:
+                dense_gaps.append((float(bw), str(exc)))
+                continue
+            expected = purity(heralded_density_matrix(filtered, signal_arm))
+            assert got == pytest.approx(expected, abs=1e-12)
+        assert list(sweep.gaps) == dense_gaps
+        assert np.isnan(sweep.purities).sum() == len(dense_gaps)
 
     def test_unsupported_bandwidth_is_gap_not_crash(self, bbo_source):
         sweep = filter_sweep(bbo_source, np.array([4.0, 1e-6]),
@@ -102,6 +139,8 @@ class TestFilterSweep:
         assert len(sweep.gaps) == 1 and sweep.gaps[0][0] == pytest.approx(1e-6)
 
     def test_invalid_inputs(self, bbo_source):
+        with pytest.raises(ConfigError, match="bogus"):
+            filter_sweep(bbo_source, np.array([np.inf]), filter_shape="bogus")
         with pytest.raises(ConfigError):
             filter_sweep(bbo_source, np.array([-1.0]))
         with pytest.raises(ConfigError):

@@ -1,11 +1,15 @@
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pairspec import interference
+from pairspec import cli, interference
 from pairspec.cli import main
+
+from conftest import count_calls
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 KDP_CFG = str(REPO_ROOT / "configs" / "kdp.cfg")
@@ -332,6 +336,7 @@ source_citation = inline test record
         "fit-missing-counts", "fit-non-numeric-row", "gvm-missing-crystal-file",
         "config-missing-crystal-file", "out-below-a-file", "sweep-bandwidths-text",
         "scan-negative-seed", "hom-negative-seed", "config-fractional-n-points",
+        "config-not-utf8", "gvm-crystal-file-not-utf8", "config-crystal-file-not-utf8",
     ])
     def test_bad_input_names_its_source(self, tmp_path, capsys, case):
         # Unreadable files and unusable values exit 2, and the message names
@@ -342,10 +347,14 @@ source_citation = inline test record
         counts.write_text("delay_fs,counts\n-10,5\nx,3\n")
         a_file = tmp_path / "a_file"
         a_file.write_text("")
+        not_utf8 = tmp_path / "not_utf8.txt"
+        not_utf8.write_bytes(b"\xff\xfe[\x00s\x00")
         kdp = Path(KDP_CFG).read_text()
         cfg = self.write(tmp_path, {
             "config-missing-crystal-file": kdp.replace(
                 "crystal = KDP", f"crystal = KDP\ncrystal_file = {missing}"),
+            "config-crystal-file-not-utf8": kdp.replace(
+                "crystal = KDP", f"crystal = KDP\ncrystal_file = {not_utf8}"),
             "config-fractional-n-points": kdp.replace(
                 "n_points = 512", "n_points = 100.7"),
         }.get(case, kdp))
@@ -371,6 +380,12 @@ source_citation = inline test record
                  "--grid-points", "128", "--delays=-1500:1500:61",
                  "--pairs-per-point", "10", "--seed", "-1"] + out, "seed"),
             "config-fractional-n-points": (["schmidt", "--config", cfg] + out, "n_points"),
+            "config-not-utf8": (["schmidt", "--config", str(not_utf8)] + out, str(not_utf8)),
+            "gvm-crystal-file-not-utf8": (
+                ["gvm", "--crystal", "KDP", "--daughter-nm", "830",
+                 "--crystal-file", str(not_utf8)] + out, str(not_utf8)),
+            "config-crystal-file-not-utf8": (["schmidt", "--config", cfg] + out,
+                                             str(not_utf8)),
         }[case]
         assert run(args) == 2
         err = capsys.readouterr().err
@@ -424,3 +439,33 @@ fwhm_nm = 4
                     "--out", str(out2)]) == 0
         raw = json.loads((out2 / "schmidt_meta.json").read_text())["purity"]
         assert filtered > raw + 0.3
+
+
+class TestBenchmarkCallContract:
+    # perfbench/workloads.py MUST_HIT lists the functions a traced
+    # `characterize` run must reach; a run that misses one is void. Here the
+    # same commands run at 64 grid points with every listed function counted
+    # at each module that binds it (the package imports with `from .x import
+    # y`), so dropping a listed call fails tier-1 too.
+    COMMANDS = (["jsa"], ["schmidt"], ["sweep", "--bandwidths", "8,4,inf"],
+                ["scan", "--resolution-nm", "0.2", "--step-nm", "0.1"])
+
+    @staticmethod
+    def must_hit(monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        # Its dataclasses resolve their module through sys.modules.
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        return workloads.MUST_HIT["characterize"]
+
+    def test_characterize_reaches_every_required_function(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, self.must_hit(monkeypatch))
+        for config in (KDP_CFG, BBO_CFG):
+            for command, *rest in self.COMMANDS:
+                out = tmp_path / Path(config).stem / command
+                assert cli.main(
+                    [command, "--config", config, "--grid-points", "64",
+                     "--out", str(out)] + rest) == 0
+        assert [name for name, count in calls.items() if count == 0] == []

@@ -262,11 +262,9 @@ class TestApplyFilters:
         assert jsa.flat_phase is flat_phase
 
     def test_no_filters_is_identity(self, kdp_jsa):
-        jsa = kdp_jsa
-        for _ in range(3):
-            jsa, passed = apply_filters(jsa, [])
-            np.testing.assert_allclose(jsa.values, kdp_jsa.values, rtol=1e-12)
-            assert passed == pytest.approx(1.0, abs=1e-12)
+        # An empty list returns the amplitude itself, with nothing lost.
+        filtered, passed = apply_filters(kdp_jsa, [])
+        assert filtered is kdp_jsa and passed == 1.0
 
     def test_arm_transmissions_multiply_per_arm(self, bbo_jsa):
         axis = bbo_jsa.grid.omega_e

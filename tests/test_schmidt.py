@@ -10,9 +10,9 @@ from pairspec.crystals import get_crystal
 from pairspec.errors import ConfigError, FilterSupportError
 from pairspec.interference import SourceSpec, hom_dip
 from pairspec.jsa import (FilterSpec, FrequencyGrid, JointAmplitude, PumpSpec,
-                          apply_filters, nm_from_omega, normalize)
-from pairspec.schmidt import (heralded_density_matrix, heralding_efficiency,
-                              purity, schmidt_decompose)
+                          apply_filters, lattice_axis, nm_from_omega, normalize)
+from pairspec.schmidt import (RESIDUAL_TOL, export_schmidt_csv, heralded_density_matrix,
+                              heralding_efficiency, purity, schmidt_decompose)
 
 
 def make_grid(half=5e13, n=129, center=2.27e15):
@@ -66,6 +66,93 @@ class TestSchmidtDecompose:
 
     def test_bbo_less_pure_than_kdp(self, kdp_jsa, bbo_jsa):
         assert schmidt_decompose(bbo_jsa).purity < schmidt_decompose(kdp_jsa).purity
+
+
+def dense_coefficients(jsa):
+    s = np.linalg.svd(jsa.values, compute_uv=False)
+    return s / np.sqrt(np.sum(s ** 2))
+
+
+class TestCertifiedBasis:
+    # schmidt_decompose is a randomized range finder with an explicit
+    # residual certificate; these pin it to exact spectra and to the dense SVD.
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(st.floats(-0.8, 0.8), st.sampled_from([256, 512]))
+    def test_geometric_spectrum_oracle(self, mu, n):
+        # f ~ exp(-(x+y)^2 / 4 s+^2 - (x-y)^2 / 4 s-^2) has the Schmidt
+        # spectrum lambda_k = (1 - mu^2) mu^(2k), mu = (s+ - s-) / (s+ + s-)
+        # (Law, Walmsley & Eberly 2000; Mehler's formula).
+        # Discretization: the window is 8 times the wider sigma (edge terms
+        # below e^-64), and |mu| <= 0.8 keeps the narrower sigma at >= 1.7
+        # grid steps at n = 256, where the sampled Gaussian's spectrum sits
+        # within 1e-15 of the continuum. The certificate moves each c_k by
+        # at most the residual, so each lambda_k by at most twice it.
+        tolerance = 1e-12 + 2.0 * RESIDUAL_TOL
+        wide = 1e13
+        narrow = wide * (1.0 - abs(mu)) / (1.0 + abs(mu))
+        sig_plus, sig_minus = (wide, narrow) if mu >= 0 else (narrow, wide)
+        axis = lattice_axis(2.27e15 - 8.0 * wide, 2.27e15 + 8.0 * wide, n)
+        x = axis - axis.mean()
+        raw = np.exp(-((x[:, None] + x[None, :]) ** 2) / (4.0 * sig_plus ** 2)
+                     - ((x[:, None] - x[None, :]) ** 2) / (4.0 * sig_minus ** 2))
+        result = schmidt_decompose(normalize(FrequencyGrid(axis, axis), raw))
+        assert result.residual <= RESIDUAL_TOL
+        exact = (1.0 - mu ** 2) * mu ** (2.0 * np.arange(result.rank))
+        np.testing.assert_allclose(result.coefficients ** 2, exact, rtol=0, atol=tolerance)
+        assert result.purity == pytest.approx((1.0 - mu ** 2) / (1.0 + mu ** 2),
+                                              abs=tolerance)
+
+    def test_growth_matches_dense_svd(self):
+        # A 0.05 nm pump makes BBO 2 mm strongly correlated (K ~ 15): 32
+        # and 64 columns leave more than the tolerance, so the basis grows
+        # to 128 from the residual, without restarting.
+        jsa = SourceSpec(get_crystal("BBO", 2.0), PumpSpec(400.0, 0.05),
+                         flat_phase=True).build_jsa()
+        result = schmidt_decompose(jsa)
+        dense = dense_coefficients(jsa)
+        assert result.rank == 128 and result.residual <= RESIDUAL_TOL
+        assert 14.0 < result.schmidt_number < 16.0
+        np.testing.assert_allclose(result.coefficients, dense[:128], rtol=0, atol=1e-12)
+        assert result.purity == pytest.approx(np.sum(dense ** 4), rel=1e-14)
+
+    @pytest.mark.parametrize("source_name", ["kdp_source", "bbo_source"])
+    @pytest.mark.parametrize("flat_phase", [True, False])
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_shipped_sources_match_dense_svd(self, request, source_name, flat_phase, n):
+        source = replace(request.getfixturevalue(source_name), n_points=n,
+                         flat_phase=flat_phase)
+        jsa = source.build_jsa()
+        result = schmidt_decompose(jsa)
+        dense = dense_coefficients(jsa)
+        assert result.residual <= RESIDUAL_TOL
+        resolved = result.resolved
+        assert 0 < resolved.size < result.rank
+        np.testing.assert_allclose(resolved, dense[:resolved.size], rtol=0, atol=1e-12)
+        assert result.purity == pytest.approx(np.sum(dense ** 4), rel=1e-14)
+        # The modes are orthonormal and rebuild the amplitude to the residual.
+        u, v, c = result.modes_e, result.modes_o, result.coefficients
+        eye = np.eye(result.rank)
+        assert np.max(np.abs(u.conj().T @ u - eye)) < 1e-13
+        assert np.max(np.abs(v.conj().T @ v - eye)) < 1e-13
+        f = jsa.values / np.linalg.norm(jsa.values)
+        assert np.linalg.norm(f - (u * c) @ v.conj().T) <= result.residual + 1e-14
+
+    def test_small_grid_is_exact(self):
+        # At n <= 32 the first block spans the grid.
+        jsa = correlated_gaussian(make_grid(n=17), 2e13, 1e13)
+        result = schmidt_decompose(jsa)
+        assert result.rank == 17 and result.residual < 1e-14
+        np.testing.assert_allclose(result.coefficients, dense_coefficients(jsa),
+                                   rtol=0, atol=1e-14)
+
+    def test_csv_writes_resolved_modes_only(self, kdp_jsa, tmp_path):
+        result = schmidt_decompose(kdp_jsa)
+        export_schmidt_csv(result, tmp_path / "schmidt.csv")
+        rows = (tmp_path / "schmidt.csv").read_text().splitlines()[1:]
+        c = np.array([float(row.split(",")[1]) for row in rows])
+        assert c.size == result.resolved.size < result.rank
+        assert c.min() > result.residual
+        assert abs(np.sum(c ** 4) - result.purity) < 1e-12
 
 
 class TestHeraldedDensityMatrix:
