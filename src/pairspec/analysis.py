@@ -12,7 +12,8 @@ from scipy.optimize import leastsq
 
 from .errors import ConfigError, FilterSupportError
 from .interference import HomScan, SourceSpec
-from .jsa import FILTER_SHAPES, FilterSpec, JointAmplitude, arm_transmissions, nm_from_omega
+from .jsa import (FILTER_SHAPES, FilterSpec, JointAmplitude, arm_transmissions, nm_from_omega,
+                  other_arm)
 from .schmidt import heralding_efficiency, schmidt_decompose
 
 FOUR_LN2 = 4.0 * math.log(2.0)
@@ -51,8 +52,7 @@ def filter_sweep(source: SourceSpec, bandwidths_nm, filter_shape="gaussian",
     inf means no filter. Per-point filter failures are recorded as gaps
     (NaN in the arrays), not a global error.
     """
-    if herald_arm not in ("e", "o"):
-        raise ConfigError(f"herald_arm must be 'e' or 'o', got {herald_arm!r}")
+    signal_arm = other_arm(herald_arm, "herald_arm")
     if filter_shape not in FILTER_SHAPES:
         raise ConfigError(f"unknown filter shape {filter_shape!r}")
     bandwidths_nm = np.asarray(bandwidths_nm, dtype=float)
@@ -62,7 +62,6 @@ def filter_sweep(source: SourceSpec, bandwidths_nm, filter_shape="gaussian",
     basis = schmidt_decompose(jsa)
     axis = jsa.grid.omega_e
     center_nm = 2.0 * source.pump.center_nm
-    signal_arm = "e" if herald_arm == "o" else "o"
     filtered_arms = (herald_arm, signal_arm) if symmetric else (herald_arm,)
     purities = np.empty_like(bandwidths_nm)
     efficiencies = np.empty_like(bandwidths_nm)
@@ -316,8 +315,7 @@ def fit_gaussian_dip(record: CountRecord):
 class JsiScanResult:
     """Simulated monochromator scan of the joint spectral intensity."""
 
-    lambda_e_nm: np.ndarray
-    lambda_o_nm: np.ndarray
+    lambda_nm: np.ndarray  # one ascending lattice, the same for both arms
     expected: np.ndarray  # mean counts per lattice cell, indexed [e, o]
     counts: np.ndarray | None  # Poisson sample, None for the noiseless sentinel
     resolution_fwhm_nm: float
@@ -329,8 +327,8 @@ class JsiScanResult:
         with open(path, "w") as fh:
             fh.write(f"# resolution_fwhm_nm,{self.resolution_fwhm_nm:.9g}\n")
             fh.write(f"# step_nm,{self.step_nm:.9g}\n")
-            fh.write("# axis_e_nm," + ",".join(f"{x:.9g}" for x in self.lambda_e_nm) + "\n")
-            fh.write("# axis_o_nm," + ",".join(f"{x:.9g}" for x in self.lambda_o_nm) + "\n")
+            axis = ",".join(f"{x:.9g}" for x in self.lambda_nm)
+            fh.write(f"# axis_e_nm,{axis}\n# axis_o_nm,{axis}\n")
             np.savetxt(fh, grid, delimiter=",", fmt="%.9g")
 
 
@@ -385,8 +383,7 @@ def simulate_jsi_scan(jsa: JointAmplitude, resolution_fwhm_nm, step_nm,
             rng = np.random.default_rng(seed + i)
             counts[i] = rng.poisson(expected[i])
     return JsiScanResult(
-        lambda_e_nm=lattice,
-        lambda_o_nm=lattice,
+        lambda_nm=lattice,
         expected=expected,
         counts=counts,
         resolution_fwhm_nm=float(resolution_fwhm_nm),
@@ -394,11 +391,3 @@ def simulate_jsi_scan(jsa: JointAmplitude, resolution_fwhm_nm, step_nm,
         seed=None if seed is None else int(seed),
     )
 
-
-def scan_purity(result: JsiScanResult):
-    """Schmidt purity of the scanned intensity assuming flat spectral phase."""
-    grid = result.counts if result.counts is not None else result.expected
-    amp = np.sqrt(np.clip(np.asarray(grid, dtype=float), 0.0, None))
-    sv = np.linalg.svd(amp, compute_uv=False)
-    weights = sv ** 2 / np.sum(sv ** 2)
-    return float(np.sum(weights ** 2))

@@ -195,10 +195,7 @@ def cmd_gvm(args):
 
 def cmd_jsa(args):
     config, _ = load_config(args.config, args.grid_points, args.flat_phase)
-    # Solve the phasematching angle once for both the JSA and its metadata.
     source = config.source
-    source = replace(source, crystal=replace(source.crystal,
-                                             cut_angle_deg=source.resolve_theta()))
     jsa = source.build_jsa()
     pearson = jsi_pearson(jsa)
     out = _out_dir(args)
@@ -329,7 +326,7 @@ def cmd_scan(args):
         **config.metadata(),
     })
     print(f"Measured JSI written to {out / 'scan.csv'} "
-          f"({result.lambda_e_nm.size} x {result.lambda_o_nm.size} points)")
+          f"({result.lambda_nm.size} x {result.lambda_nm.size} points)")
     return 0
 
 

@@ -10,7 +10,7 @@ matrices of the two photons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -20,7 +20,7 @@ from .crystals import CrystalSpec
 from .dispersion import phasematching_angle
 from .errors import ConfigError
 from .jsa import (FrequencyGrid, JointAmplitude, PumpSpec, apply_filters, build_grid,
-                  joint_amplitude, lattice_axis)
+                  joint_amplitude, lattice_axis, other_arm)
 from .schmidt import ReducedDensityMatrix, heralded_density_matrix
 
 SQRT2 = math.sqrt(2.0)
@@ -73,12 +73,10 @@ class _Overlap:
     """
 
     def __init__(self, rho_a: ReducedDensityMatrix, rho_b: ReducedDensityMatrix):
-        if rho_a.omega_axis.size != rho_b.omega_axis.size or not np.allclose(
-            rho_a.omega_axis, rho_b.omega_axis, rtol=1e-12
-        ):
+        axis_a, axis_b = rho_a.grid.omega_e, rho_b.grid.omega_e
+        if axis_a.size != axis_b.size or not np.allclose(axis_a, axis_b, rtol=1e-12):
             raise ConfigError("density matrices must share an identical frequency axis")
-        n = rho_a.omega_axis.size
-        d_omega = rho_a.d_omega
+        n, d_omega = axis_a.size, rho_a.grid.d_omega
         # P fills the left n columns of a zero-padded n x (2n - 1) buffer;
         # with row stride (row + col) the view below reads P[i, i + k] at
         # [i, k], or a padding zero where i + k >= n.
@@ -124,7 +122,7 @@ def hom_dip(rho_a: ReducedDensityMatrix, rho_b: ReducedDensityMatrix, delays_fs)
     if not np.all(np.isfinite(delays_fs)):
         raise ConfigError("delays must be finite")
     overlap = _Overlap(rho_a, rho_b)
-    n, d_omega = rho_a.omega_axis.size, rho_a.d_omega
+    n, d_omega = rho_a.grid.omega_e.size, rho_a.grid.d_omega
     half_period_fs = math.pi / d_omega * 1e15
     grid_text = f"the n={n} grid (d_omega = {d_omega:.6g} rad/s)"
     if np.max(np.abs(delays_fs)) > half_period_fs * (1.0 + _ALIAS_SLACK):
@@ -188,9 +186,10 @@ def hom_dip(rho_a: ReducedDensityMatrix, rho_b: ReducedDensityMatrix, delays_fs)
 class SourceSpec:
     """Everything needed to build one downconversion source's JSA.
 
-    The phasematching angle is the crystal's cut angle, or solved for
-    degenerate phasematching when the crystal has none. The filters act on
-    the amplitude through `apply_filters`.
+    A crystal without a cut angle is given the degenerate phasematching
+    angle when the spec is made, so `crystal.cut_angle_deg` is always the
+    source's theta. The filters act on the amplitude through
+    `apply_filters`.
     """
 
     crystal: CrystalSpec
@@ -200,23 +199,24 @@ class SourceSpec:
     flat_phase: bool = False
     filters: tuple = ()
 
+    def __post_init__(self):
+        if self.crystal.cut_angle_deg is None:
+            theta = phasematching_angle(self.crystal, self.pump.center_nm,
+                                        2.0 * self.pump.center_nm)
+            object.__setattr__(self, "crystal", replace(self.crystal, cut_angle_deg=theta))
+
     def resolve_theta(self):
-        if self.crystal.cut_angle_deg is not None:
-            return self.crystal.cut_angle_deg
-        return phasematching_angle(
-            self.crystal, self.pump.center_nm, 2.0 * self.pump.center_nm
-        )
+        return self.crystal.cut_angle_deg
+
+    def grid(self) -> FrequencyGrid:
+        """The source's own window at its n_points."""
+        return build_grid(self.crystal, self.pump, n_points=self.n_points,
+                          span_sigmas=self.span_sigmas, theta_deg=self.resolve_theta())
 
     def build_jsa(self, grid: FrequencyGrid | None = None) -> JointAmplitude:
         """The filtered JSA on the source's own grid, or on the given one."""
-        theta = self.resolve_theta()
-        if grid is None:
-            grid = build_grid(
-                self.crystal, self.pump, n_points=self.n_points,
-                span_sigmas=self.span_sigmas, theta_deg=theta,
-            )
-        jsa = joint_amplitude(self.crystal, theta, self.pump, grid,
-                              flat_phase=self.flat_phase)
+        jsa = joint_amplitude(self.crystal, self.resolve_theta(), self.pump,
+                              grid or self.grid(), flat_phase=self.flat_phase)
         return apply_filters(jsa, self.filters)[0]
 
 
@@ -230,16 +230,10 @@ def two_source_experiment(source_a: SourceSpec, source_b: SourceSpec,
     two heralded states share one frequency axis. For identical windows
     this is each source's own grid. Equal specs share one heralded state.
     """
-    if herald_arm not in ("e", "o"):
-        raise ConfigError(f"herald_arm must be 'e' or 'o', got {herald_arm!r}")
-    interfered_arm = "e" if herald_arm == "o" else "o"
+    interfered_arm = other_arm(herald_arm, "herald_arm")
     # Specs compare by value, so a source given twice is built once.
     sources = (source_a,) if source_b == source_a else (source_a, source_b)
-    windows = [
-        build_grid(src.crystal, src.pump, n_points=src.n_points,
-                   span_sigmas=src.span_sigmas).omega_e
-        for src in sources
-    ]
+    windows = [src.grid().omega_e for src in sources]
     axis = lattice_axis(min(w[0] for w in windows), max(w[-1] for w in windows),
                         max(src.n_points for src in sources))
     grid = FrequencyGrid(omega_e=axis, omega_o=axis)

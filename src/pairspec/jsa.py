@@ -18,7 +18,7 @@ import numpy as np
 from scipy.constants import c as C_LIGHT
 
 from .crystals import CrystalSpec
-from .dispersion import _on_sums, delta_k, group_index, phasematching_angle
+from .dispersion import _on_sums, delta_k, group_index
 from .errors import ConfigError, FilterSupportError, NumericalError
 
 TWO_PI_C = 2.0 * math.pi * C_LIGHT
@@ -27,6 +27,14 @@ NORM_CONVENTION = "unit-L2-with-grid-measure"
 
 FILTER_SHAPES = ("gaussian", "rectangular")
 NO_SUPPORT = "filter removes all support of the joint amplitude"
+
+
+def other_arm(arm, what="arm"):
+    """The partner of photon arm 'e' or 'o'; a ConfigError naming `what`
+    for any other value."""
+    if arm not in ("e", "o"):
+        raise ConfigError(f"{what} must be 'e' or 'o', got {arm!r}")
+    return "o" if arm == "e" else "e"
 
 
 def nm_from_omega(omega):
@@ -166,8 +174,9 @@ def lattice_axis(lo, hi, n):
 
 
 def build_grid(crystal: CrystalSpec, pump: PumpSpec, n_points=512,
-               span_sigmas=4.0, theta_deg=None):
-    """Square grid centered on the degenerate frequency omega_p / 2.
+               span_sigmas=4.0, *, theta_deg):
+    """Square grid centered on the degenerate frequency omega_p / 2, for a
+    crystal cut at theta_deg.
 
     The half-width is span_sigmas times a combined width estimate: the
     geometric mean of the pump's spectral sigma and the phasematching
@@ -180,10 +189,6 @@ def build_grid(crystal: CrystalSpec, pump: PumpSpec, n_points=512,
         raise ConfigError("n_points must be at least 16")
     if not 0 < span_sigmas < math.inf:
         raise ConfigError("span_sigmas must be positive and finite")
-    if theta_deg is None:
-        theta_deg = crystal.cut_angle_deg
-    if theta_deg is None:
-        theta_deg = phasematching_angle(crystal, pump.center_nm, 2.0 * pump.center_nm)
     daughter_nm = 2.0 * pump.center_nm
     ng_p = group_index(crystal, "e", pump.center_nm, theta_deg)
     ng_e = group_index(crystal, "e", daughter_nm, theta_deg)
@@ -222,27 +227,26 @@ class FilterSpec:
     def __post_init__(self):
         if self.shape not in FILTER_SHAPES:
             raise ConfigError(f"unknown filter shape {self.shape!r}")
-        if self.arm not in ("e", "o"):
-            raise ConfigError(f"filter arm must be 'e' or 'o', got {self.arm!r}")
+        other_arm(self.arm, "filter arm")
         if not (self.fwhm_nm > 0 and self.center_nm > 0):
             raise ConfigError("filter center and FWHM must be positive")
 
 
-def filter_transmission(filt: FilterSpec, omega_axis):
+def filter_transmission(filt: FilterSpec, omega):
     """Intensity transmission of a filter sampled on a frequency axis."""
-    lam = nm_from_omega(omega_axis)
+    lam = nm_from_omega(omega)
     if filt.shape == "gaussian":
         s = filt.fwhm_nm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
         return np.exp(-((lam - filt.center_nm) ** 2) / (2.0 * s ** 2))
     return (np.abs(lam - filt.center_nm) <= filt.fwhm_nm / 2.0).astype(float)
 
 
-def arm_transmissions(filters, omega_axis):
+def arm_transmissions(filters, omega):
     """Intensity transmission of each arm, {"e": T_e, "o": T_o}: the product
     of that arm's filters, or ones where the arm has none."""
-    t = {"e": np.ones_like(omega_axis), "o": np.ones_like(omega_axis)}
+    t = {"e": np.ones_like(omega), "o": np.ones_like(omega)}
     for filt in filters:
-        t[filt.arm] = t[filt.arm] * filter_transmission(filt, omega_axis)
+        t[filt.arm] = t[filt.arm] * filter_transmission(filt, omega)
     return t
 
 
@@ -271,28 +275,12 @@ def marginal_spectrum(jsa: JointAmplitude, arm):
     is relabeled in wavelength; no Jacobian is applied since the output
     is a peak-normalized shape on the sampled points.
     """
-    if arm not in ("e", "o"):
-        raise ConfigError(f"arm must be 'e' or 'o', got {arm!r}")
+    other_arm(arm)
     intensity = np.sum(jsa.intensity, axis=1 if arm == "e" else 0) * jsa.grid.d_omega
     lam = nm_from_omega(jsa.grid.omega_e)
     order = np.argsort(lam)
     intensity = intensity[order]
     return lam[order], intensity / np.max(intensity)
-
-
-def fwhm_of_curve(x, y):
-    """FWHM of a peaked sampled curve by linear interpolation at half max."""
-    y = np.asarray(y, dtype=float)
-    half = np.max(y) / 2.0
-    above = np.where(y >= half)[0]
-    if above.size == 0:
-        raise NumericalError("curve has no points above half maximum")
-    i0, i1 = above[0], above[-1]
-    if i0 == 0 or i1 == len(y) - 1:
-        raise NumericalError("half-maximum crossings not bracketed by the axis")
-    x_lo = np.interp(half, [y[i0 - 1], y[i0]], [x[i0 - 1], x[i0]])
-    x_hi = np.interp(half, [y[i1 + 1], y[i1]], [x[i1 + 1], x[i1]])
-    return float(abs(x_hi - x_lo))
 
 
 def jsi_pearson(jsa: JointAmplitude):
@@ -322,14 +310,14 @@ def export_jsi_csv(jsa: JointAmplitude, path):
 
 
 def export_metadata(path, crystal: CrystalSpec, pump: PumpSpec, jsa: JointAmplitude,
-                    theta_deg=None, filters=(), extra=None):
+                    filters=(), extra=None):
     """Companion metadata: everything needed to reproduce the matrix."""
     axis = jsa.grid.omega_e
     meta = {
         "crystal": {
             "name": crystal.name,
             "length_mm": crystal.length_mm,
-            "cut_angle_deg": theta_deg if theta_deg is not None else crystal.cut_angle_deg,
+            "cut_angle_deg": crystal.cut_angle_deg,
             "source_citation": crystal.source_citation,
         },
         "pump": {

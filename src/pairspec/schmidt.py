@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FilterSupportError, NumericalError
-from .jsa import NO_SUPPORT, JointAmplitude, arm_transmissions
+from .jsa import NO_SUPPORT, FrequencyGrid, JointAmplitude, arm_transmissions, other_arm
 
 
 # A Schmidt basis is certified when ||F - Q Q^H F||_F / ||F||_F is at most this.
@@ -131,25 +131,21 @@ def schmidt_decompose(jsa: JointAmplitude):
 class ReducedDensityMatrix:
     """Single-photon spectral density matrix, unit trace with grid measure.
 
-    The values are Hermitian on a uniform axis; `heralded_density_matrix`
+    The values are Hermitian on the grid's axis; `heralded_density_matrix`
     builds them so, and `interference.hom_dip` relies on it.
     """
 
-    omega_axis: np.ndarray
-    values: np.ndarray
+    grid: FrequencyGrid
+    values: np.ndarray  # indexed [w, w']
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex if np.iscomplexobj(self.values) else float)
-        if v.shape != (self.omega_axis.size, self.omega_axis.size):
-            raise ConfigError("density matrix shape does not match its axis")
+        if v.shape != (self.grid.omega_e.size,) * 2:
+            raise ConfigError("density matrix shape does not match its grid")
         object.__setattr__(self, "values", v)
 
-    @property
-    def d_omega(self):
-        return float(self.omega_axis[1] - self.omega_axis[0])
-
     def trace(self):
-        return float(np.real(np.trace(self.values)) * self.d_omega)
+        return float(np.real(np.trace(self.values)) * self.grid.d_omega)
 
 
 def heralded_density_matrix(jsa: JointAmplitude, heralded_arm):
@@ -161,39 +157,37 @@ def heralded_density_matrix(jsa: JointAmplitude, heralded_arm):
     so rho = f f^dagger stays Hermitian by construction (and, for real
     amplitudes, bitwise symmetric from one SYRK).
     """
-    if heralded_arm not in ("e", "o"):
-        raise ConfigError(f"heralded_arm must be 'e' or 'o', got {heralded_arm!r}")
-    axis, d_omega = jsa.grid.omega_e, jsa.grid.d_omega
+    other_arm(heralded_arm, "heralded_arm")
+    d_omega = jsa.grid.d_omega
     f = jsa.values if heralded_arm == "e" else jsa.values.T
     rho = f @ f.conj().T * d_omega
     tr = float(np.real(np.trace(rho)) * d_omega)
     if tr <= 0.0:
         raise FilterSupportError("heralded state has zero trace")
-    return ReducedDensityMatrix(omega_axis=axis, values=rho / tr)
+    return ReducedDensityMatrix(grid=jsa.grid, values=rho / tr)
 
 
 def purity(rho: ReducedDensityMatrix):
     """Tr rho^2 with the grid measure."""
-    return float(np.sum(np.abs(rho.values) ** 2) * rho.d_omega ** 2)
+    return float(np.sum(np.abs(rho.values) ** 2) * rho.grid.d_omega ** 2)
 
 
 def heralding_efficiency(jsa: JointAmplitude, filters, herald_arm):
     """Probability the signal photon passes its arm's filters given the
-    herald passed its own: sum T_e I T_o / sum m_h T_h, with m_h the herald
-    marginal. Unit collection and detection efficiency; filters act on
+    herald passed its own: T_s . (I_h T_h) / sum(I_h T_h), with I_h the
+    intensity indexed [signal, herald], so one matrix-vector product gives
+    both rates. Unit collection and detection efficiency; filters act on
     intensity."""
-    if herald_arm not in ("e", "o"):
-        raise ConfigError(f"herald_arm must be 'e' or 'o', got {herald_arm!r}")
+    signal_arm = other_arm(herald_arm, "herald_arm")
     t = arm_transmissions(filters, jsa.grid.omega_e)
-    intensity = jsa.intensity
-    marginal = intensity.sum(axis=1 if herald_arm == "e" else 0)
-    herald_rate = float(marginal @ t[herald_arm]) * jsa.grid.measure
+    intensity = jsa.intensity if herald_arm == "o" else jsa.intensity.T
+    passed = intensity @ t[herald_arm]
+    herald_rate = float(passed.sum())
     if herald_rate <= 0.0:
         raise FilterSupportError("herald filter passes nothing")
-    both_rate = float(t["e"] @ intensity @ t["o"]) * jsa.grid.measure
     # The two rates are summed in different orders, so an open signal
     # arm can come out an ulp above the herald rate.
-    return min(both_rate / herald_rate, 1.0)
+    return min(float(t[signal_arm] @ passed) / herald_rate, 1.0)
 
 
 def export_schmidt_csv(result: SchmidtResult, path):

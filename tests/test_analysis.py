@@ -7,7 +7,7 @@ from scipy.optimize import least_squares, leastsq
 
 from pairspec import analysis
 from pairspec.analysis import (CountRecord, filter_sweep, fit_gaussian_dip,
-                               scan_purity, simulate_counts, simulate_jsi_scan)
+                               simulate_counts, simulate_jsi_scan)
 from pairspec.crystals import get_crystal
 from pairspec.errors import ConfigError, FilterSupportError
 from pairspec.interference import HomScan, SourceSpec, two_source_experiment
@@ -318,7 +318,7 @@ class TestJsiScan:
     def test_zero_resolution_preserves_structure(self, kdp_jsa):
         result = simulate_jsi_scan(kdp_jsa, resolution_fwhm_nm=0.0, step_nm=0.1)
         assert result.counts is None
-        assert scan_purity(result) == pytest.approx(
+        assert _scan_purity(result) == pytest.approx(
             # flat-phase JSA: sqrt(JSI) recovers |f| exactly
             _reference_purity(kdp_jsa), abs=0.02)
 
@@ -330,18 +330,18 @@ class TestJsiScan:
         lam = nm_from_omega(jsa.grid.omega_e)[::-1]
         interp = RegularGridInterpolator((lam, lam), jsa.intensity[::-1, ::-1],
                                          bounds_error=False, fill_value=0.0)
-        ee, oo = np.meshgrid(result.lambda_e_nm, result.lambda_o_nm, indexing="ij")
+        ee, oo = np.meshgrid(result.lambda_nm, result.lambda_nm, indexing="ij")
         reference = interp(np.stack([ee, oo], axis=-1))
         np.testing.assert_allclose(result.expected, reference, rtol=0,
                                    atol=1e-15 * reference.max())
         if step_nm == 0.37:
             # The lattice overshoots the sampled window; past it the scan reads 0.
-            assert result.lambda_e_nm[-1] > lam[-1]
+            assert result.lambda_nm[-1] > lam[-1]
             assert not result.expected[-1].any() and not result.expected[:, -1].any()
 
     def test_fine_scan_tracks_true_purity(self, kdp_jsa):
         result = simulate_jsi_scan(kdp_jsa, resolution_fwhm_nm=0.2, step_nm=0.1)
-        assert scan_purity(result) == pytest.approx(
+        assert _scan_purity(result) == pytest.approx(
             _reference_purity(kdp_jsa), abs=0.02)
 
     def test_coarse_resolution_washes_out_correlation(self, bbo_jsa):
@@ -381,9 +381,18 @@ def _reference_purity(jsa):
     return schmidt_decompose(jsa).purity
 
 
+def _scan_purity(result):
+    """Schmidt purity of the scanned intensity assuming flat spectral phase."""
+    grid = result.counts if result.counts is not None else result.expected
+    amp = np.sqrt(np.clip(np.asarray(grid, dtype=float), 0.0, None))
+    sv = np.linalg.svd(amp, compute_uv=False)
+    weights = sv ** 2 / np.sum(sv ** 2)
+    return float(np.sum(weights ** 2))
+
+
 def _lattice_pearson(result):
     density = result.expected / result.expected.sum()
-    le, lo = result.lambda_e_nm, result.lambda_o_nm
+    le, lo = result.lambda_nm, result.lambda_nm
     p_e, p_o = density.sum(axis=1), density.sum(axis=0)
     mu_e, mu_o = float(p_e @ le), float(p_o @ lo)
     var_e = float(p_e @ (le - mu_e) ** 2)

@@ -80,6 +80,31 @@ class TestJsaCommand:
         meta = json.loads((tmp_path / "jsi_meta.json").read_text())
         assert meta["crystal"]["cut_angle_deg"] == thetas[0]
 
+    @pytest.mark.parametrize("argv, solves", [
+        (["jsa", "--config", KDP_CFG], 1),
+        (["schmidt", "--config", KDP_CFG], 1),
+        (["sweep", "--config", KDP_CFG, "--bandwidths", "8,4"], 1),
+        (["scan", "--config", KDP_CFG, "--resolution-nm", "0.5", "--step-nm", "0.5"], 1),
+        # One solve per config read; the covering grid and both JSAs reuse them.
+        (["hom", "--config-a", KDP_CFG, "--config-b", "KDP8", "--delays=-1300:1300:61"], 2),
+    ])
+    def test_phasematching_solves_per_subcommand(self, tmp_path, monkeypatch, argv, solves):
+        kdp8 = tmp_path / "kdp8.cfg"
+        kdp8.write_text(Path(KDP_CFG).read_text().replace("pump_fwhm_nm = 4",
+                                                          "pump_fwhm_nm = 8"))
+        argv = [str(kdp8) if arg == "KDP8" else arg for arg in argv]
+        calls = count_calls(monkeypatch, ["dispersion.phasematching_angle"])
+        assert run(argv + ["--grid-points", "64", "--out", str(tmp_path)]) == 0
+        assert calls["dispersion.phasematching_angle"] == solves
+
+    def test_no_phasematching_writes_nothing(self, tmp_path):
+        cfg = tmp_path / "zerobiref.cfg"
+        cfg.write_text(Path(KDP_CFG).read_text().replace("crystal = KDP",
+                                                         "crystal = ZEROBIREF"))
+        out = tmp_path / "out"
+        assert run(["jsa", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+
 
 class TestSchmidtCommand:
     def test_kdp_purity(self, tmp_path):

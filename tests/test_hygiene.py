@@ -1,6 +1,6 @@
-"""Import hygiene, checked with the standard library only: every name that a
-module of the package imports is used in that module or listed in its
-__all__."""
+"""Import and export hygiene, checked with the standard library only: every
+name that a module of the package imports is used in that module or listed
+in its __all__, and every public function or class is exported or used."""
 
 import ast
 from pathlib import Path
@@ -34,3 +34,50 @@ def unused_imports(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
+
+
+def referenced_names(nodes):
+    """Every name the nodes read, import or reach as an attribute."""
+    names = set()
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced_public_names():
+    """'module.name' for each public top-level function or class of the
+    package that is neither in pairspec.__all__ nor named anywhere besides
+    its own definition: elsewhere in its module, in another module of the
+    package, or in perfbench."""
+    import pairspec
+
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        body = trees[path].body
+        elsewhere = referenced_names(node for other, tree in trees.items()
+                                     if other != path for node in ast.walk(tree))
+        for defn in body:
+            if (not isinstance(defn, (ast.FunctionDef, ast.ClassDef))
+                    or defn.name.startswith("_") or defn.name in pairspec.__all__
+                    or defn.name in elsewhere):
+                continue
+            in_module = referenced_names(node for stmt in body if stmt is not defn
+                                         for node in ast.walk(stmt))
+            if defn.name not in in_module:
+                unused.append(f"{path.stem}.{defn.name}")
+    return unused
+
+
+def test_every_public_name_is_used_or_exported():
+    assert unreferenced_public_names() == []

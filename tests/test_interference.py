@@ -12,7 +12,7 @@ from pairspec.crystals import get_crystal
 from pairspec.errors import ConfigError
 from pairspec.interference import (SourceSpec, coherence_time, hom_dip,
                                    two_source_experiment)
-from pairspec.jsa import FilterSpec, PumpSpec, build_grid, lattice_axis
+from pairspec.jsa import FilterSpec, FrequencyGrid, PumpSpec, lattice_axis
 from pairspec.schmidt import (ReducedDensityMatrix, heralded_density_matrix,
                               purity, schmidt_decompose)
 
@@ -25,7 +25,7 @@ def pure_state_density(axis, sigma, center=None):
     psi = np.exp(-((axis - c) ** 2) / (4 * sigma**2)).astype(complex)
     d = float(axis[1] - axis[0])
     psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)) * d)
-    return ReducedDensityMatrix(omega_axis=axis, values=np.outer(psi, psi.conj()))
+    return ReducedDensityMatrix(grid=FrequencyGrid(axis, axis), values=np.outer(psi, psi.conj()))
 
 
 AXIS = np.linspace(2.22e15, 2.32e15, 257)
@@ -62,7 +62,7 @@ class TestHomDip:
         # the 50 fs scan samples; the dip must be found there at full depth.
         rho_a = pure_state_density(AXIS, 5e12)
         phase = np.exp(1j * (AXIS - AXIS.mean()) * tau0_fs * 1e-15)
-        rho_b = ReducedDensityMatrix(omega_axis=AXIS,
+        rho_b = ReducedDensityMatrix(grid=rho_a.grid,
                                      values=rho_a.values * np.outer(phase, phase.conj()))
         scan = hom_dip(rho_a, rho_b, np.linspace(-2000, 2000, 81))
         assert scan.visibility == pytest.approx(1.0, abs=1e-12)
@@ -132,6 +132,15 @@ class TestHomDip:
         with pytest.raises(ConfigError):
             hom_dip(rho, rho, [0.0, 1.0])
 
+    def test_states_on_different_axes_are_error(self):
+        rho = pure_state_density(AXIS, 5e12)
+        delays = np.linspace(-2000, 2000, 201)
+        for other_axis in (AXIS + 1e9, AXIS[:-1]):
+            other = pure_state_density(other_axis, 5e12)
+            for pair in ((rho, other), (other, rho)):
+                with pytest.raises(ConfigError, match="share an identical frequency axis"):
+                    hom_dip(*pair, delays)
+
 
 class TestTwoSourceExperiment:
     def test_kdp_herald_o_dip(self, kdp_source):
@@ -162,13 +171,14 @@ class TestTwoSourceExperiment:
         assert scan.visibility == pytest.approx(
             schmidt_decompose(kdp_jsa).purity, abs=1e-9)
 
-    def test_detuned_pumps_reduce_visibility(self, kdp_source):
+    def test_detuned_pumps_reduce_visibility(self, kdp, kdp_source):
         delays = np.linspace(-1500, 1500, 301)
         base = two_source_experiment(kdp_source, kdp_source, "o", delays).visibility
         previous = base
         for detune in (0.5, 1.0, 2.0):
-            other = replace(kdp_source,
-                            pump=PumpSpec(415.0 + detune, 4.0))
+            # Each detuned source is phasematched at its own degeneracy.
+            other = SourceSpec(crystal=kdp, pump=PumpSpec(415.0 + detune, 4.0),
+                               flat_phase=True)
             vis = two_source_experiment(kdp_source, other, "o", delays).visibility
             assert vis < previous
             previous = vis
@@ -275,7 +285,7 @@ MIN_POINTS = 64
 
 
 def grid_step(src):
-    return build_grid(src.crystal, src.pump, n_points=src.n_points).d_omega
+    return src.grid().d_omega
 
 
 @st.composite
@@ -349,9 +359,9 @@ def covering_states(source_a, source_b, herald_arm):
 
 def reference_overlap(rho_a, rho_b, tau_s):
     """Re sum_ij rho_a[i, j] rho_b[j, i] exp(-i (w_j - w_i) tau) dw^2, term by term."""
-    w = rho_a.omega_axis
+    w = rho_a.grid.omega_e
     phase = np.exp(-1j * (w[None, :] - w[:, None]) * tau_s)
-    return float(np.real(np.sum(rho_a.values * rho_b.values.T * phase))) * rho_a.d_omega ** 2
+    return float(np.real(np.sum(rho_a.values * rho_b.values.T * phase))) * rho_a.grid.d_omega ** 2
 
 
 @st.composite
@@ -386,7 +396,7 @@ class TestOverlapReference:
         source_a, source_b, herald_arm, fractions = case
         rho_a, rho_b = covering_states(source_a, source_b, herald_arm)
         assert np.iscomplexobj(rho_a.values) == (not source_a.flat_phase)
-        taus = fractions * math.pi / rho_a.d_omega
+        taus = fractions * math.pi / rho_a.grid.d_omega
         expected = [reference_overlap(rho_a, rho_b, tau) for tau in taus]
         np.testing.assert_allclose(interference._Overlap(rho_a, rho_b)(taus), expected,
                                    rtol=0, atol=1e-12)
@@ -395,7 +405,7 @@ class TestOverlapReference:
 class TestAliasLimit:
     def test_delay_beyond_the_limit_is_error(self):
         rho = pure_state_density(AXIS, 5e12)
-        half_period_fs = math.pi / rho.d_omega * 1e15
+        half_period_fs = math.pi / rho.grid.d_omega * 1e15
         with pytest.raises(ConfigError, match=r"alias limit.*n=257 grid"):
             hom_dip(rho, rho, np.linspace(-1.001 * half_period_fs, 0.0, 201))
         for bad in (np.nan, np.inf):
@@ -409,7 +419,7 @@ class TestAliasLimit:
         a, b = (SourceSpec(crystal=get_crystal("KDP", length), pump=PumpSpec(415.0, fwhm),
                            n_points=64)
                 for length, fwhm in ((7.0, 3.0), (1.0, 6.0)))
-        windows = [build_grid(src.crystal, src.pump, n_points=64).omega_e for src in (a, b)]
+        windows = [src.grid().omega_e for src in (a, b)]
         axis = lattice_axis(min(w[0] for w in windows), max(w[-1] for w in windows), 64)
         half_period_fs = math.pi / (axis[1] - axis[0]) * 1e15
         assert half_period_fs == pytest.approx(710.5, abs=0.1)

@@ -7,14 +7,29 @@ from scipy.constants import c as c_light
 
 from pairspec import dispersion as disp
 from pairspec.crystals import SellmeierForm
-from pairspec.errors import ConfigError, FilterSupportError
+from pairspec.errors import ConfigError, FilterSupportError, NumericalError
 from pairspec.jsa import (FilterSpec, FrequencyGrid, PumpSpec, apply_filters,
                           arm_transmissions, build_grid, filter_transmission,
-                          fwhm_of_curve, joint_amplitude, jsi_pearson,
-                          lattice_axis, marginal_spectrum, normalize,
+                          joint_amplitude, jsi_pearson,
+                          lattice_axis, marginal_spectrum, normalize, other_arm,
                           phasematching_function, pump_envelope)
 
 from conftest import assert_lattice, constant_crystal
+
+
+def fwhm_of_curve(x, y):
+    """FWHM of a peaked sampled curve by linear interpolation at half max."""
+    y = np.asarray(y, dtype=float)
+    half = np.max(y) / 2.0
+    above = np.where(y >= half)[0]
+    if above.size == 0:
+        raise NumericalError("curve has no points above half maximum")
+    i0, i1 = above[0], above[-1]
+    if i0 == 0 or i1 == len(y) - 1:
+        raise NumericalError("half-maximum crossings not bracketed by the axis")
+    x_lo = np.interp(half, [y[i0 - 1], y[i0]], [x[i0 - 1], x[i0]])
+    x_hi = np.interp(half, [y[i1 + 1], y[i1]], [x[i1 + 1], x[i1]])
+    return float(abs(x_hi - x_lo))
 
 
 def make_grid(center_omega, half, n=64):
@@ -116,17 +131,18 @@ class TestPhasematchingFunction:
 
 
 class TestBuildGrid:
-    def test_axes_symmetric_about_degenerate_frequency(self, kdp):
+    def test_axes_symmetric_about_degenerate_frequency(self, kdp, kdp_source):
         pump = PumpSpec(415.0, 4.0)
-        grid = build_grid(kdp, pump, n_points=128)
+        grid = build_grid(kdp, pump, n_points=128, theta_deg=kdp_source.resolve_theta())
         w0 = pump.omega_p / 2
         assert grid.omega_e[0] + grid.omega_e[-1] == pytest.approx(2 * w0, rel=1e-12)
         np.testing.assert_allclose(grid.omega_e, grid.omega_o)
 
-    def test_doubling_points_halves_spacing(self, kdp):
+    def test_doubling_points_halves_spacing(self, kdp, kdp_source):
         pump = PumpSpec(415.0, 4.0)
-        coarse = build_grid(kdp, pump, n_points=128)
-        fine = build_grid(kdp, pump, n_points=255)
+        theta = kdp_source.resolve_theta()
+        coarse = build_grid(kdp, pump, n_points=128, theta_deg=theta)
+        fine = build_grid(kdp, pump, n_points=255, theta_deg=theta)
         assert fine.d_omega == pytest.approx(coarse.d_omega / 2, rel=1e-9)
 
     def test_kdp_marginals_decay_at_edges(self, kdp_jsa):
@@ -137,13 +153,14 @@ class TestBuildGrid:
             _, intensity = marginal_spectrum(kdp_jsa, arm)
             assert max(intensity[0], intensity[-1]) < 5e-2
 
-    def test_rejects_degenerate_inputs(self, kdp):
+    def test_rejects_degenerate_inputs(self, kdp, kdp_source):
+        theta = kdp_source.resolve_theta()
         with pytest.raises(ConfigError):
-            build_grid(kdp, PumpSpec(415.0, 4.0), n_points=8)
+            build_grid(kdp, PumpSpec(415.0, 4.0), n_points=8, theta_deg=theta)
         with pytest.raises(ConfigError):
-            build_grid(kdp, PumpSpec(415.0, 4.0), span_sigmas=0.0)
+            build_grid(kdp, PumpSpec(415.0, 4.0), span_sigmas=0.0, theta_deg=theta)
         with pytest.raises(ConfigError):
-            build_grid(kdp, PumpSpec(415.0, 4.0), span_sigmas=math.nan)
+            build_grid(kdp, PumpSpec(415.0, 4.0), span_sigmas=math.nan, theta_deg=theta)
         for fwhm_nm in (0.0, math.nan, math.inf):
             with pytest.raises(ConfigError):
                 PumpSpec(415.0, fwhm_nm)
@@ -161,8 +178,7 @@ class TestBuildGrid:
     @pytest.mark.parametrize("source", ["kdp_source", "bbo_source"])
     def test_shipped_axes_are_lattices(self, source, request):
         src = request.getfixturevalue(source)
-        grid = build_grid(src.crystal, src.pump, n_points=src.n_points,
-                          span_sigmas=src.span_sigmas)
+        grid = src.grid()
         assert_lattice(grid.omega_e)
         assert_lattice(grid.omega_o)
 
@@ -214,7 +230,7 @@ class TestJointAmplitude:
 
     def test_eta_does_not_change_normalized_shape(self, kdp):
         theta = disp.phasematching_angle(kdp, 415.0, 830.0)
-        grid = build_grid(kdp, PumpSpec(415.0, 4.0), n_points=64)
+        grid = build_grid(kdp, PumpSpec(415.0, 4.0), n_points=64, theta_deg=theta)
         a = joint_amplitude(kdp, theta, PumpSpec(415.0, 4.0, eta=1.0), grid)
         b = joint_amplitude(kdp, theta, PumpSpec(415.0, 4.0, eta=7.5), grid)
         np.testing.assert_array_equal(a.values, b.values)
@@ -228,7 +244,7 @@ class TestJointAmplitude:
         # normalization.
         theta = disp.phasematching_angle(kdp, 415.0, 830.0)
         pump = PumpSpec(415.0, 4.0)
-        grid = build_grid(kdp, pump, n_points=64)
+        grid = build_grid(kdp, pump, n_points=64, theta_deg=theta)
         jsa = joint_amplitude(kdp, theta, pump, grid)
         alpha = pump_envelope(pump, grid.omega_e[:, None] + grid.omega_o[None, :])
         phi = phasematching_function(kdp, theta, grid.omega_e[:, None],
@@ -303,6 +319,28 @@ class TestApplyFilters:
             filt = FilterSpec(shape=shape, arm="o", center_nm=800.0, fwhm_nm=bw)
             t = filter_transmission(filt, bbo_jsa.grid.omega_o)
             assert np.all((t >= 0.0) & (t <= 1.0))
+
+
+class TestArmNames:
+    def test_partner_arm(self):
+        assert other_arm("e") == "o"
+        assert other_arm("o") == "e"
+
+    def test_every_arm_argument_names_a_bad_value(self, kdp_source, kdp_jsa):
+        from pairspec.analysis import filter_sweep
+        from pairspec.interference import two_source_experiment
+        from pairspec.schmidt import heralded_density_matrix, heralding_efficiency
+        calls = [
+            lambda: marginal_spectrum(kdp_jsa, "x"),
+            lambda: FilterSpec("gaussian", "x", 830.0, 4.0),
+            lambda: heralded_density_matrix(kdp_jsa, "x"),
+            lambda: heralding_efficiency(kdp_jsa, [], "x"),
+            lambda: filter_sweep(kdp_source, [4.0], herald_arm="x"),
+            lambda: two_source_experiment(kdp_source, kdp_source, "x", [0, 1, 2]),
+        ]
+        for call in calls:
+            with pytest.raises(ConfigError, match="must be 'e' or 'o', got 'x'"):
+                call()
 
 
 class TestMarginals:

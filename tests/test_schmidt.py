@@ -11,8 +11,9 @@ from pairspec.errors import ConfigError, FilterSupportError
 from pairspec.interference import SourceSpec, hom_dip
 from pairspec.jsa import (FilterSpec, FrequencyGrid, JointAmplitude, PumpSpec,
                           apply_filters, lattice_axis, nm_from_omega, normalize)
-from pairspec.schmidt import (RESIDUAL_TOL, export_schmidt_csv, heralded_density_matrix,
-                              heralding_efficiency, purity, schmidt_decompose)
+from pairspec.schmidt import (RESIDUAL_TOL, ReducedDensityMatrix, export_schmidt_csv,
+                              heralded_density_matrix, heralding_efficiency, purity,
+                              schmidt_decompose)
 
 
 def make_grid(half=5e13, n=129, center=2.27e15):
@@ -162,6 +163,12 @@ class TestHeraldedDensityMatrix:
             assert rho.trace() == pytest.approx(1.0, abs=1e-9)
             np.testing.assert_allclose(rho.values, rho.values.conj().T, atol=1e-20)
 
+    def test_values_must_match_grid_size(self):
+        grid = make_grid(n=33)
+        for shape in ((32, 32), (33, 32), (33,)):
+            with pytest.raises(ConfigError, match="does not match its grid"):
+                ReducedDensityMatrix(grid=grid, values=np.zeros(shape))
+
     def test_unfiltered_purity_equals_schmidt_purity(self, kdp_jsa, bbo_jsa):
         for jsa in (kdp_jsa, bbo_jsa):
             target = schmidt_decompose(jsa).purity
@@ -173,7 +180,7 @@ class TestHeraldedDensityMatrix:
         # Independent route: purity = sum of squared eigenvalues of the
         # measure-weighted matrix.
         rho = heralded_density_matrix(bbo_jsa, "e")
-        eigs = np.linalg.eigvalsh(rho.values * rho.d_omega)
+        eigs = np.linalg.eigvalsh(rho.values * rho.grid.d_omega)
         assert purity(rho) == pytest.approx(float(np.sum(eigs**2)), abs=1e-12)
         assert eigs.min() > -1e-10
 
@@ -220,7 +227,7 @@ class TestHeraldedDensityMatrix:
 
         f = source.build_jsa().values
         f = f if heralded_arm == "e" else f.T
-        lam_nm = 2e9 * math.pi * 299792458.0 / rho.omega_axis
+        lam_nm = 2e9 * math.pi * 299792458.0 / rho.grid.omega_e
         if shape == "gaussian":
             sigma_nm = fwhm_nm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
             t = np.exp(-(lam_nm - center_nm) ** 2 / (2.0 * sigma_nm ** 2))
@@ -228,7 +235,7 @@ class TestHeraldedDensityMatrix:
             t = (np.abs(lam_nm - center_nm) <= fwhm_nm / 2.0).astype(float)
         expected = np.einsum("ih,jh,h->ij", f, f.conj(), t)
         expected /= np.trace(expected).real
-        np.testing.assert_allclose(rho.values * rho.d_omega, expected,
+        np.testing.assert_allclose(rho.values * rho.grid.d_omega, expected,
                                    rtol=0, atol=1e-12)
 
     def test_axis_reversal_invariance(self):
@@ -292,7 +299,7 @@ class TestPurityIdentity:
         rho = heralded_density_matrix(jsa, arm)
         assert purity(rho) == pytest.approx(schmidt_decompose(jsa).purity, abs=1e-12)
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)
-        hermitian_err = np.max(np.abs(rho.values - rho.values.conj().T)) * rho.d_omega
+        hermitian_err = np.max(np.abs(rho.values - rho.values.conj().T)) * rho.grid.d_omega
         assert hermitian_err <= 1e-12
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -303,7 +310,7 @@ class TestPurityIdentity:
         filtered = apply_filters(jsa, filters)[0]
         rho = heralded_density_matrix(filtered, other_arm(herald_arm))
         assert rho.trace() == pytest.approx(1.0, abs=1e-12)
-        weighted = rho.values * rho.d_omega
+        weighted = rho.values * rho.grid.d_omega
         assert np.max(np.abs(weighted - weighted.conj().T)) <= 1e-12
         eigs = np.linalg.eigvalsh(weighted)
         assert eigs.min() >= -1e-12 * eigs.max()
@@ -324,12 +331,12 @@ class TestPurityIdentity:
         for values in (real.values, real.values.astype(complex)):
             jsa = apply_filters(JointAmplitude(real.grid, values), filters)[0]
             rho = heralded_density_matrix(jsa, other_arm(herald_arm))
-            half_period_fs = math.pi / rho.d_omega * 1e15
+            half_period_fs = math.pi / rho.grid.d_omega * 1e15
             scan = hom_dip(rho, rho, np.linspace(-half_period_fs, half_period_fs, 201))
             results.append((rho, schmidt_decompose(jsa).coefficients, scan))
         (rho_r, coeff_r, scan_r), (rho_c, coeff_c, scan_c) = results
         assert rho_r.values.dtype == np.float64 and rho_c.values.dtype == np.complex128
-        assert np.max(np.abs(rho_r.values - rho_c.values)) * rho_r.d_omega <= 1e-12
+        assert np.max(np.abs(rho_r.values - rho_c.values)) * rho_r.grid.d_omega <= 1e-12
         assert purity(rho_r) == pytest.approx(purity(rho_c), abs=1e-12)
         np.testing.assert_allclose(coeff_r, coeff_c, rtol=0, atol=1e-12)
         np.testing.assert_allclose(scan_r.rates, scan_c.rates, rtol=0, atol=1e-12)
