@@ -46,8 +46,9 @@ def filter_sweep(source: SourceSpec, bandwidths_nm, filter_shape="gaussian",
     bandwidth is the Schmidt purity of the filtered amplitude, equal to
     Tr rho^2 of the heralded photon, taken as r x r algebra on that basis
     (`SchmidtResult.filtered_purity`). The heralding efficiency is the
-    dense, exact `heralding_efficiency`. Filters are centered on the
-    degenerate wavelength. The herald arm is always filtered; with
+    dense, exact `heralding_efficiency`. The sweep sets its own filters,
+    centered on the degenerate wavelength; the source's filters do not
+    apply. The herald arm is always filtered; with
     symmetric=True the signal arm gets an identical filter. A bandwidth of
     inf means no filter. Per-point filter failures are recorded as gaps
     (NaN in the arrays), not a global error.
@@ -58,7 +59,7 @@ def filter_sweep(source: SourceSpec, bandwidths_nm, filter_shape="gaussian",
     bandwidths_nm = np.asarray(bandwidths_nm, dtype=float)
     if bandwidths_nm.ndim != 1 or not np.all(bandwidths_nm > 0):
         raise ConfigError("bandwidths must be a 1-d positive array")
-    jsa = source.build_jsa()
+    jsa = source.build_jsa(filtered=False)
     basis = schmidt_decompose(jsa)
     axis = jsa.grid.omega_e
     center_nm = 2.0 * source.pump.center_nm

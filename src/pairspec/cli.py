@@ -11,7 +11,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -202,7 +202,7 @@ def cmd_jsa(args):
     export_jsi_csv(jsa, out / "jsi.csv")
     export_metadata(
         out / "jsi_meta.json", source.crystal, source.pump, jsa,
-        filters=source.filters,
+        theta_deg=source.theta, filters=source.filters,
         extra={"pearson_correlation": pearson, **config.metadata()},
     )
     print(f"JSI written to {out / 'jsi.csv'} "
@@ -235,9 +235,8 @@ def cmd_sweep(args):
     except ValueError as exc:
         raise ConfigError(f"--bandwidths must be a comma-separated list of nm, "
                           f"got {args.bandwidths!r}") from exc
-    # The sweep sets its own filters; a config's filters do not apply.
     result = filter_sweep(
-        replace(config.source, filters=()), bandwidths, filter_shape=args.shape,
+        config.source, bandwidths, filter_shape=args.shape,
         symmetric=not args.asymmetric, herald_arm=args.herald_arm,
     )
     out = _out_dir(args)

@@ -10,7 +10,7 @@ matrices of the two photons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -186,10 +186,10 @@ def hom_dip(rho_a: ReducedDensityMatrix, rho_b: ReducedDensityMatrix, delays_fs)
 class SourceSpec:
     """Everything needed to build one downconversion source's JSA.
 
-    A crystal without a cut angle is given the degenerate phasematching
-    angle when the spec is made, so `crystal.cut_angle_deg` is always the
-    source's theta. The filters act on the amplitude through
-    `apply_filters`.
+    `theta` is the crystal's cut angle, or for a crystal without one the
+    degenerate phasematching angle of this pump, solved when the spec is
+    made. It is derived, so `dataclasses.replace` solves it again for the
+    copy. The filters act on the amplitude through `apply_filters`.
     """
 
     crystal: CrystalSpec
@@ -198,26 +198,29 @@ class SourceSpec:
     span_sigmas: float = 4.0
     flat_phase: bool = False
     filters: tuple = ()
+    theta: float = field(init=False)
 
     def __post_init__(self):
-        if self.crystal.cut_angle_deg is None:
+        theta = self.crystal.cut_angle_deg
+        if theta is None:
             theta = phasematching_angle(self.crystal, self.pump.center_nm,
                                         2.0 * self.pump.center_nm)
-            object.__setattr__(self, "crystal", replace(self.crystal, cut_angle_deg=theta))
+        object.__setattr__(self, "theta", theta)
 
     def resolve_theta(self):
-        return self.crystal.cut_angle_deg
+        return self.theta
 
     def grid(self) -> FrequencyGrid:
         """The source's own window at its n_points."""
         return build_grid(self.crystal, self.pump, n_points=self.n_points,
-                          span_sigmas=self.span_sigmas, theta_deg=self.resolve_theta())
+                          span_sigmas=self.span_sigmas, theta_deg=self.theta)
 
-    def build_jsa(self, grid: FrequencyGrid | None = None) -> JointAmplitude:
-        """The filtered JSA on the source's own grid, or on the given one."""
-        jsa = joint_amplitude(self.crystal, self.resolve_theta(), self.pump,
+    def build_jsa(self, grid: FrequencyGrid | None = None, filtered=True) -> JointAmplitude:
+        """The JSA on the source's own grid, or on the given one, through the
+        source's filters unless filtered is False."""
+        jsa = joint_amplitude(self.crystal, self.theta, self.pump,
                               grid or self.grid(), flat_phase=self.flat_phase)
-        return apply_filters(jsa, self.filters)[0]
+        return apply_filters(jsa, self.filters if filtered else ())[0]
 
 
 def two_source_experiment(source_a: SourceSpec, source_b: SourceSpec,

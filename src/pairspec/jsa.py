@@ -310,14 +310,15 @@ def export_jsi_csv(jsa: JointAmplitude, path):
 
 
 def export_metadata(path, crystal: CrystalSpec, pump: PumpSpec, jsa: JointAmplitude,
-                    filters=(), extra=None):
-    """Companion metadata: everything needed to reproduce the matrix."""
+                    *, theta_deg, filters=(), extra=None):
+    """Companion metadata: everything needed to reproduce the matrix, with
+    theta_deg recorded as the crystal's cut angle."""
     axis = jsa.grid.omega_e
     meta = {
         "crystal": {
             "name": crystal.name,
             "length_mm": crystal.length_mm,
-            "cut_angle_deg": crystal.cut_angle_deg,
+            "cut_angle_deg": theta_deg,
             "source_citation": crystal.source_citation,
         },
         "pump": {

@@ -197,7 +197,7 @@ def test_criterion_9_out_of_model_quantities(kdp, kdp_jsa, tmp_path, announce):
     # detection efficiencies are outside this model; the exported metadata
     # says so explicitly.
     path = tmp_path / "meta.json"
-    export_metadata(path, kdp, PumpSpec(415.0, 4.0), kdp_jsa)
+    export_metadata(path, kdp, PumpSpec(415.0, 4.0), kdp_jsa, theta_deg=67.76)
     meta = json.loads(path.read_text())
     note = meta.get("out_of_model", {})
     ok = ("absolute_pair_rate" in note

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,6 +86,16 @@ class TestFilterSweep:
                     filters.append(FilterSpec(shape, signal_arm, center_nm, bw))
             expected = schmidt_decompose(apply_filters(jsa, filters)[0]).purity
             assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_source_filters_do_not_apply(self, bbo_source):
+        bandwidths = np.array([np.inf, 8.0, 4.0])
+        plain = filter_sweep(bbo_source, bandwidths)
+        filtered = filter_sweep(
+            replace(bbo_source, filters=(FilterSpec("gaussian", "o", 800.0, 2.0),)),
+            bandwidths)
+        np.testing.assert_array_equal(filtered.purities, plain.purities)
+        np.testing.assert_array_equal(filtered.heralding_efficiencies,
+                                      plain.heralding_efficiencies)
 
     def test_sweep_decomposes_once_and_forms_no_rho(self, bbo_source, monkeypatch):
         # One Schmidt basis serves every point: no heralded rho and no

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pairspec import cli, interference
+from pairspec import cli
 from pairspec.cli import main
 
 from conftest import count_calls
@@ -65,21 +65,6 @@ class TestJsaCommand:
                         "--out", str(out)]) == 0
         assert (out_a / "jsi.csv").read_bytes() == (out_b / "jsi.csv").read_bytes()
 
-    def test_phasematching_solved_once(self, tmp_path, monkeypatch):
-        solve = interference.phasematching_angle
-        thetas = []
-
-        def counting_solve(*args, **kwargs):
-            thetas.append(solve(*args, **kwargs))
-            return thetas[-1]
-
-        monkeypatch.setattr(interference, "phasematching_angle", counting_solve)
-        assert run(["jsa", "--config", BBO_CFG, "--grid-points", "128",
-                    "--out", str(tmp_path)]) == 0
-        assert len(thetas) == 1
-        meta = json.loads((tmp_path / "jsi_meta.json").read_text())
-        assert meta["crystal"]["cut_angle_deg"] == thetas[0]
-
     @pytest.mark.parametrize("argv, solves", [
         (["jsa", "--config", KDP_CFG], 1),
         (["schmidt", "--config", KDP_CFG], 1),
@@ -96,6 +81,11 @@ class TestJsaCommand:
         calls = count_calls(monkeypatch, ["dispersion.phasematching_angle"])
         assert run(argv + ["--grid-points", "64", "--out", str(tmp_path)]) == 0
         assert calls["dispersion.phasematching_angle"] == solves
+        if argv[0] == "jsa":
+            # The metadata records the solved angle as the crystal's cut.
+            meta = json.loads((tmp_path / "jsi_meta.json").read_text())
+            theta = cli.load_config(KDP_CFG)[0].source.theta
+            assert meta["crystal"]["cut_angle_deg"] == theta
 
     def test_no_phasematching_writes_nothing(self, tmp_path):
         cfg = tmp_path / "zerobiref.cfg"

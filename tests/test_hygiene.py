@@ -36,28 +36,72 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
-
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 
-def referenced_names(nodes):
-    """Every name the nodes read, import or reach as an attribute."""
+def global_loads(node, local=frozenset()):
+    """Bare names that the node reads from module scope. Inside a function,
+    a name that the function binds (an argument or an assignment anywhere
+    in its body) is local there and does not count."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        bound = {a.arg for a in params} | {
+            n.id for stmt in body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        # Decorators, defaults and annotations are read in the enclosing scope.
+        outer = (getattr(node, "decorator_list", []) + args.defaults
+                 + [d for d in args.kw_defaults if d]
+                 + [a.annotation for a in params if a.annotation]
+                 + ([node.returns] if getattr(node, "returns", None) else []))
+        names = set()
+        for child in outer:
+            names |= global_loads(child, local)
+        for stmt in body:
+            names |= global_loads(stmt, local | bound)
+        return names
     names = set()
-    for node in nodes:
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+        names.add(node.id)
+    for child in ast.iter_child_nodes(node):
+        names |= global_loads(child, local)
+    return names
+
+
+def names_taken_from(module, tree):
+    """Names the tree imports from `module` (`from .module import name`) or
+    reaches through an import of it (`module.name` after `from . import
+    module`, or `pairspec.module.name`)."""
+    names, aliases = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == module:
+                names.update(alias.name for alias in node.names)
+            elif node.module in (None, "pairspec"):
+                aliases.update(alias.asname or alias.name for alias in node.names
+                               if alias.name == module)
+        elif isinstance(node, ast.Import):
+            aliases.update(alias.asname for alias in node.names
+                           if alias.name == f"pairspec.{module}" and alias.asname)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        base = node.value
+        if (isinstance(base, ast.Name) and base.id in aliases
+                or isinstance(base, ast.Attribute) and base.attr == module
+                and isinstance(base.value, ast.Name) and base.value.id == "pairspec"):
             names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
     return names
 
 
 def unreferenced_public_names():
     """'module.name' for each public top-level function or class of the
-    package that is neither in pairspec.__all__ nor named anywhere besides
-    its own definition: elsewhere in its module, in another module of the
-    package, or in perfbench."""
+    package that is neither in pairspec.__all__ nor used besides its own
+    definition: read from module scope elsewhere in its module, or imported
+    from or reached through its module by another module of the package or
+    of perfbench."""
     import pairspec
 
     trees = {path: ast.parse(path.read_text(), filename=str(path))
@@ -65,15 +109,14 @@ def unreferenced_public_names():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         body = trees[path].body
-        elsewhere = referenced_names(node for other, tree in trees.items()
-                                     if other != path for node in ast.walk(tree))
+        elsewhere = set().union(*(names_taken_from(path.stem, tree)
+                                  for other, tree in trees.items() if other != path))
         for defn in body:
             if (not isinstance(defn, (ast.FunctionDef, ast.ClassDef))
                     or defn.name.startswith("_") or defn.name in pairspec.__all__
                     or defn.name in elsewhere):
                 continue
-            in_module = referenced_names(node for stmt in body if stmt is not defn
-                                         for node in ast.walk(stmt))
+            in_module = set().union(*(global_loads(stmt) for stmt in body if stmt is not defn))
             if defn.name not in in_module:
                 unused.append(f"{path.stem}.{defn.name}")
     return unused

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pairspec import interference
 from pairspec.crystals import get_crystal
+from pairspec.dispersion import phasematching_angle
 from pairspec.errors import ConfigError
 from pairspec.interference import (SourceSpec, coherence_time, hom_dip,
                                    two_source_experiment)
@@ -142,6 +143,18 @@ class TestHomDip:
                     hom_dip(*pair, delays)
 
 
+class TestSourceSpec:
+    def test_theta_is_the_cut_angle_or_the_degenerate_solve(self, kdp, kdp_source):
+        assert kdp_source.crystal == kdp
+        assert kdp_source.theta == phasematching_angle(kdp, 415.0, 830.0)
+        cut = SourceSpec(replace(kdp, cut_angle_deg=60.0), PumpSpec(415.0, 4.0))
+        assert cut.theta == cut.resolve_theta() == 60.0
+
+    def test_copy_with_new_pump_solves_its_own_theta(self, kdp, kdp_source):
+        other = replace(kdp_source, pump=PumpSpec(416.0, 4.0))
+        assert other.theta == phasematching_angle(kdp, 416.0, 832.0) != kdp_source.theta
+
+
 class TestTwoSourceExperiment:
     def test_kdp_herald_o_dip(self, kdp_source):
         scan = two_source_experiment(kdp_source, kdp_source, "o",
@@ -171,14 +184,13 @@ class TestTwoSourceExperiment:
         assert scan.visibility == pytest.approx(
             schmidt_decompose(kdp_jsa).purity, abs=1e-9)
 
-    def test_detuned_pumps_reduce_visibility(self, kdp, kdp_source):
+    def test_detuned_pumps_reduce_visibility(self, kdp_source):
         delays = np.linspace(-1500, 1500, 301)
         base = two_source_experiment(kdp_source, kdp_source, "o", delays).visibility
         previous = base
         for detune in (0.5, 1.0, 2.0):
-            # Each detuned source is phasematched at its own degeneracy.
-            other = SourceSpec(crystal=kdp, pump=PumpSpec(415.0 + detune, 4.0),
-                               flat_phase=True)
+            other = replace(kdp_source,
+                            pump=PumpSpec(415.0 + detune, 4.0))
             vis = two_source_experiment(kdp_source, other, "o", delays).visibility
             assert vis < previous
             previous = vis
