@@ -76,11 +76,13 @@ def _get_float(section, key, path, default=None):
 
 def load_config(path, grid_points=None, flat_phase=None):
     """Parse a run configuration; strict about sections and keys."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         read = parser.read(path, encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
+    except configparser.Error as exc:  # a duplicated section or key
+        raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     known_sections = {"source", "grid", "filter.e", "filter.o", "crystal"}

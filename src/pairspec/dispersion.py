@@ -8,6 +8,7 @@ configuration). All wavelengths at this interface are vacuum nanometres.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,10 +18,11 @@ from scipy.constants import c as C_LIGHT
 from scipy.optimize import brentq
 
 from .crystals import CrystalSpec
-from .errors import ConfigError, NoGvmPointError, NoPhasematchingError
+from .errors import ConfigError, NoGvmPointError, NoPhasematchingError, NumericalError
 
 GVM_TOL_NM = 1e-4
 GVM_SCAN_HALFWIDTH_NM = 50.0  # pump window of the GVM scan, about d/2
+_ANGLE_BRACKET_DEG = (1e-9, 90.0)
 
 
 @dataclass(frozen=True)
@@ -48,20 +50,18 @@ def index_e(crystal: CrystalSpec, wavelength_nm, theta_deg):
     """
     n_o = crystal.sellmeier_o.index(wavelength_nm, crystal.name)
     n_e = crystal.sellmeier_e.index(wavelength_nm, crystal.name)
-    return _ellipsoid(n_o, n_e, theta_deg)
+    return _ellipsoid(n_o, n_e, *_cos2_sin2(theta_deg))
 
 
-def _ellipsoid(n_o, n_e, theta_deg):
-    th = math.radians(theta_deg)
-    return 1.0 / np.sqrt(math.cos(th) ** 2 / n_o ** 2 + math.sin(th) ** 2 / n_e ** 2)
+def _cos2_sin2(theta_deg):
+    """cos^2 and sin^2 of an angle in degrees: math keeps a scalar's bits, numpy takes arrays."""
+    lib = np if np.ndim(theta_deg) else math
+    th = lib.radians(theta_deg)
+    return lib.cos(th) ** 2, lib.sin(th) ** 2
 
 
-def _index(crystal, polarization, wavelength_nm, theta_deg):
-    if polarization == "o":
-        return index_o(crystal, wavelength_nm)
-    if polarization == "e":
-        return index_e(crystal, wavelength_nm, theta_deg)
-    raise ValueError(f"polarization must be 'o' or 'e', got {polarization!r}")
+def _ellipsoid(n_o, n_e, cos2, sin2):
+    return 1.0 / np.sqrt(cos2 / n_o ** 2 + sin2 / n_e ** 2)
 
 
 def group_index(crystal: CrystalSpec, polarization, wavelength_nm, theta_deg=0.0):
@@ -69,14 +69,16 @@ def group_index(crystal: CrystalSpec, polarization, wavelength_nm, theta_deg=0.0
 
     For the e-wave, differentiating the index ellipsoid gives
     dn/dlambda = n^3 (cos^2(theta) n_o'/n_o^3 + sin^2(theta) n_e'/n_e^3).
+    Wavelength and theta may be arrays of one shape.
     """
-    n = _index(crystal, polarization, wavelength_nm, theta_deg)
     if polarization == "o":
-        return n - wavelength_nm * crystal.sellmeier_o.slope(wavelength_nm, crystal.name)
-    th = math.radians(theta_deg)
+        return (index_o(crystal, wavelength_nm)
+                - wavelength_nm * crystal.sellmeier_o.slope(wavelength_nm, crystal.name))
+    if polarization != "e":
+        raise ValueError(f"polarization must be 'o' or 'e', got {polarization!r}")
+    n = index_e(crystal, wavelength_nm, theta_deg)
     slope = 0.0
-    for weight, form in ((math.cos(th) ** 2, crystal.sellmeier_o),
-                         (math.sin(th) ** 2, crystal.sellmeier_e)):
+    for weight, form in zip(_cos2_sin2(theta_deg), (crystal.sellmeier_o, crystal.sellmeier_e)):
         slope += (weight * form.slope(wavelength_nm, crystal.name)
                   / form.index(wavelength_nm, crystal.name) ** 3)
     return n - wavelength_nm * n ** 3 * slope
@@ -127,28 +129,33 @@ def delta_k(crystal: CrystalSpec, theta_deg, omega_e, omega_o):
     return k_p - k_e - k_o
 
 
-def phasematching_angle(crystal: CrystalSpec, pump_wavelength_nm,
-                        degenerate_wavelength_nm):
-    """Angle theta (degrees) at which degenerate collinear type-II is phasematched.
-
-    At degeneracy delta_k = k0 (2 n_e(lambda0/2, theta) - n_e(lambda0, theta)
-    - n_o(lambda0)) with k0 = 2 pi / lambda0. The four principal indices
-    do not depend on theta, so they are evaluated once and brentq solves
-    the ellipsoid mismatch on (0, 90) degrees. Raises NoPhasematchingError
-    if delta_k does not change sign there.
-    """
-    if abs(degenerate_wavelength_nm - 2.0 * pump_wavelength_nm) > 1e-9 * degenerate_wavelength_nm:
-        raise ValueError("degenerate wavelength must equal twice the pump wavelength")
+def _angle_mismatch(crystal: CrystalSpec, degenerate_wavelength_nm):
+    """delta_k(theta) = k0 (2 n_e(lambda0/2, theta) - n_e(lambda0, theta) - n_o(lambda0)), lambda0
+    a scalar or an array; the principal indices are evaluated once, here."""
     lam0 = degenerate_wavelength_nm
     n_o_p, n_e_p, n_o_0, n_e_0 = (form.index(lam, crystal.name) for lam in (lam0 / 2.0, lam0)
                                   for form in (crystal.sellmeier_o, crystal.sellmeier_e))
     k0 = 2.0 * math.pi / (lam0 * 1e-9)
 
     def mismatch(theta):
-        return k0 * (2.0 * _ellipsoid(n_o_p, n_e_p, theta)
-                     - _ellipsoid(n_o_0, n_e_0, theta) - n_o_0)
+        cos2, sin2 = _cos2_sin2(theta)
+        return k0 * (2.0 * _ellipsoid(n_o_p, n_e_p, cos2, sin2)
+                     - _ellipsoid(n_o_0, n_e_0, cos2, sin2) - n_o_0)
 
-    lo, hi = 1e-9, 90.0
+    return mismatch
+
+
+def phasematching_angle(crystal: CrystalSpec, pump_wavelength_nm,
+                        degenerate_wavelength_nm):
+    """Angle theta (degrees) at which degenerate collinear type-II is phasematched.
+
+    brentq solves `_angle_mismatch` on (0, 90) degrees. Raises
+    NoPhasematchingError if delta_k does not change sign there.
+    """
+    if abs(degenerate_wavelength_nm - 2.0 * pump_wavelength_nm) > 1e-9 * degenerate_wavelength_nm:
+        raise ValueError("degenerate wavelength must equal twice the pump wavelength")
+    mismatch = _angle_mismatch(crystal, degenerate_wavelength_nm)
+    lo, hi = _ANGLE_BRACKET_DEG
     f_lo, f_hi = mismatch(lo), mismatch(hi)
     if f_lo == 0.0:
         return lo
@@ -162,53 +169,63 @@ def phasematching_angle(crystal: CrystalSpec, pump_wavelength_nm,
     return brentq(mismatch, lo, hi, xtol=1e-13)
 
 
+def _gvm_mismatch(crystal: CrystalSpec, pump_nm, theta):
+    ng_pump = group_index(crystal, "e", pump_nm, theta)
+    ng_daughter = group_index(crystal, "o", 2.0 * pump_nm)
+    return ng_pump - ng_daughter, theta, ng_pump, ng_daughter
+
+
+def _scan_mismatch(crystal: CrystalSpec, pump_nm):
+    """GVM mismatch at an array of pumps, and which phasematch; theta bisected to 1e-13 deg
+    (scipy before 1.15 has no elementwise bracketed root finder)."""
+    mismatch = _angle_mismatch(crystal, 2.0 * pump_nm)
+    lo, hi = (np.full(pump_nm.shape, end) for end in _ANGLE_BRACKET_DEG)
+    f_lo = mismatch(lo)
+    phasematched = f_lo * mismatch(hi) <= 0.0
+    while np.max(hi - lo) > 1e-13:
+        mid = 0.5 * (lo + hi)
+        up = mismatch(mid) * f_lo > 0.0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return _gvm_mismatch(crystal, pump_nm, 0.5 * (lo + hi))[0], phasematched
+
+
 def gvm_pump_wavelength(crystal: CrystalSpec, daughter_o_wavelength_nm):
     """Pump wavelength at which the e-pump group-matches its o-daughter.
 
-    Scans pump wavelengths in d/2 +- GVM_SCAN_HALFWIDTH_NM, re-solving the
-    degenerate phasematching angle at each trial, and solves the
-    group-index mismatch n_g,e(pump, theta_pm) - n_g,o(2*pump) with brentq
-    in the first bracketed sign change, well inside GVM_TOL_NM. The
-    daughter wavelength is tied to the pump by lambda_daughter =
-    2 * lambda_pump throughout the scan.
+    The mismatch n_g,e(pump, theta_pm) - n_g,o(2 pump) is scanned at 101
+    pumps in d/2 +- GVM_SCAN_HALFWIDTH_NM in one array pass; a point with no
+    phasematching angle breaks the bracket chain. brentq, one scalar angle
+    solve per evaluation, refines only the first sign change, well inside
+    GVM_TOL_NM: 6 angle solves for KDP at 830 nm, none for a miss. A scan
+    that meets a point outside a validity window first raises its range error.
     """
     if not 0 < daughter_o_wavelength_nm < math.inf:
         raise ConfigError("daughter wavelength must be positive and finite")
     center = daughter_o_wavelength_nm / 2.0
 
+    @functools.cache
     def mismatch(lam_p):
-        theta = phasematching_angle(crystal, lam_p, 2.0 * lam_p)
-        ng_pump = group_index(crystal, "e", lam_p, theta)
-        ng_daughter = group_index(crystal, "o", 2.0 * lam_p)
-        return ng_pump - ng_daughter, theta, ng_pump, ng_daughter
+        return _gvm_mismatch(crystal, lam_p, phasematching_angle(crystal, lam_p, 2.0 * lam_p))
 
-    # Coarse scan first: parts of the window may have no phasematching
-    # solution at all, so bracket the sign change between valid points only.
     n_coarse = 101
     lo, hi = center - GVM_SCAN_HALFWIDTH_NM, center + GVM_SCAN_HALFWIDTH_NM
-    step = 2.0 * GVM_SCAN_HALFWIDTH_NM / (n_coarse - 1)
-    prev = None
-    for i in range(n_coarse):
-        lam = lo + i * step
-        try:
-            f = mismatch(lam)[0]
-        except NoPhasematchingError:
-            prev = None
-            continue
-        if prev is not None and prev[1] * f <= 0.0:
-            break
-        prev = (lam, f)
-    else:
-        raise NoGvmPointError(
-            f"no GVM point: group-index mismatch has no sign change in "
-            f"[{lo:.6g}, {hi:.6g}] nm for {crystal.name}"
-        )
-    lam_p = brentq(lambda x: mismatch(x)[0], prev[0], lam, xtol=1e-12)
+    lam = lo + np.arange(n_coarse) * (2.0 * GVM_SCAN_HALFWIDTH_NM / (n_coarse - 1))
+    inside = np.logical_and.reduce([
+        (x * 1e-3 >= form.valid_um_min) & (x * 1e-3 <= form.valid_um_max)
+        for x in (lam, 2.0 * lam) for form in (crystal.sellmeier_o, crystal.sellmeier_e)])
+    # Scan up to the first point outside a validity window (point 0 raises in the scan).
+    n_in = int(np.argmin(np.append(inside, False)))
+    f, ok = _scan_mismatch(crystal, lam[:max(n_in, 1)])
+    bracket = np.flatnonzero(ok[:-1] & ok[1:] & (f[:-1] * f[1:] <= 0.0))
+    if not bracket.size:
+        if n_in < n_coarse:  # the angle solve raises that point's range error
+            phasematching_angle(crystal, float(lam[n_in]), 2.0 * float(lam[n_in]))
+        raise NoGvmPointError(f"no GVM point: group-index mismatch has no sign change in "
+                              f"[{lo:.6g}, {hi:.6g}] nm for {crystal.name}")
+    a, b = float(lam[bracket[0]]), float(lam[bracket[0] + 1])
+    if mismatch(a)[0] * mismatch(b)[0] > 0.0:
+        raise NumericalError(f"GVM bracket [{a:.9g}, {b:.9g}] nm of the array scan has no "
+                             f"sign change in the scalar mismatch for {crystal.name}")
+    lam_p = brentq(lambda x: mismatch(x)[0], a, b, xtol=1e-12)
     residual, theta, ng_pump, ng_daughter = mismatch(lam_p)
-    return GvmSolution(
-        pump_wavelength_nm=lam_p,
-        phasematching_angle_deg=theta,
-        group_index_pump_e=ng_pump,
-        group_index_daughter_o=ng_daughter,
-        residual=residual,
-    )
+    return GvmSolution(lam_p, theta, ng_pump, ng_daughter, residual)

@@ -1,3 +1,4 @@
+import inspect
 import sys
 
 import numpy as np
@@ -97,7 +98,13 @@ def count_calls(monkeypatch, qualnames):
             calls[_key] += 1
             return _fn(*args, **kwargs)
 
-        for target in [owner] if path else modules:
-            if getattr(target, name, None) is original:
-                monkeypatch.setattr(target, name, counted)
+        if path:
+            # A classmethod reads back bound to its class, so it goes back
+            # as a staticmethod of the bound original.
+            bound = isinstance(inspect.getattr_static(owner, name), classmethod)
+            monkeypatch.setattr(owner, name, staticmethod(counted) if bound else counted)
+            continue
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
     return calls

@@ -1,13 +1,17 @@
 import importlib.util
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pairspec import cli
+from pairspec import cli, errors
 from pairspec.cli import main
+from pairspec.crystals import _DB_KEYS, _FORMULAS
 
 from conftest import count_calls
 
@@ -456,31 +460,186 @@ fwhm_nm = 4
         assert filtered > raw + 0.3
 
 
+class TestErrorExitCodes:
+    """Each concrete error class reaches the exit code and stderr prefix the
+    CLI maps it to, with no traceback."""
+
+    CASES = [
+        (errors.ConfigError, 2, "config error:"),
+        (errors.DispersionRangeError, 3, "physics error:"),
+        (errors.NoPhasematchingError, 3, "physics error:"),
+        (errors.NoGvmPointError, 3, "physics error:"),
+        (errors.FilterSupportError, 3, "physics error:"),
+        (errors.NumericalError, 4, "numerical error:"),
+        (np.linalg.LinAlgError, 4, "numerical error:"),
+    ]
+
+    @pytest.mark.parametrize("error,code,prefix", CASES,
+                             ids=[error.__name__ for error, _, _ in CASES])
+    def test_error_class_exit_code(self, tmp_path, monkeypatch, capsys, error, code, prefix):
+        def fail(crystal, daughter_nm):
+            raise error("injected failure")
+
+        monkeypatch.setattr(cli, "gvm_pump_wavelength", fail)
+        assert run(["gvm", "--crystal", "KDP", "--daughter-nm", "830",
+                    "--out", str(tmp_path)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"{prefix} injected failure\n"
+        assert "Traceback" not in captured.out + captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_concrete_error_class_has_a_case(self):
+        concrete = {cls for cls in vars(errors).values()
+                    if isinstance(cls, type) and issubclass(cls, errors.PairspecError)
+                    and not cls.__subclasses__()}
+        assert concrete == {error for error, _, _ in self.CASES} - {np.linalg.LinAlgError}
+
+    def test_scan_range_error(self, tmp_path, capsys):
+        # BBO is valid to 1060 nm: the scan's pump 531 nm has a 1062 nm daughter.
+        assert run(["gvm", "--crystal", "BBO", "--daughter-nm", "1100",
+                    "--out", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == ("physics error: 1062 nm is outside the validity range "
+                                "[220, 1060] nm of crystal BBO\n")
+        assert "Traceback" not in captured.out + captured.err
+
+
+_RECORD_KEYS = _DB_KEYS[1:]
+_SPACES = st.sampled_from(["", " ", "  ", "\t", " \t "])
+_COEFFICIENT = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
+_CITATION = st.text(st.characters(whitelist_categories=("L", "N"),
+                                  whitelist_characters=" .,;:()-/%='"), max_size=30)
+
+
+@st.composite
+def crystal_records(draw):
+    """Field values of a valid record: any formula with its coefficient count."""
+    formula_id = draw(st.sampled_from(sorted(_FORMULAS)))
+    n_coeff = _FORMULAS[formula_id][2]
+    vmin = draw(st.floats(0.1, 1.0))
+    return {
+        "formula_id": formula_id,
+        "coefficients_o": draw(st.lists(_COEFFICIENT, min_size=n_coeff, max_size=n_coeff)),
+        "coefficients_e": draw(st.lists(_COEFFICIENT, min_size=n_coeff, max_size=n_coeff)),
+        "valid_um_min": vmin,
+        "valid_um_max": vmin + draw(st.floats(0.01, 3.0)),
+        "source_citation": draw(_CITATION),
+    }
+
+
+def record_lines(draw, fields, keys):
+    """'key = value' lines for the keys in the given order, with varied whitespace."""
+    lines = []
+    for key in keys:
+        value = fields[key]
+        if isinstance(value, list):
+            value = ",".join(draw(_SPACES) + repr(x) for x in value)
+        elif isinstance(value, float):
+            value = repr(value)
+        lines.append(f"{key}{draw(_SPACES)}={draw(_SPACES)}{value}{draw(_SPACES)}")
+    return lines
+
+
+class TestInlineCrystalProperty:
+    """An inline [crystal] section and the same record read through a
+    crystal_file give the same crystal; a bad field set is a config error."""
+
+    SOURCE = ("[source]\nlength_mm = 5\npump_center_nm = 415\npump_fwhm_nm = 4\n"
+              "cut_angle_deg = 60\n")
+
+    def write(self, path, text):
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(fields=crystal_records(), data=st.data())
+    def test_inline_equals_crystal_file(self, tmp_path_factory, fields, data):
+        tmp = tmp_path_factory.mktemp("inline")
+        inline = record_lines(data.draw, fields, data.draw(st.permutations(_RECORD_KEYS)))
+        named = record_lines(data.draw, fields, data.draw(st.permutations(_RECORD_KEYS)))
+        db = self.write(tmp / "crystals.txt", "\n".join(["name = REC"] + named) + "\n")
+        from_inline = cli.load_config(self.write(
+            tmp / "inline.cfg", self.SOURCE + "\n[crystal]\n" + "\n".join(inline) + "\n"))
+        from_file = cli.load_config(self.write(
+            tmp / "named.cfg", self.SOURCE + f"crystal = REC\ncrystal_file = {db}\n"))
+        assert replace(from_inline[0].source.crystal, name="REC") == from_file[0].source.crystal
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(fields=crystal_records(), data=st.data(),
+           fault=st.sampled_from(["drop", "duplicate", "unknown"]))
+    def test_bad_field_set_is_config_error(self, tmp_path_factory, fields, data, fault):
+        tmp = tmp_path_factory.mktemp("bad")
+        keys = list(data.draw(st.permutations(_RECORD_KEYS)))
+        key = data.draw(st.sampled_from(keys))
+        if fault == "drop":
+            keys.remove(key)
+        elif fault == "duplicate":
+            keys.insert(data.draw(st.integers(0, len(keys))), key)
+        else:
+            fields = {**fields, "walkoff_deg": 1.0}
+            keys.insert(data.draw(st.integers(0, len(keys))), "walkoff_deg")
+        inline = record_lines(data.draw, fields, keys)
+        cfg = self.write(tmp / "inline.cfg",
+                         self.SOURCE + "\n[crystal]\n" + "\n".join(inline) + "\n")
+        assert cli.main(["schmidt", "--config", cfg, "--grid-points", "16",
+                         "--out", str(tmp / "out")]) == 2
+        assert not (tmp / "out").exists()
+
+
 class TestBenchmarkCallContract:
-    # perfbench/workloads.py MUST_HIT lists the functions a traced
-    # `characterize` run must reach; a run that misses one is void. Here the
-    # same commands run at 64 grid points with every listed function counted
-    # at each module that binds it (the package imports with `from .x import
+    # perfbench/workloads.py MUST_HIT lists the functions a traced run of each
+    # workload must reach; a run that misses one is void. Here small versions
+    # of each workload's commands run with every listed function counted at
+    # each module that binds it (the package imports with `from .x import
     # y`), so dropping a listed call fails tier-1 too.
     COMMANDS = (["jsa"], ["schmidt"], ["sweep", "--bandwidths", "8,4,inf"],
                 ["scan", "--resolution-nm", "0.2", "--step-nm", "0.1"])
 
     @staticmethod
-    def must_hit(monkeypatch):
+    def must_hit(monkeypatch, workload):
         spec = importlib.util.spec_from_file_location(
             "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
         workloads = importlib.util.module_from_spec(spec)
         # Its dataclasses resolve their module through sys.modules.
         monkeypatch.setitem(sys.modules, spec.name, workloads)
         spec.loader.exec_module(workloads)
-        return workloads.MUST_HIT["characterize"]
+        return workloads.MUST_HIT[workload]
+
+    @staticmethod
+    def missed(calls):
+        return [name for name, count in calls.items() if count == 0]
 
     def test_characterize_reaches_every_required_function(self, tmp_path, monkeypatch):
-        calls = count_calls(monkeypatch, self.must_hit(monkeypatch))
+        calls = count_calls(monkeypatch, self.must_hit(monkeypatch, "characterize"))
         for config in (KDP_CFG, BBO_CFG):
             for command, *rest in self.COMMANDS:
                 out = tmp_path / Path(config).stem / command
                 assert cli.main(
                     [command, "--config", config, "--grid-points", "64",
                      "--out", str(out)] + rest) == 0
-        assert [name for name, count in calls.items() if count == 0] == []
+        assert self.missed(calls) == []
+
+    def test_solve_reaches_every_required_function(self, tmp_path, monkeypatch):
+        # A GVM hit, a miss (which makes no angle solve) and one dip fit.
+        calls = count_calls(monkeypatch, self.must_hit(monkeypatch, "solve"))
+        delays = np.linspace(-1500.0, 1500.0, 61)
+        counts = np.round(1000.0 * (1.0 - 0.9 * np.exp(-4.0 * np.log(2.0) * (delays / 440.0) ** 2)))
+        csv = tmp_path / "counts.csv"
+        csv.write_text("# pairs_per_point,1000\n# seed,0\ndelay_fs,counts\n"
+                       + "".join(f"{t:.9g},{int(n)}\n" for t, n in zip(delays, counts)))
+        assert cli.main(["gvm", "--crystal", "KDP", "--daughter-nm", "830",
+                         "--out", str(tmp_path / "hit")]) == 0
+        assert cli.main(["gvm", "--crystal", "BBO", "--daughter-nm", "800",
+                         "--out", str(tmp_path / "miss")]) == 3
+        assert cli.main(["fit", "--counts", str(csv), "--out", str(tmp_path / "fit")]) == 0
+        assert self.missed(calls) == []
+
+    def test_interfere_reaches_every_required_function(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, self.must_hit(monkeypatch, "interfere"))
+        hom = tmp_path / "hom"
+        assert cli.main(["hom", "--config-a", KDP_CFG, "--config-b", KDP_CFG,
+                         "--grid-points", "64", "--delays=-1500:1500:61",
+                         "--pairs-per-point", "100", "--out", str(hom)]) == 0
+        assert cli.main(["fit", "--counts", str(hom / "hom_counts.csv"),
+                         "--out", str(tmp_path / "fit")]) == 0
+        assert self.missed(calls) == []

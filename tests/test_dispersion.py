@@ -1,19 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as c_light
 from scipy.optimize import brentq
 
 from pairspec import dispersion as disp
 from pairspec.crystals import _FORMULAS, SellmeierForm, builtin_database, get_crystal
-from pairspec.errors import (DispersionRangeError, NoGvmPointError,
-                             NoPhasematchingError)
+from pairspec.errors import (ConfigError, DispersionRangeError, NoGvmPointError,
+                             NoPhasematchingError, PairspecError)
 from pairspec.jsa import PumpSpec, pump_envelope
 
-from conftest import cauchy_crystal, constant_crystal
+from conftest import cauchy_crystal, constant_crystal, count_calls
 
 
 def omega(nm):
@@ -323,3 +324,187 @@ class TestGvmPumpWavelength:
         reference = brentq(mismatch, 414.0, 416.0, xtol=1e-12, rtol=1e-15)
         solution = disp.gvm_pump_wavelength(kdp, 830.0)
         assert abs(solution.pump_wavelength_nm - reference) <= 1e-8
+
+
+def reference_gvm_pump_wavelength(crystal, daughter_o_wavelength_nm):
+    """The scalar coarse scan that gvm_pump_wavelength ran before its array
+    pass, kept as it was (package names qualified) as the oracle: a full
+    angle solve and two group indices at each of up to 101 pump
+    wavelengths, in order."""
+    if not 0 < daughter_o_wavelength_nm < math.inf:
+        raise ConfigError("daughter wavelength must be positive and finite")
+    center = daughter_o_wavelength_nm / 2.0
+
+    def mismatch(lam_p):
+        theta = disp.phasematching_angle(crystal, lam_p, 2.0 * lam_p)
+        ng_pump = disp.group_index(crystal, "e", lam_p, theta)
+        ng_daughter = disp.group_index(crystal, "o", 2.0 * lam_p)
+        return ng_pump - ng_daughter, theta, ng_pump, ng_daughter
+
+    # Coarse scan first: parts of the window may have no phasematching
+    # solution at all, so bracket the sign change between valid points only.
+    n_coarse = 101
+    lo, hi = center - disp.GVM_SCAN_HALFWIDTH_NM, center + disp.GVM_SCAN_HALFWIDTH_NM
+    step = 2.0 * disp.GVM_SCAN_HALFWIDTH_NM / (n_coarse - 1)
+    prev = None
+    for i in range(n_coarse):
+        lam = lo + i * step
+        try:
+            f = mismatch(lam)[0]
+        except NoPhasematchingError:
+            prev = None
+            continue
+        if prev is not None and prev[1] * f <= 0.0:
+            break
+        prev = (lam, f)
+    else:
+        raise NoGvmPointError(
+            f"no GVM point: group-index mismatch has no sign change in "
+            f"[{lo:.6g}, {hi:.6g}] nm for {crystal.name}"
+        )
+    lam_p = brentq(lambda x: mismatch(x)[0], prev[0], lam, xtol=1e-12)
+    residual, theta, ng_pump, ng_daughter = mismatch(lam_p)
+    return disp.GvmSolution(
+        pump_wavelength_nm=lam_p,
+        phasematching_angle_deg=theta,
+        group_index_pump_e=ng_pump,
+        group_index_daughter_o=ng_daughter,
+        residual=residual,
+    )
+
+
+def reference_gvm_mismatch(crystal, pump_nm):
+    """The scalar group-index mismatch of the reference scan at one pump."""
+    theta = disp.phasematching_angle(crystal, pump_nm, 2.0 * pump_nm)
+    return (disp.group_index(crystal, "e", pump_nm, theta)
+            - disp.group_index(crystal, "o", 2.0 * pump_nm))
+
+
+def gvm_outcome(solve, crystal, daughter_nm):
+    """The solution, or the type and message of the package error raised.
+    Any other exception, a bare ValueError from brentq included, propagates."""
+    try:
+        return solve(crystal, daughter_nm)
+    except PairspecError as exc:
+        return type(exc), str(exc)
+
+
+def windowed_kdp(o_window_um, e_window_um):
+    """KDP dispersion on narrower validity windows, one per form."""
+    kdp = get_crystal("KDP", 5.0)
+    return replace(
+        kdp, name="NARROW",
+        sellmeier_o=replace(kdp.sellmeier_o, valid_um_min=o_window_um[0],
+                            valid_um_max=o_window_um[1]),
+        sellmeier_e=replace(kdp.sellmeier_e, valid_um_min=e_window_um[0],
+                            valid_um_max=e_window_um[1]))
+
+
+class TestGvmArrayScan:
+    """The one-pass array scan against the scalar loop it replaced."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(["KDP", "BBO", "ZEROBIREF"]),
+           daughter=st.one_of(st.floats(720.0, 940.0), st.floats(450.0, 1500.0)))
+    @example(name="KDP", daughter=830.0)
+    @example(name="KDP", daughter=750.0)
+    @example(name="BBO", daughter=800.0)
+    @example(name="BBO", daughter=1100.0)
+    def test_shipped_crystals_match_scalar_scan(self, name, daughter):
+        crystal = get_crystal(name, 5.0)
+        assert (gvm_outcome(disp.gvm_pump_wavelength, crystal, daughter)
+                == gvm_outcome(reference_gvm_pump_wavelength, crystal, daughter))
+
+    # Windows whose ends fall before, inside and after the KDP scan: of 200
+    # uniform draws, 86 raise at point 0, 74 mid-scan before the bracket at
+    # 415.1 nm, and 39 find the bracket first.
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(o_min=st.floats(0.28, 0.40), o_max=st.floats(0.80, 0.88),
+           e_min=st.floats(0.28, 0.40), e_max=st.floats(0.80, 0.88),
+           daughter=st.floats(720.0, 940.0))
+    def test_narrow_windows_match_scalar_scan(self, o_min, o_max, e_min, e_max, daughter):
+        crystal = windowed_kdp((o_min, o_max), (e_min, e_max))
+        assert (gvm_outcome(disp.gvm_pump_wavelength, crystal, daughter)
+                == gvm_outcome(reference_gvm_pump_wavelength, crystal, daughter))
+
+    @pytest.mark.parametrize("name,daughter", [("KDP", 750.0), ("KDP", 830.0), ("BBO", 800.0)])
+    def test_array_mismatch_matches_scalar(self, name, daughter):
+        # KDP at 750 nm has no phasematching below 375 nm, so that scan
+        # holds both kinds of point. The angles are bisected to 1e-13 deg.
+        crystal = get_crystal(name, 5.0)
+        lam = daughter / 2.0 - disp.GVM_SCAN_HALFWIDTH_NM + np.arange(101.0)
+        f, phasematched = disp._scan_mismatch(crystal, lam)
+        for x, fx, ok in zip(lam, f, phasematched):
+            try:
+                expected = reference_gvm_mismatch(crystal, float(x))
+            except NoPhasematchingError:
+                assert not ok
+                continue
+            assert ok and abs(fx - expected) <= 1e-14
+
+    def test_range_error_mid_scan(self):
+        # Points 365, 366, ... nm: 416 nm is the first whose daughter (832 nm)
+        # leaves the window, and the bracket [415, 416] needs it.
+        crystal = windowed_kdp((0.36, 0.831), (0.36, 0.831))
+        with pytest.raises(DispersionRangeError,
+                           match=r"^832 nm is outside the validity range \[360, 831\] nm "
+                                 r"of crystal NARROW$"):
+            disp.gvm_pump_wavelength(crystal, 830.0)
+        assert disp.gvm_pump_wavelength(windowed_kdp((0.36, 0.84), (0.36, 0.84)), 830.0) \
+            == disp.gvm_pump_wavelength(get_crystal("KDP", 5.0), 830.0)
+
+    @pytest.mark.parametrize("end", [0, 1], ids=["low-end", "high-end"])
+    @pytest.mark.parametrize("fault", ["sign", "no-phasematching"])
+    def test_unconfirmed_bracket_ends_typed(self, kdp, monkeypatch, end, fault):
+        # The array scan brackets KDP at 830 nm on [415, 416] nm. At one end,
+        # make the scalar mismatch take the other end's sign, or find no
+        # phasematching; the array pass is left as it is.
+        ends = (415.0, 416.0)
+        target, other = ends[end], ends[1 - end]
+        group_index, angle = disp.group_index, disp.phasematching_angle
+        other_sign = math.copysign(1.0, reference_gvm_mismatch(kdp, other))
+
+        def faulty_group_index(crystal, polarization, wavelength_nm, theta_deg=0.0):
+            if polarization == "e" and np.ndim(wavelength_nm) == 0 and wavelength_nm == target:
+                return group_index(crystal, "o", 2.0 * wavelength_nm) + 1e-3 * other_sign
+            return group_index(crystal, polarization, wavelength_nm, theta_deg)
+
+        def faulty_angle(crystal, pump_nm, degenerate_nm):
+            if pump_nm == target:
+                raise NoPhasematchingError(f"no phasematching at {pump_nm} nm")
+            return angle(crystal, pump_nm, degenerate_nm)
+
+        if fault == "sign":
+            monkeypatch.setattr(disp, "group_index", faulty_group_index)
+        else:
+            monkeypatch.setattr(disp, "phasematching_angle", faulty_angle)
+        # A package error, or the solution the scalar scan reaches with the
+        # same fault; gvm_outcome lets a bare ValueError through.
+        got = gvm_outcome(disp.gvm_pump_wavelength, kdp, 830.0)
+        assert isinstance(got, tuple) or got == reference_gvm_pump_wavelength(kdp, 830.0)
+
+
+class TestGvmCallCounts:
+    """Angle solves and Sellmeier calls per GVM solve. Before the array scan
+    (the scalar loop above) KDP at 830 nm made 59 angle solves and 526
+    SellmeierForm.index calls, and the BBO 800 nm miss 101 and 909."""
+
+    COUNTED = ["dispersion.phasematching_angle", "crystals.SellmeierForm.index"]
+
+    def test_hit_refines_only_the_bracket(self, kdp, monkeypatch):
+        # Measured: 6 angle solves and 63 index calls. The scan makes 9 array
+        # index calls (4 for the angles, 4 for the e group index, 1 for the
+        # o one), and each scalar mismatch evaluation the same 9 on scalars.
+        calls = count_calls(monkeypatch, self.COUNTED)
+        disp.gvm_pump_wavelength(kdp, 830.0)
+        solves = calls["dispersion.phasematching_angle"]
+        assert solves <= 10
+        assert calls["crystals.SellmeierForm.index"] == 9 + 9 * solves
+
+    def test_miss_makes_no_angle_solve(self, bbo, monkeypatch):
+        # Measured: 0 angle solves and the scan's 9 array index calls.
+        calls = count_calls(monkeypatch, self.COUNTED)
+        with pytest.raises(NoGvmPointError):
+            disp.gvm_pump_wavelength(bbo, 800.0)
+        assert calls == {"dispersion.phasematching_angle": 0,
+                         "crystals.SellmeierForm.index": 9}
