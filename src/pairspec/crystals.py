@@ -147,8 +147,8 @@ _DB_KEYS = (
 def parse_crystal_database(text):
     """Parse the crystal-database text format into {name: fields} dicts.
 
-    Records are blank-line-separated blocks of "key = value" lines.
-    Unknown keys, duplicate keys, and missing keys are all errors.
+    Records are blank-line-separated blocks of "key = value" lines, keys in
+    any case. Unknown keys, duplicate keys, and missing keys are all errors.
     """
     records = {}
     block = {}
@@ -179,7 +179,7 @@ def parse_crystal_database(text):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
+        key = key.strip().lower()
         if key not in _DB_KEYS:
             raise ConfigError(f"line {lineno}: unknown field {key!r}")
         if block and key == "name":

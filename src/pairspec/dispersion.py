@@ -115,7 +115,7 @@ def delta_k(crystal: CrystalSpec, theta_deg, omega_e, omega_o):
 
     The pump and the e-daughter see the angle-dependent extraordinary
     index; the o-daughter sees the ordinary index. Frequencies may be
-    broadcastable arrays (rad/s).
+    broadcastable arrays (rad/s); an array result is the caller's to overwrite.
     """
     def pump_k(omega_p):
         lam_p = 2.0 * math.pi * C_LIGHT / omega_p * 1e9
@@ -126,7 +126,9 @@ def delta_k(crystal: CrystalSpec, theta_deg, omega_e, omega_o):
     k_p = _on_sums(pump_k, omega_e, omega_o)
     k_e = index_e(crystal, lam_e, theta_deg) * omega_e / C_LIGHT
     k_o = index_o(crystal, lam_o) * omega_o / C_LIGHT
-    return k_p - k_e - k_o
+    dk = k_p - k_e
+    dk -= k_o
+    return dk
 
 
 def _angle_mismatch(crystal: CrystalSpec, degenerate_wavelength_nm):

@@ -79,13 +79,21 @@ def pump_envelope(pump: PumpSpec, omega_sum):
 def phasematching_function(crystal: CrystalSpec, theta_deg, omega_e, omega_o,
                            flat_phase=False):
     """sinc(dk L / 2) * exp(i dk L / 2); the phase factor is dropped in
-    flat-phase mode, which leaves a real amplitude."""
-    length = crystal.length_mm * 1e-3
-    x = delta_k(crystal, theta_deg, omega_e, omega_o) * length / 2.0
-    amp = np.sinc(x / np.pi)
+    flat-phase mode, which leaves a real amplitude. The sinc repeats the
+    steps of np.sinc(x / pi) in place on delta_k's array, so it has its bits."""
+    x = np.asarray(delta_k(crystal, theta_deg, omega_e, omega_o))
+    x *= crystal.length_mm * 1e-3
+    x /= 2.0
+    phase = None if flat_phase else np.exp(1j * x)
+    x /= np.pi
+    x *= np.pi
+    x[x == 0.0] = np.finfo(float).eps
+    amp = np.sin(x)
+    amp /= x
     if flat_phase:
         return amp
-    return amp * np.exp(1j * x)
+    phase *= amp
+    return phase
 
 
 @dataclass(frozen=True)
@@ -139,7 +147,7 @@ class JointAmplitude:
     @functools.cached_property
     def intensity(self):
         """|f|^2, computed once per amplitude and read-only."""
-        intensity = np.abs(self.values) ** 2
+        intensity = _abs_sq(self.values)
         intensity.flags.writeable = False
         return intensity
 
@@ -147,10 +155,15 @@ class JointAmplitude:
         return float(np.sum(self.intensity) * self.grid.measure)
 
 
+def _abs_sq(values):
+    """|v|^2: np.square for real values (the same bits, one temporary fewer)."""
+    return np.abs(values) ** 2 if np.iscomplexobj(values) else np.square(values)
+
+
 def normalize(grid: FrequencyGrid, values):
-    """Wrap raw amplitudes into a unit-norm JointAmplitude."""
+    """Wrap raw amplitudes, left as they are, into a unit-norm JointAmplitude."""
     values = np.asarray(values)
-    norm_sq = np.sum(np.abs(values) ** 2) * grid.measure
+    norm_sq = np.sum(_abs_sq(values)) * grid.measure
     if not np.isfinite(norm_sq) or norm_sq == 0.0:
         raise NumericalError("cannot normalize: joint amplitude has zero norm")
     return JointAmplitude(grid, values / math.sqrt(norm_sq))
@@ -207,12 +220,13 @@ def build_grid(crystal: CrystalSpec, pump: PumpSpec, n_points=512,
 
 def joint_amplitude(crystal: CrystalSpec, theta_deg, pump: PumpSpec,
                     grid: FrequencyGrid, flat_phase=False):
-    """f = pump envelope times phasematching function, unit-normalized."""
+    """f = pump envelope times phasematching function (in phi's buffer), unit-normalized."""
     we = grid.omega_e[:, None]
     wo = grid.omega_o[None, :]
     alpha = _on_sums(lambda omega_sum: pump_envelope(pump, omega_sum), we, wo)
     phi = phasematching_function(crystal, theta_deg, we, wo, flat_phase=flat_phase)
-    return normalize(grid, alpha * phi)
+    phi *= alpha
+    return normalize(grid, phi)
 
 
 @dataclass(frozen=True)

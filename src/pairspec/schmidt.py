@@ -160,11 +160,13 @@ def heralded_density_matrix(jsa: JointAmplitude, heralded_arm):
     other_arm(heralded_arm, "heralded_arm")
     d_omega = jsa.grid.d_omega
     f = jsa.values if heralded_arm == "e" else jsa.values.T
-    rho = f @ f.conj().T * d_omega
+    rho = f @ f.conj().T
+    rho *= d_omega
     tr = float(np.real(np.trace(rho)) * d_omega)
     if tr <= 0.0:
         raise FilterSupportError("heralded state has zero trace")
-    return ReducedDensityMatrix(grid=jsa.grid, values=rho / tr)
+    rho /= tr
+    return ReducedDensityMatrix(grid=jsa.grid, values=rho)
 
 
 def purity(rho: ReducedDensityMatrix):

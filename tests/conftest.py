@@ -66,6 +66,14 @@ def cauchy_crystal(a_o=1.5, b_o=0.02, a_e=1.6, b_e=0.03, length_mm=5.0):
     )
 
 
+def assert_same_bits(actual, expected):
+    """Equal dtype, shape and bytes: stricter than assert_array_equal,
+    which counts 0.0 and -0.0, or two NaNs, as equal."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape)
+    assert actual.tobytes() == expected.tobytes()
+
+
 def assert_lattice(axis):
     """Whole rad/s on one whole step."""
     step = axis[1] - axis[0]

@@ -527,8 +527,15 @@ def crystal_records(draw):
     }
 
 
+def cased(draw, key):
+    """The key with each letter's case drawn: field names are case-insensitive."""
+    upper = draw(st.lists(st.booleans(), min_size=len(key), max_size=len(key)))
+    return "".join(ch.upper() if up else ch for ch, up in zip(key, upper))
+
+
 def record_lines(draw, fields, keys):
-    """'key = value' lines for the keys in the given order, with varied whitespace."""
+    """'key = value' lines for the keys in the given order, with mixed-case
+    keys and varied whitespace."""
     lines = []
     for key in keys:
         value = fields[key]
@@ -536,7 +543,7 @@ def record_lines(draw, fields, keys):
             value = ",".join(draw(_SPACES) + repr(x) for x in value)
         elif isinstance(value, float):
             value = repr(value)
-        lines.append(f"{key}{draw(_SPACES)}={draw(_SPACES)}{value}{draw(_SPACES)}")
+        lines.append(f"{cased(draw, key)}{draw(_SPACES)}={draw(_SPACES)}{value}{draw(_SPACES)}")
     return lines
 
 
@@ -557,7 +564,8 @@ class TestInlineCrystalProperty:
         tmp = tmp_path_factory.mktemp("inline")
         inline = record_lines(data.draw, fields, data.draw(st.permutations(_RECORD_KEYS)))
         named = record_lines(data.draw, fields, data.draw(st.permutations(_RECORD_KEYS)))
-        db = self.write(tmp / "crystals.txt", "\n".join(["name = REC"] + named) + "\n")
+        db = self.write(tmp / "crystals.txt",
+                        "\n".join([f"{cased(data.draw, 'name')} = REC"] + named) + "\n")
         from_inline = cli.load_config(self.write(
             tmp / "inline.cfg", self.SOURCE + "\n[crystal]\n" + "\n".join(inline) + "\n"))
         from_file = cli.load_config(self.write(

@@ -106,6 +106,14 @@ def test_database_unknown_field_is_error():
         parse_crystal_database(VALID_RECORD + "walkoff = 1\n")
 
 
+def test_database_field_names_fold_to_lowercase():
+    shouted = "".join(key.upper() + "=" + value for key, _, value in
+                      (line.partition("=") for line in VALID_RECORD.splitlines(True)))
+    assert parse_crystal_database(shouted) == parse_crystal_database(VALID_RECORD)
+    with pytest.raises(ConfigError, match="duplicate field 'formula_id'"):
+        parse_crystal_database(VALID_RECORD + "Formula_ID = constant\n")
+
+
 def test_database_missing_field_is_error():
     broken = VALID_RECORD.replace("valid_um_max = 2.0\n", "")
     with pytest.raises(ConfigError, match="missing"):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy.constants import c as c_light
 
 from pairspec import dispersion as disp
+from pairspec import jsa as jsa_module
 from pairspec.crystals import SellmeierForm
 from pairspec.errors import ConfigError, FilterSupportError, NumericalError
 from pairspec.jsa import (FilterSpec, FrequencyGrid, PumpSpec, apply_filters,
@@ -14,7 +16,7 @@ from pairspec.jsa import (FilterSpec, FrequencyGrid, PumpSpec, apply_filters,
                           lattice_axis, marginal_spectrum, normalize, other_arm,
                           phasematching_function, pump_envelope)
 
-from conftest import assert_lattice, constant_crystal
+from conftest import assert_lattice, assert_same_bits, constant_crystal
 
 
 def fwhm_of_curve(x, y):
@@ -115,6 +117,43 @@ class TestPhasematchingFunction:
         assert np.max(np.abs(phi.imag)) == 0.0
         with_phase = phasematching_function(kdp, theta, axis[:, None], axis[None, :])
         np.testing.assert_allclose(np.abs(with_phase), np.abs(phi), atol=1e-15)
+
+    @pytest.mark.parametrize("source", ["kdp_source", "bbo_source"])
+    def test_kernel_is_np_sinc_bit_for_bit(self, source, request):
+        # The in-place sinc repeats np.sinc's own steps on the delta_k buffer.
+        src = replace(request.getfixturevalue(source), n_points=256)
+        grid = src.grid()
+        we, wo = grid.omega_e[:, None], grid.omega_o[None, :]
+        length = src.crystal.length_mm * 1e-3
+        x = disp.delta_k(src.crystal, src.theta, we, wo) * length / 2.0
+        assert_same_bits(phasematching_function(src.crystal, src.theta, we, wo,
+                                                flat_phase=True),
+                         np.sinc(x / np.pi))
+        assert_same_bits(phasematching_function(src.crystal, src.theta, we, wo),
+                         np.sinc(x / np.pi) * np.exp(1j * x))
+
+    @pytest.mark.parametrize("flat_phase, kind", [(True, np.float64), (False, np.complex128)])
+    def test_scalar_in_gives_scalar_out(self, kdp, flat_phase, kind):
+        theta = disp.phasematching_angle(kdp, 415.0, 830.0)
+        w0 = 2 * math.pi * c_light / 830e-9
+        phi = phasematching_function(kdp, theta, w0, 1.001 * w0, flat_phase=flat_phase)
+        assert type(phi) is kind and np.ndim(phi) == 0
+
+    @pytest.mark.parametrize("flat_phase", [True, False])
+    def test_exact_zero_mismatch_is_one(self, kdp, monkeypatch, flat_phase):
+        # np.sinc's guard: an exact zero of dk (of either sign) becomes eps
+        # before the divide, so it gives exactly 1 with no 0/0.
+        dk = np.arange(-27.0, 37.0).reshape(8, 8)
+        dk[0, 0] = -0.0
+        axis = np.linspace(2.2e15, 2.3e15, 8)
+        for given, zeros in ((dk, (np.array([0, 3]), np.array([0, 3]))), (0.0, ())):
+            monkeypatch.setattr(jsa_module, "delta_k", lambda *args, dk=given: np.copy(dk))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                phi = phasematching_function(kdp, 60.0, axis[:, None], axis[None, :],
+                                             flat_phase=flat_phase)
+            assert np.all(np.isfinite(phi))
+            assert np.all(np.asarray(phi)[zeros] == 1.0)
 
     def test_kdp_ridge_is_vertical(self, kdp_jsa, kdp):
         # Position of the |phi|^2 maximum along omega_e barely moves with
@@ -239,19 +278,44 @@ class TestJointAmplitude:
         assert kdp_jsa.norm_sq() == pytest.approx(1.0, abs=1e-9)
         assert bbo_jsa.norm_sq() == pytest.approx(1.0, abs=1e-9)
 
-    def test_pipeline_is_product_of_factors(self, kdp):
+    @pytest.mark.parametrize("flat_phase", [False, True])
+    def test_pipeline_is_product_of_factors(self, kdp, flat_phase):
         # Bit-level determinism: f equals alpha * phi elementwise before
         # normalization.
         theta = disp.phasematching_angle(kdp, 415.0, 830.0)
         pump = PumpSpec(415.0, 4.0)
         grid = build_grid(kdp, pump, n_points=64, theta_deg=theta)
-        jsa = joint_amplitude(kdp, theta, pump, grid)
+        jsa = joint_amplitude(kdp, theta, pump, grid, flat_phase=flat_phase)
         alpha = pump_envelope(pump, grid.omega_e[:, None] + grid.omega_o[None, :])
         phi = phasematching_function(kdp, theta, grid.omega_e[:, None],
-                                     grid.omega_o[None, :])
+                                     grid.omega_o[None, :], flat_phase=flat_phase)
         raw = alpha * phi
         raw = raw / math.sqrt(np.sum(np.abs(raw) ** 2) * grid.measure)
         np.testing.assert_array_equal(jsa.values, raw)
+
+    @pytest.mark.parametrize("lattice", [True, False])
+    def test_builds_leave_the_grid_axes_unchanged(self, kdp, lattice):
+        # phi, the pump product and the scale are formed in place; none of
+        # them may write through to the axes they were built from.
+        theta = disp.phasematching_angle(kdp, 415.0, 830.0)
+        pump = PumpSpec(415.0, 4.0)
+        grid = build_grid(kdp, pump, n_points=64, theta_deg=theta)
+        if not lattice:
+            grid = make_grid(grid.omega_e.mean(), 1e13)
+        before = grid.omega_e.copy()
+        for flat_phase in (True, False):
+            phasematching_function(kdp, theta, grid.omega_e[:, None],
+                                   grid.omega_o[None, :], flat_phase=flat_phase)
+            joint_amplitude(kdp, theta, pump, grid, flat_phase=flat_phase)
+            np.testing.assert_array_equal(grid.omega_e, before)
+            assert grid.omega_o is grid.omega_e
+
+    def test_normalize_leaves_its_input_unchanged(self, kdp_source):
+        jsa = replace(kdp_source, n_points=64).build_jsa()
+        before = jsa.values.copy()
+        flipped = normalize(jsa.grid, jsa.values[::-1, ::-1])
+        assert_same_bits(jsa.values, before)
+        assert not np.shares_memory(flipped.values, jsa.values)
 
     def test_energy_conservation_structure(self, rng):
         # alpha depends on the frequencies only through their sum: shearing

@@ -15,6 +15,8 @@ from pairspec.schmidt import (RESIDUAL_TOL, ReducedDensityMatrix, export_schmidt
                               heralded_density_matrix, heralding_efficiency, purity,
                               schmidt_decompose)
 
+from conftest import assert_same_bits
+
 
 def make_grid(half=5e13, n=129, center=2.27e15):
     axis = np.linspace(center - half, center + half, n)
@@ -162,6 +164,16 @@ class TestHeraldedDensityMatrix:
             rho = heralded_density_matrix(kdp_jsa, arm)
             assert rho.trace() == pytest.approx(1.0, abs=1e-9)
             np.testing.assert_allclose(rho.values, rho.values.conj().T, atol=1e-20)
+
+    @pytest.mark.parametrize("flat_phase", [True, False])
+    @pytest.mark.parametrize("arm", ["e", "o"])
+    def test_scaled_in_place_bit_for_bit(self, kdp_source, arm, flat_phase):
+        jsa = replace(kdp_source, n_points=128, flat_phase=flat_phase).build_jsa()
+        f = jsa.values if arm == "e" else jsa.values.T
+        d_omega = jsa.grid.d_omega
+        rho = f @ f.conj().T * d_omega
+        tr = float(np.real(np.trace(rho)) * d_omega)
+        assert_same_bits(heralded_density_matrix(jsa, arm).values, rho / tr)
 
     def test_values_must_match_grid_size(self):
         grid = make_grid(n=33)
