@@ -143,7 +143,10 @@ class CountRecord:
                     if line.startswith("delay_fs"):
                         continue
                     t, _, n = line.partition(",")
-                    delays.append(float(t))
+                    delay = float(t)
+                    if not math.isfinite(delay):
+                        raise ValueError(f"delay {t.strip()!r} is not finite")
+                    delays.append(delay)
                     counts.append(int(n))
         except OSError as exc:
             raise ConfigError(f"cannot read counts file {path}: {exc.strerror}") from exc

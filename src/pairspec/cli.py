@@ -202,11 +202,8 @@ def cmd_jsa(args):
     pearson = jsi_pearson(jsa)
     out = _out_dir(args)
     export_jsi_csv(jsa, out / "jsi.csv")
-    export_metadata(
-        out / "jsi_meta.json", source.crystal, source.pump, jsa,
-        theta_deg=source.theta, filters=source.filters,
-        extra={"pearson_correlation": pearson, **config.metadata()},
-    )
+    export_metadata(out / "jsi_meta.json", source, jsa,
+                    extra={"pearson_correlation": pearson, **config.metadata()})
     print(f"JSI written to {out / 'jsi.csv'} "
           f"(Pearson correlation {pearson:+.3f})")
     return 0

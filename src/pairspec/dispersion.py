@@ -14,12 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.constants import c as C_LIGHT
 from scipy.optimize import brentq
 
 from .crystals import CrystalSpec
 from .errors import ConfigError, NoGvmPointError, NoPhasematchingError, NumericalError
 
+C_LIGHT = 299792458.0  # speed of light in vacuum, m/s, exact by the SI definition
 GVM_TOL_NM = 1e-4
 GVM_SCAN_HALFWIDTH_NM = 50.0  # pump window of the GVM scan, about d/2
 _ANGLE_BRACKET_DEG = (1e-9, 90.0)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.optimize import minimize_scalar
 
 from .crystals import CrystalSpec
@@ -63,9 +62,10 @@ class _Overlap:
     """Re Tr[rho_a rho_b(tau)] as a fast function of the delay.
 
     On a uniform axis the phase exp(-i (w_j - w_i) tau) depends only on
-    k = j - i, so the trace collapses to the diagonal sums D_k of
-    P = rho_a * rho_b^T. Both states are Hermitian, so rho_b^T = conj(rho_b)
-    and D_-k = conj(D_k): only the upper diagonals are summed, and
+    k = j - i, so the trace collapses to the diagonal sums D_k of the
+    elementwise product P = rho_a * rho_b^T. Both states are Hermitian, so
+    rho_b^T = conj(rho_b) and D_-k = conj(D_k): P is formed in one n x n
+    array, only its n upper diagonals are summed, and
 
         overlap(tau) = D_0 + 2 sum_{k>=1} [Re D_k cos(k dw tau) + Im D_k sin(k dw tau)].
 
@@ -77,15 +77,10 @@ class _Overlap:
         if axis_a.size != axis_b.size or not np.allclose(axis_a, axis_b, rtol=1e-12):
             raise ConfigError("density matrices must share an identical frequency axis")
         n, d_omega = axis_a.size, rho_a.grid.d_omega
-        # P fills the left n columns of a zero-padded n x (2n - 1) buffer;
-        # with row stride (row + col) the view below reads P[i, i + k] at
-        # [i, k], or a padding zero where i + k >= n.
-        buf = np.zeros((n, 2 * n - 1), dtype=np.result_type(rho_a.values, rho_b.values))
-        product = buf[:, :n]
+        product = np.empty((n, n), dtype=np.result_type(rho_a.values, rho_b.values))
         np.conjugate(rho_b.values, out=product)
         product *= rho_a.values
-        row, col = buf.strides
-        diag = as_strided(buf, shape=(n, n), strides=(row + col, col)).sum(axis=0)
+        diag = np.array([product.diagonal(k).sum() for k in range(n)])
         diag *= d_omega ** 2
         self._d0 = float(diag[0].real)
         self._cos_weights = 2.0 * diag[1:].real

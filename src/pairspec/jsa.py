@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
 
 from .crystals import CrystalSpec
-from .dispersion import _on_sums, delta_k, group_index
+from .dispersion import C_LIGHT, _on_sums, delta_k, group_index
 from .errors import ConfigError, FilterSupportError, NumericalError
 
 TWO_PI_C = 2.0 * math.pi * C_LIGHT
@@ -323,16 +322,16 @@ def export_jsi_csv(jsa: JointAmplitude, path):
         np.savetxt(fh, jsa.intensity, delimiter=",", fmt="%.9g")
 
 
-def export_metadata(path, crystal: CrystalSpec, pump: PumpSpec, jsa: JointAmplitude,
-                    *, theta_deg, filters=(), extra=None):
-    """Companion metadata: everything needed to reproduce the matrix, with
-    theta_deg recorded as the crystal's cut angle."""
+def export_metadata(path, source, jsa: JointAmplitude, *, extra=None):
+    """Companion metadata: everything needed to reproduce the matrix of a
+    `SourceSpec`, with its theta recorded as the crystal's cut angle."""
+    crystal, pump = source.crystal, source.pump
     axis = jsa.grid.omega_e
     meta = {
         "crystal": {
             "name": crystal.name,
             "length_mm": crystal.length_mm,
-            "cut_angle_deg": theta_deg,
+            "cut_angle_deg": source.theta,
             "source_citation": crystal.source_citation,
         },
         "pump": {
@@ -350,7 +349,7 @@ def export_metadata(path, crystal: CrystalSpec, pump: PumpSpec, jsa: JointAmplit
         },
         "filters": [
             {"shape": f.shape, "arm": f.arm, "center_nm": f.center_nm, "fwhm_nm": f.fwhm_nm}
-            for f in filters
+            for f in source.filters
         ],
         "flat_phase": jsa.flat_phase,
         "norm_convention": NORM_CONVENTION,

@@ -14,7 +14,7 @@ from pairspec.analysis import (CountRecord, filter_sweep, fit_gaussian_dip,
                                simulate_counts)
 from pairspec.dispersion import gvm_pump_wavelength
 from pairspec.interference import HomScan, coherence_time, two_source_experiment
-from pairspec.jsa import FrequencyGrid, PumpSpec, export_metadata, normalize
+from pairspec.jsa import FrequencyGrid, export_metadata, normalize
 from pairspec.schmidt import heralded_density_matrix, purity, schmidt_decompose
 
 FOUR_LN2 = 4.0 * math.log(2.0)
@@ -192,12 +192,12 @@ def test_criterion_8_fit_coverage(announce):
     assert rel_w < 1e-6
 
 
-def test_criterion_9_out_of_model_quantities(kdp, kdp_jsa, tmp_path, announce):
+def test_criterion_9_out_of_model_quantities(kdp_source, kdp_jsa, tmp_path, announce):
     # Absolute pair rates and detector/loss-dependent heralding or
     # detection efficiencies are outside this model; the exported metadata
     # says so explicitly.
     path = tmp_path / "meta.json"
-    export_metadata(path, kdp, PumpSpec(415.0, 4.0), kdp_jsa, theta_deg=67.76)
+    export_metadata(path, kdp_source, kdp_jsa)
     meta = json.loads(path.read_text())
     note = meta.get("out_of_model", {})
     ok = ("absolute_pair_rate" in note

@@ -410,6 +410,21 @@ source_citation = inline test record
         err = capsys.readouterr().err
         assert err.startswith("config error:") and named in err
 
+    @pytest.mark.parametrize("delay", ["nan", "inf"])
+    def test_non_finite_count_delay_is_config_error(self, tmp_path, capsys, delay):
+        # Fitted, such a row gives a NaN chi2 or NaN uncertainties.
+        delays = np.linspace(-1500.0, 1500.0, 21)
+        counts = np.round(1000.0 * (1.0 - 0.9 * np.exp(-(delays / 300.0) ** 2))).astype(int)
+        rows = [f"{t:.9g},{n}" for t, n in zip(delays, counts)]
+        rows[10] = f"{delay},{counts[10]}"
+        path = tmp_path / "counts.csv"
+        path.write_text("delay_fs,counts\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "fit"
+        assert run(["fit", "--counts", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{path}: line 12" in err
+        assert not (out / "fit.json").exists()
+
     def test_inline_and_named_conflict(self, tmp_path):
         cfg = self.write(tmp_path, """\
 [source]

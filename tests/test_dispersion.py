@@ -34,6 +34,11 @@ def richardson_group_index(crystal, pol, lam_nm, theta):
     return n(lam_nm) - lam_nm * richardson_slope(n, lam_nm, 1e-3 * lam_nm)
 
 
+def test_speed_of_light_is_the_si_value():
+    # Exact by the SI definition, so it needs no scipy.constants.
+    assert disp.C_LIGHT == c_light == 299792458.0
+
+
 class TestIndexO:
     def test_matches_sellmeier_oracle(self, kdp):
         a, b, c, d, e = kdp.sellmeier_o.coefficients

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -13,7 +14,7 @@ from pairspec.dispersion import phasematching_angle
 from pairspec.errors import ConfigError
 from pairspec.interference import (SourceSpec, coherence_time, hom_dip,
                                    two_source_experiment)
-from pairspec.jsa import FilterSpec, FrequencyGrid, PumpSpec, lattice_axis
+from pairspec.jsa import FilterSpec, FrequencyGrid, PumpSpec, lattice_axis, normalize
 from pairspec.schmidt import (ReducedDensityMatrix, heralded_density_matrix,
                               purity, schmidt_decompose)
 
@@ -412,6 +413,111 @@ class TestOverlapReference:
         expected = [reference_overlap(rho_a, rho_b, tau) for tau in taus]
         np.testing.assert_allclose(interference._Overlap(rho_a, rho_b)(taus), expected,
                                    rtol=0, atol=1e-12)
+
+    def test_real_and_complex_states_mix(self):
+        rho = pure_state_density(AXIS, 5e12)
+        real = ReducedDensityMatrix(grid=rho.grid, values=rho.values.real.copy())
+        phase = np.exp(1j * (AXIS - AXIS.mean()) * 50e-15)
+        shifted = ReducedDensityMatrix(grid=rho.grid,
+                                       values=rho.values * np.outer(phase, phase.conj()))
+        taus = np.linspace(-1e-12, 1e-12, 9)
+        for pair in ((real, shifted), (shifted, real)):
+            expected = [reference_overlap(*pair, tau) for tau in taus]
+            np.testing.assert_allclose(interference._Overlap(*pair)(taus), expected,
+                                       rtol=0, atol=1e-12)
+
+
+class TestOverlapMemory:
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_one_n_by_n_temporary(self, real):
+        # The diagonal sums need only the product of the two states.
+        rho = pure_state_density(lattice_axis(2.22e15, 2.32e15, 512), 5e12)
+        if real:
+            rho = ReducedDensityMatrix(grid=rho.grid, values=rho.values.real.copy())
+        tracemalloc.start()
+        try:
+            interference._Overlap(rho, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * rho.values.nbytes
+
+
+# Frequency unit of the two-Gaussian oracle, rad/s, and its sources as
+# (a, b, c) of f = exp(-(a x^2 + 2 b x y + c y^2) / 2), x and y the e and o
+# offsets from the axis centre in units of SIGMA.
+SIGMA = 5e12
+GAUSS_A = (1.0, 0.4, 1.2)
+GAUSS_B = (2.0, -0.6, 0.8)
+WINDOW = 12.0  # axis half-width in units of SIGMA
+
+
+def gaussian_source_state(axis, a, b, c):
+    """Heralded e-photon state of the real two-Gaussian JSA, herald on o."""
+    x = (axis - (axis[0] + axis[-1]) / 2) / SIGMA
+    xe, xo = x[:, None], x[None, :]
+    jsa = normalize(FrequencyGrid(axis, axis),
+                    np.exp(-(a * xe**2 + 2 * b * xe * xo + c * xo**2) / 2))
+    return heralded_density_matrix(jsa, "e")
+
+
+def heralded_form(a, b, c):
+    """rho(x, x') = exp(-v^T M v / 2) for v = (x, x'), and Tr's exponent s:
+    integrating y out of f(x, y) f(x', y) leaves this Gaussian."""
+    m = b * b / (2 * c)
+    return np.array([[a - m, -m], [-m, a - m]]), 2 * a - 2 * b * b / c
+
+
+class TestTwoGaussianOracle:
+    """HOM between heralded photons of two real two-Gaussian JSAs, in closed
+    form. With S = M_a + M_b and u = (1, -1), the overlap at delay t is
+    sqrt(s_a s_b / det S) exp(-q t^2 / 2), q = u^T S^-1 u, so V is its value
+    at 0 and the dip FWHM is 2 sqrt(2 ln 2 / q)."""
+
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("coeffs", [(GAUSS_A, GAUSS_B), (GAUSS_A, GAUSS_A),
+                                        (GAUSS_B, GAUSS_B)], ids=["a-b", "a-a", "b-b"])
+    def test_visibility_and_fwhm(self, n, coeffs):
+        (m_a, s_a), (m_b, s_b) = (heralded_form(*abc) for abc in coeffs)
+        total = m_a + m_b
+        u = np.array([1.0, -1.0])
+        q = float(u @ np.linalg.solve(total, u)) * SIGMA**2 * 1e-30  # per fs^2
+        visibility = math.sqrt(s_a * s_b / np.linalg.det(total))
+        fwhm_fs = 2 * math.sqrt(2 * math.log(2) / q)
+        if coeffs[0] == coeffs[1]:
+            a, b, c = coeffs[0]
+            assert visibility == pytest.approx(math.sqrt(1 - b * b / (a * c)), rel=1e-14)
+
+        axis = lattice_axis(2.27e15 - WINDOW * SIGMA, 2.27e15 + WINDOW * SIGMA, n)
+        half_count = math.ceil(2 * fwhm_fs / 5.0)
+        delays = np.arange(-half_count, half_count + 1) * 5.0  # 5 fs steps, 0 a sample
+        scan = hom_dip(gaussian_source_state(axis, *coeffs[0]),
+                       gaussian_source_state(axis, *coeffs[1]), delays)
+
+        # Discretization: a sampled Gaussian sum of width w at step h misses
+        # its integral by about 2 exp(-2 pi^2 w^2 / h^2), and the window cuts
+        # a tail of erfc(WINDOW / w); w runs over the widths of the JSA and
+        # of S. Rounding: n^2 eps bounds a sum of n^2 positive terms.
+        h = (axis[1] - axis[0]) / SIGMA
+        forms = [np.array([[a, b], [b, c]]) for a, b, c in coeffs] + [total]
+        widths = [1 / math.sqrt(np.linalg.eigvalsh(f)[k]) for f in forms for k in (0, 1)]
+        v_tol = (n * n * np.finfo(float).eps
+                 + sum(2 * math.exp(-2 * math.pi**2 * w * w / (h * h))
+                       + math.erfc(WINDOW / w) for w in widths))
+        assert scan.visibility == pytest.approx(visibility, abs=v_tol)
+
+        # Linear interpolation between scan samples a step apart misplaces
+        # each half-depth crossing of g = V exp(-q t^2 / 2) by at most
+        # (step^2 / 8) max|g''| / min|g'| over the bracketing samples, and an
+        # error v_tol in the rates moves it by v_tol / min|g'|.
+        step = delays[1] - delays[0]
+        near = np.linspace(fwhm_fs / 2 - step, fwhm_fs / 2 + step, 1001)
+        g = visibility * np.exp(-q * near**2 / 2)
+        slope = np.min(q * near * g)
+        curvature = np.max(np.abs(q * q * near**2 - q) * g)
+        fwhm_tol = 2 * (step * step / 8 * curvature + v_tol) / slope
+        assert scan.dip_fwhm_fs == pytest.approx(fwhm_fs, abs=fwhm_tol)
+        assert scan.dip_center_fs == 0.0
 
 
 class TestAliasLimit:
