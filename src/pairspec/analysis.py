@@ -13,7 +13,7 @@ from scipy.optimize import leastsq
 from .errors import ConfigError, FilterSupportError
 from .interference import HomScan, SourceSpec
 from .jsa import (FILTER_SHAPES, FilterSpec, JointAmplitude, arm_transmissions, nm_from_omega,
-                  other_arm)
+                  other_arm, write_json)
 from .schmidt import heralding_efficiency, schmidt_decompose
 
 FOUR_LN2 = 4.0 * math.log(2.0)
@@ -155,23 +155,29 @@ class CountRecord:
         return cls(np.array(delays), np.array(counts, dtype=int), pairs, seed)
 
 
-def simulate_counts(scan: HomScan, pairs_per_point, seed):
-    """Draw Poissonian counts for each scan point, mean pairs_per_point * rate.
+def _poisson_draws(means, seed):
+    """Poisson counts of the given means, integer array of the same shape.
 
-    Each point uses its own generator seeded with seed + index, so serial
-    and parallel evaluations agree bit-exactly.
+    Index i along the first axis (a scan point, or a scan row) draws from
+    its own generator seeded with seed + i, so serial and parallel
+    evaluations agree bit-exactly.
     """
+    if seed is None or seed < 0:
+        raise ConfigError(f"drawing counts needs a nonnegative seed, got {seed}")
+    counts = np.empty(means.shape, dtype=int)
+    for i in range(means.shape[0]):
+        counts[i] = np.random.default_rng(seed + i).poisson(means[i])
+    return counts
+
+
+def simulate_counts(scan: HomScan, pairs_per_point, seed):
+    """Draw Poissonian counts for each scan point, mean pairs_per_point * rate,
+    one generator per point (`_poisson_draws`)."""
     if not 0 < pairs_per_point < math.inf:
         raise ConfigError("pairs_per_point must be positive and finite")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-    counts = np.empty(scan.delays_fs.size, dtype=int)
-    for i, rate in enumerate(scan.rates):
-        rng = np.random.default_rng(seed + i)
-        counts[i] = rng.poisson(pairs_per_point * rate)
     return CountRecord(
         delays_fs=scan.delays_fs.copy(),
-        counts=counts,
+        counts=_poisson_draws(pairs_per_point * scan.rates, seed),
         pairs_per_point=float(pairs_per_point),
         seed=int(seed),
     )
@@ -190,7 +196,8 @@ class FitResult:
     converged: bool
     n_iterations: int  # residual evaluations, not LM steps
 
-    def to_json(self, path=None):
+    def to_json(self, path):
+        """Write the fit to a JSON file; returns the written payload."""
         payload = {
             "baseline": self.baseline,
             "visibility": self.visibility,
@@ -208,10 +215,7 @@ class FitResult:
             "model": "counts = B * (1 - V * exp(-4 ln2 (t - t0)^2 / w^2))",
             "weights": "1 / max(counts, 1)",
         }
-        if path is not None:
-            with open(path, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        write_json(path, payload)
         return payload
 
 
@@ -378,14 +382,7 @@ def simulate_jsi_scan(jsa: JointAmplitude, resolution_fwhm_nm, step_nm,
         if not 0 < pairs_budget < math.inf:
             raise ConfigError("pairs_budget must be positive and finite (or None for noiseless)")
         expected = smoothed * (pairs_budget / total)
-        if seed is None or seed < 0:
-            raise ConfigError(f"sampling counts needs a nonnegative seed, got {seed}")
-        counts = np.empty_like(expected, dtype=int)
-        # One generator per scan row keeps the output independent of any
-        # parallel evaluation order over rows.
-        for i in range(expected.shape[0]):
-            rng = np.random.default_rng(seed + i)
-            counts[i] = rng.poisson(expected[i])
+        counts = _poisson_draws(expected, seed)
     return JsiScanResult(
         lambda_nm=lattice,
         expected=expected,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from .dispersion import gvm_pump_wavelength
 from .errors import ConfigError, NumericalError, PhysicsDomainError
 from .interference import SourceSpec, coherence_time, two_source_experiment
 from .jsa import (FILTER_SHAPES, FilterSpec, PumpSpec, export_jsi_csv, export_metadata,
-                  jsi_pearson)
+                  jsi_pearson, write_json)
 from .schmidt import RESIDUAL_TOL, export_schmidt_csv, schmidt_decompose
 
 EXIT_CONFIG = 2
@@ -33,7 +32,7 @@ EXIT_NUMERICAL = 4
 
 _SOURCE_KEYS = {
     "crystal", "crystal_file", "length_mm", "cut_angle_deg",
-    "pump_center_nm", "pump_fwhm_nm", "eta", "flat_phase",
+    "pump_center_nm", "pump_fwhm_nm", "flat_phase",
 }
 _GRID_KEYS = {"n_points", "span_sigmas"}
 _FILTER_KEYS = {"shape", "center_nm", "fwhm_nm"}
@@ -74,7 +73,7 @@ def _get_float(section, key, path, default=None):
     return value
 
 
-def load_config(path, grid_points=None, flat_phase=None):
+def load_config(path, grid_points=None):
     """Parse a run configuration; strict about sections and keys."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
@@ -117,7 +116,6 @@ def load_config(path, grid_points=None, flat_phase=None):
     pump = PumpSpec(
         center_nm=_get_float(src, "pump_center_nm", path),
         fwhm_nm=_get_float(src, "pump_fwhm_nm", path),
-        eta=_get_float(src, "eta", path, default=1.0),
     )
     n_points, span_sigmas = 512, 4.0
     if "grid" in parser:
@@ -129,9 +127,10 @@ def load_config(path, grid_points=None, flat_phase=None):
         span_sigmas = _get_float(parser["grid"], "span_sigmas", path, default=4.0)
     if grid_points is not None:
         n_points = grid_points
-    use_flat = src.getboolean("flat_phase", fallback=False)
-    if flat_phase is not None:
-        use_flat = flat_phase
+    try:
+        flat_phase = src.getboolean("flat_phase", fallback=False)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: key 'flat_phase': {exc}") from exc
 
     filters = []
     for arm in ("e", "o"):
@@ -150,7 +149,7 @@ def load_config(path, grid_points=None, flat_phase=None):
     raw = {s: dict(parser[s]) for s in parser.sections()}
     source = SourceSpec(
         crystal=crystal, pump=pump, n_points=n_points,
-        span_sigmas=span_sigmas, flat_phase=use_flat, filters=tuple(filters),
+        span_sigmas=span_sigmas, flat_phase=flat_phase, filters=tuple(filters),
     )
     return RunConfig(source=source, path=str(path), raw=raw), filters
 
@@ -165,16 +164,11 @@ def _out_dir(args):
     return out
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_gvm(args):
     db = CrystalDatabase.from_file(args.crystal_file) if args.crystal_file \
         else builtin_database()
-    crystal = db.crystal(args.crystal, args.length_mm)
+    # The GVM point follows from dispersion alone; length sets only bandwidth.
+    crystal = db.crystal(args.crystal, length_mm=1.0)
     solution = gvm_pump_wavelength(crystal, args.daughter_nm)
     payload = {
         "crystal": args.crystal,
@@ -188,7 +182,7 @@ def cmd_gvm(args):
         "tool_version": __version__,
     }
     out = _out_dir(args)
-    _write_json(out / "gvm.json", payload)
+    write_json(out / "gvm.json", payload)
     print(f"GVM pump wavelength: {solution.pump_wavelength_nm:.3f} nm "
           f"(theta = {solution.phasematching_angle_deg:.3f} deg, "
           f"residual = {solution.residual:.3e})")
@@ -196,7 +190,7 @@ def cmd_gvm(args):
 
 
 def cmd_jsa(args):
-    config, _ = load_config(args.config, args.grid_points, args.flat_phase)
+    config, _ = load_config(args.config, args.grid_points)
     source = config.source
     jsa = source.build_jsa()
     pearson = jsi_pearson(jsa)
@@ -210,11 +204,11 @@ def cmd_jsa(args):
 
 
 def cmd_schmidt(args):
-    config, _ = load_config(args.config, args.grid_points, args.flat_phase)
+    config, _ = load_config(args.config, args.grid_points)
     result = schmidt_decompose(config.source.build_jsa())
     out = _out_dir(args)
     export_schmidt_csv(result, out / "schmidt.csv")
-    _write_json(out / "schmidt_meta.json", {
+    write_json(out / "schmidt_meta.json", {
         "purity": result.purity,
         "schmidt_number": result.schmidt_number,
         "basis_rank": result.rank,
@@ -228,7 +222,7 @@ def cmd_schmidt(args):
 
 
 def cmd_sweep(args):
-    config, _ = load_config(args.config, args.grid_points, args.flat_phase)
+    config, _ = load_config(args.config, args.grid_points)
     try:
         bandwidths = [float(x) for x in args.bandwidths.split(",")]
     except ValueError as exc:
@@ -240,8 +234,11 @@ def cmd_sweep(args):
     )
     out = _out_dir(args)
     result.to_csv(out / "sweep.csv")
-    _write_json(out / "sweep_meta.json", {**result.config, **config.metadata()})
-    print(f"Sweep written to {out / 'sweep.csv'} ({len(bandwidths)} bandwidths)")
+    # Each gap is a NaN row of sweep.csv; its reason is kept here.
+    write_json(out / "sweep_meta.json",
+               {**result.config, "gaps": result.gaps, **config.metadata()})
+    print(f"Sweep written to {out / 'sweep.csv'} ({len(bandwidths)} bandwidths, "
+          f"{len(result.gaps)} gaps)")
     return 0
 
 
@@ -261,7 +258,7 @@ def _parse_delays(spec):
 def _hom_source(path, args):
     """A config's source, which may filter only its herald arm: the
     interfered photon must reach the beamsplitter unfiltered."""
-    config, filters = load_config(path, args.grid_points, args.flat_phase)
+    config, filters = load_config(path, args.grid_points)
     for filt in filters:
         if filt.arm != args.herald_arm:
             raise ConfigError(
@@ -308,7 +305,7 @@ def cmd_fit(args):
 
 
 def cmd_scan(args):
-    config, _ = load_config(args.config, args.grid_points, args.flat_phase)
+    config, _ = load_config(args.config, args.grid_points)
     budget = None if args.budget == 0 else args.budget
     result = simulate_jsi_scan(
         config.source.build_jsa(), resolution_fwhm_nm=args.resolution_nm,
@@ -316,7 +313,7 @@ def cmd_scan(args):
     )
     out = _out_dir(args)
     result.to_csv(out / "scan.csv")
-    _write_json(out / "scan_meta.json", {
+    write_json(out / "scan_meta.json", {
         "resolution_fwhm_nm": args.resolution_nm,
         "step_nm": args.step_nm,
         "pairs_budget": budget,
@@ -341,8 +338,6 @@ def build_parser():
     gridded = argparse.ArgumentParser(add_help=False, parents=[output])
     gridded.add_argument("--grid-points", type=int, default=None,
                          help="override the grid point count per axis")
-    gridded.add_argument("--flat-phase", action="store_true", default=None,
-                         help="drop the phasematching phase factor")
     seeded = argparse.ArgumentParser(add_help=False, parents=[gridded])
     seeded.add_argument("--seed", type=int, default=0, help="random seed")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -351,7 +346,6 @@ def build_parser():
                        help="solve the group-velocity-matched pump wavelength")
     p.add_argument("--crystal", required=True)
     p.add_argument("--daughter-nm", type=float, required=True)
-    p.add_argument("--length-mm", type=float, default=5.0)
     p.add_argument("--crystal-file", default=None)
     p.set_defaults(func=cmd_gvm)
 

@@ -7,6 +7,7 @@ handbook fits they were taken from.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -227,11 +228,6 @@ class CrystalDatabase:
         self._records = parse_crystal_database(text)
 
     @classmethod
-    def builtin(cls):
-        text = resources.files("pairspec.data").joinpath("crystals.txt").read_text()
-        return cls(text)
-
-    @classmethod
     def from_file(cls, path):
         try:
             with open(path, encoding="utf-8") as fh:
@@ -254,15 +250,11 @@ class CrystalDatabase:
         return crystal_from_record(name, self._records[name], length_mm, cut_angle_deg)
 
 
-_BUILTIN = None
-
-
+@functools.cache
 def builtin_database():
     """The database shipped with the package (loaded once, immutable)."""
-    global _BUILTIN
-    if _BUILTIN is None:
-        _BUILTIN = CrystalDatabase.builtin()
-    return _BUILTIN
+    return CrystalDatabase(
+        resources.files("pairspec.data").joinpath("crystals.txt").read_text())
 
 
 def get_crystal(name, length_mm, cut_angle_deg=None):

@@ -46,13 +46,10 @@ class PumpSpec:
     """Gaussian pump pulse spectrum with flat spectral phase.
 
     fwhm_nm is the FWHM of the pump *intensity* spectrum in wavelength.
-    eta scales the pair-generation amplitude and never affects normalized
-    shapes.
     """
 
     center_nm: float
     fwhm_nm: float
-    eta: float = 1.0
 
     def __post_init__(self):
         if not (0 < self.center_nm < math.inf and 0 < self.fwhm_nm < math.inf):
@@ -337,7 +334,6 @@ def export_metadata(path, source, jsa: JointAmplitude, *, extra=None):
         "pump": {
             "center_nm": pump.center_nm,
             "fwhm_nm": pump.fwhm_nm,
-            "eta": pump.eta,
         },
         "grid": {
             "n_e": axis.size,
@@ -354,12 +350,18 @@ def export_metadata(path, source, jsa: JointAmplitude, *, extra=None):
         "flat_phase": jsa.flat_phase,
         "norm_convention": NORM_CONVENTION,
         "out_of_model": {
-            "absolute_pair_rate": "not simulated; eta is a user-supplied scale only",
+            "absolute_pair_rate": "not simulated",
             "detector_and_collection_efficiency": "not simulated; reported efficiencies are filter-limited",
         },
     }
     if extra:
         meta.update(extra)
+    write_json(path, meta)
+
+
+def write_json(path, payload):
+    """Write a JSON file the one way every output does: keys sorted,
+    two-space indent, a final newline."""
     with open(path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pairspec import cli, errors
 from pairspec.cli import main
 from pairspec.crystals import _DB_KEYS, _FORMULAS
+from pairspec.jsa import NO_SUPPORT
 
 from conftest import count_calls
 
@@ -27,7 +28,7 @@ def run(args):
 class TestGvmCommand:
     def test_kdp_solution(self, tmp_path):
         code = run(["gvm", "--crystal", "KDP", "--daughter-nm", "830",
-                    "--length-mm", "5", "--out", str(tmp_path)])
+                    "--out", str(tmp_path)])
         assert code == 0
         payload = json.loads((tmp_path / "gvm.json").read_text())
         assert payload["pump_wavelength_nm"] == pytest.approx(415.0, abs=5.0)
@@ -39,6 +40,28 @@ class TestGvmCommand:
             run(["gvm", "--crystal", "KDP", "--daughter-nm", "830", "--seed", "3",
                  "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    def test_length_is_rejected(self, tmp_path):
+        # The GVM point follows from dispersion alone; length sets only bandwidth.
+        with pytest.raises(SystemExit) as exc:
+            run(["gvm", "--crystal", "KDP", "--daughter-nm", "830", "--length-mm", "5",
+                 "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_flat_phase_flag_is_rejected(self, tmp_path):
+        # The config key flat_phase is the one switch.
+        with pytest.raises(SystemExit) as exc:
+            run(["jsa", "--config", KDP_CFG, "--flat-phase", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_eta_key_is_rejected(self, tmp_path, capsys):
+        # No pair-rate scale enters a normalized JSA, so eta is an unknown key.
+        cfg = tmp_path / "eta.cfg"
+        cfg.write_text(Path(KDP_CFG).read_text().replace(
+            "pump_fwhm_nm = 4\n", "pump_fwhm_nm = 4\neta = 2\n"))
+        assert run(["jsa", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "unknown keys: eta" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_crystal_is_config_error(self, tmp_path):
         code = run(["gvm", "--crystal", "NOSUCH", "--daughter-nm", "830",
@@ -122,6 +145,17 @@ class TestSweepCommand:
                 if line and not line.startswith(("#", "bandwidth"))]
         purities = [float(r[1]) for r in rows]
         assert purities == sorted(purities)
+        assert json.loads((tmp_path / "sweep_meta.json").read_text())["gaps"] == []
+
+    def test_gaps_are_recorded(self, tmp_path, capsys):
+        # A 1 fm rectangular filter passes no grid point: a gap, not a bare NaN row.
+        assert run(["sweep", "--config", BBO_CFG, "--grid-points", "64", "--shape",
+                    "rectangular", "--bandwidths", "4,1e-6", "--out", str(tmp_path)]) == 0
+        assert "(2 bandwidths, 1 gaps)" in capsys.readouterr().out
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[-2:]
+        assert rows[0].split(",")[1] != "nan" and rows[1] == "1e-06,nan,nan"
+        gaps = json.loads((tmp_path / "sweep_meta.json").read_text())["gaps"]
+        assert gaps == [[1e-6, NO_SUPPORT]]
 
     def test_config_filters_do_not_apply(self, tmp_path):
         # The sweep sets its own filters on both arms.
@@ -356,6 +390,7 @@ source_citation = inline test record
         "config-missing-crystal-file", "out-below-a-file", "sweep-bandwidths-text",
         "scan-negative-seed", "hom-negative-seed", "config-fractional-n-points",
         "config-not-utf8", "gvm-crystal-file-not-utf8", "config-crystal-file-not-utf8",
+        "config-flat-phase-not-boolean",
     ])
     def test_bad_input_names_its_source(self, tmp_path, capsys, case):
         # Unreadable files and unusable values exit 2, and the message names
@@ -376,6 +411,8 @@ source_citation = inline test record
                 "crystal = KDP", f"crystal = KDP\ncrystal_file = {not_utf8}"),
             "config-fractional-n-points": kdp.replace(
                 "n_points = 512", "n_points = 100.7"),
+            "config-flat-phase-not-boolean": kdp.replace(
+                "flat_phase = true", "flat_phase = maybe"),
         }.get(case, kdp))
         args, named = {
             "fit-missing-counts": (["fit", "--counts", missing] + out, missing),
@@ -399,6 +436,8 @@ source_citation = inline test record
                  "--grid-points", "128", "--delays=-1500:1500:61",
                  "--pairs-per-point", "10", "--seed", "-1"] + out, "seed"),
             "config-fractional-n-points": (["schmidt", "--config", cfg] + out, "n_points"),
+            "config-flat-phase-not-boolean": (["schmidt", "--config", cfg] + out,
+                                              "flat_phase"),
             "config-not-utf8": (["schmidt", "--config", str(not_utf8)] + out, str(not_utf8)),
             "gvm-crystal-file-not-utf8": (
                 ["gvm", "--crystal", "KDP", "--daughter-nm", "830",
@@ -473,6 +512,19 @@ fwhm_nm = 4
                     "--out", str(out2)]) == 0
         raw = json.loads((out2 / "schmidt_meta.json").read_text())["purity"]
         assert filtered > raw + 0.3
+
+    def test_filter_shape_none_is_no_filter(self, tmp_path):
+        # shape = none spells out an unfiltered arm: the same JSI, and no
+        # entry under the metadata's filters (the section stays under config).
+        cfg = self.write(tmp_path, Path(KDP_CFG).read_text() + "\n[filter.o]\nshape = none\n")
+        for name, path in (("plain", KDP_CFG), ("none", cfg)):
+            assert run(["jsa", "--config", path, "--grid-points", "64",
+                        "--out", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "plain" / "jsi.csv").read_bytes()
+                == (tmp_path / "none" / "jsi.csv").read_bytes())
+        meta = json.loads((tmp_path / "none" / "jsi_meta.json").read_text())
+        assert meta["filters"] == []
+        assert meta["config"]["filter.o"] == {"shape": "none"}
 
 
 class TestErrorExitCodes:

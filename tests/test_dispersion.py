@@ -312,6 +312,11 @@ class TestGvmPumpWavelength:
         solution = disp.gvm_pump_wavelength(kdp, 830.0)
         assert abs(solution.residual) < 1e-9
 
+    def test_length_does_not_move_the_solution(self):
+        # Dispersion alone sets the GVM point; length sets only the bandwidth.
+        assert (disp.gvm_pump_wavelength(get_crystal("KDP", 1.0), 830.0)
+                == disp.gvm_pump_wavelength(get_crystal("KDP", 10.0), 830.0))
+
     def test_zero_birefringence_propagates(self, zerobiref):
         with pytest.raises(NoGvmPointError):
             disp.gvm_pump_wavelength(zerobiref, 830.0)

@@ -1,6 +1,7 @@
 """Import and export hygiene, checked with the standard library only: every
 name that a module of the package imports is used in that module or listed
-in its __all__, and every public function or class is exported or used."""
+in its __all__, every public function or class is exported or used, and
+every package name the benchmark in perfbench/ reads is defined."""
 
 import ast
 from pathlib import Path
@@ -124,3 +125,64 @@ def unreferenced_public_names():
 
 def test_every_public_name_is_used_or_exported():
     assert unreferenced_public_names() == []
+
+
+
+def module_scope(module):
+    """(names that pairspec.<module> binds at module scope, its functions
+    and methods as 'function' and 'Class.method')."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    bound, functions = set(), set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions.add(node.name)
+        elif isinstance(node, ast.ClassDef):
+            functions.update(f"{node.name}.{item.name}" for item in node.body
+                             if isinstance(item, ast.FunctionDef))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    return bound, functions
+
+
+def must_hit_names():
+    """Every 'module.name' of MUST_HIT in perfbench/workloads.py."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "MUST_HIT" for t in node.targets)):
+            return sorted({name for names in ast.literal_eval(node.value).values()
+                           for name in names})
+    raise AssertionError("perfbench/workloads.py has no MUST_HIT")
+
+
+@pytest.mark.parametrize("name", must_hit_names())
+def test_benchmark_must_hit_names_are_defined(name):
+    # A traced benchmark run wraps functions and methods by these names; a
+    # rename would otherwise show only as a failed traced run.
+    module, _, qualname = name.partition(".")
+    assert (PACKAGE / f"{module}.py").is_file()
+    assert qualname in module_scope(module)[1]
+
+
+def test_benchmark_imports_resolve():
+    """Every `from pairspec.<module> import <name>` in perfbench/*.py, at
+    any depth, names something that module binds."""
+    imports, missing = 0, []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("pairspec.")):
+                continue
+            module = node.module.partition(".")[2]
+            bound = (module_scope(module)[0] if (PACKAGE / f"{module}.py").is_file()
+                     else set())
+            imports += len(node.names)
+            missing += [f"{path.name}:{node.lineno}: {node.module}.{alias.name}"
+                        for alias in node.names if alias.name not in bound]
+    assert imports > 0
+    assert missing == []

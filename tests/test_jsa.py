@@ -267,13 +267,6 @@ class TestJointAmplitude:
     def test_bbo_strongly_correlated(self, bbo_jsa):
         assert abs(jsi_pearson(bbo_jsa)) > 0.5
 
-    def test_eta_does_not_change_normalized_shape(self, kdp):
-        theta = disp.phasematching_angle(kdp, 415.0, 830.0)
-        grid = build_grid(kdp, PumpSpec(415.0, 4.0), n_points=64, theta_deg=theta)
-        a = joint_amplitude(kdp, theta, PumpSpec(415.0, 4.0, eta=1.0), grid)
-        b = joint_amplitude(kdp, theta, PumpSpec(415.0, 4.0, eta=7.5), grid)
-        np.testing.assert_array_equal(a.values, b.values)
-
     def test_unit_norm(self, kdp_jsa, bbo_jsa):
         assert kdp_jsa.norm_sq() == pytest.approx(1.0, abs=1e-9)
         assert bbo_jsa.norm_sq() == pytest.approx(1.0, abs=1e-9)
