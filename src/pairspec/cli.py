@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 configuration error, 3 physics-domain error
 from __future__ import annotations
 
 import argparse
-import configparser
 import math
 import sys
 from dataclasses import dataclass
@@ -18,7 +17,8 @@ import numpy as np
 from . import __version__
 from .analysis import (CountRecord, filter_sweep, fit_gaussian_dip,
                        simulate_counts, simulate_jsi_scan)
-from .crystals import CrystalDatabase, builtin_database, crystal_from_record
+from .crystals import (_DB_KEYS, CrystalDatabase, builtin_database, crystal_from_record,
+                       read_ini)
 from .dispersion import gvm_pump_wavelength
 from .errors import ConfigError, NumericalError, PhysicsDomainError
 from .interference import SourceSpec, coherence_time, two_source_experiment
@@ -30,12 +30,15 @@ EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
 EXIT_NUMERICAL = 4
 
-_SOURCE_KEYS = {
-    "crystal", "crystal_file", "length_mm", "cut_angle_deg",
-    "pump_center_nm", "pump_fwhm_nm", "flat_phase",
+# The sections a config may hold, each with the keys it may hold.
+_SECTION_KEYS = {
+    "source": {"crystal", "crystal_file", "length_mm", "cut_angle_deg",
+               "pump_center_nm", "pump_fwhm_nm", "flat_phase"},
+    "grid": {"n_points", "span_sigmas"},
+    "filter.e": {"shape", "center_nm", "fwhm_nm"},
+    "filter.o": {"shape", "center_nm", "fwhm_nm"},
+    "crystal": set(_DB_KEYS),
 }
-_GRID_KEYS = {"n_points", "span_sigmas"}
-_FILTER_KEYS = {"shape", "center_nm", "fwhm_nm"}
 
 
 @dataclass
@@ -51,107 +54,94 @@ class RunConfig:
                 "tool_version": __version__}
 
 
-def _check_keys(parser, section, allowed, path):
-    unknown = set(parser[section]) - allowed
-    if unknown:
-        raise ConfigError(
-            f"{path}: section [{section}] has unknown keys: {', '.join(sorted(unknown))}"
-        )
-
-
-def _get_float(section, key, path, default=None):
+def _get_float(section, key):
     if key not in section:
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}: missing key {key!r}")
+        raise ConfigError(f"missing key {key!r}")
     try:
         value = float(section[key])
     except ValueError as exc:
-        raise ConfigError(f"{path}: key {key!r}: {exc}") from exc
+        raise ConfigError(f"key {key!r}: {exc}") from exc
     if not math.isfinite(value):
-        raise ConfigError(f"{path}: key {key!r} must be finite, got {value}")
+        raise ConfigError(f"key {key!r} must be finite, got {value}")
     return value
 
 
 def load_config(path, grid_points=None):
-    """Parse a run configuration; strict about sections and keys."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    """Parse a run configuration; strict about sections and keys. Every
+    error names the file."""
+    parser = read_ini(path)
     try:
-        read = parser.read(path, encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
-    except configparser.Error as exc:  # a duplicated section or key
+        source = _source_from(parser, grid_points)
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    known_sections = {"source", "grid", "filter.e", "filter.o", "crystal"}
-    unknown = set(parser.sections()) - known_sections
+    raw = {s: dict(parser[s]) for s in parser.sections()}
+    return RunConfig(source=source, path=str(path), raw=raw), list(source.filters)
+
+
+def _source_from(parser, grid_points):
+    unknown = set(parser.sections()) - set(_SECTION_KEYS)
     if unknown:
-        raise ConfigError(f"{path}: unknown sections: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown sections: {', '.join(sorted(unknown))}")
+    for section in parser.sections():
+        unknown = set(parser[section]) - _SECTION_KEYS[section]
+        if unknown:
+            raise ConfigError(
+                f"section [{section}] has unknown keys: {', '.join(sorted(unknown))}")
     if "source" not in parser:
-        raise ConfigError(f"{path}: missing [source] section")
-    _check_keys(parser, "source", _SOURCE_KEYS, path)
+        raise ConfigError("missing [source] section")
     src = parser["source"]
 
     inline = "crystal" in parser.sections()
     named = "crystal" in src
     if inline and named:
-        raise ConfigError(f"{path}: both a named crystal and an inline [crystal] "
-                          f"section were given")
+        raise ConfigError("both a named crystal and an inline [crystal] section were given")
     if not inline and not named:
-        raise ConfigError(f"{path}: no crystal given (name or [crystal] section)")
-    length_mm = _get_float(src, "length_mm", path)
-    cut_angle = _get_float(src, "cut_angle_deg", path) if "cut_angle_deg" in src else None
+        raise ConfigError("no crystal given (name or [crystal] section)")
+    length_mm = _get_float(src, "length_mm")
+    cut_angle = _get_float(src, "cut_angle_deg") if "cut_angle_deg" in src else None
     if inline:
-        try:
-            crystal = crystal_from_record("inline", dict(parser["crystal"]),
-                                          length_mm, cut_angle)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: [crystal] {exc}") from exc
+        crystal = crystal_from_record("inline", dict(parser["crystal"]),
+                                      length_mm, cut_angle)
     else:
         db = (CrystalDatabase.from_file(src["crystal_file"])
               if "crystal_file" in src else builtin_database())
         crystal = db.crystal(src["crystal"], length_mm, cut_angle)
 
     pump = PumpSpec(
-        center_nm=_get_float(src, "pump_center_nm", path),
-        fwhm_nm=_get_float(src, "pump_fwhm_nm", path),
+        center_nm=_get_float(src, "pump_center_nm"),
+        fwhm_nm=_get_float(src, "pump_fwhm_nm"),
     )
-    n_points, span_sigmas = 512, 4.0
+    # Only the grid keys given reach SourceSpec, whose defaults fill the rest.
+    grid = {}
     if "grid" in parser:
-        _check_keys(parser, "grid", _GRID_KEYS, path)
-        value = _get_float(parser["grid"], "n_points", path, default=512.0)
-        n_points = int(value)
-        if n_points != value:
-            raise ConfigError(f"{path}: key 'n_points' must be a whole number, got {value:g}")
-        span_sigmas = _get_float(parser["grid"], "span_sigmas", path, default=4.0)
+        grid = {key: _get_float(parser["grid"], key) for key in parser["grid"]}
+    if "n_points" in grid:
+        value = grid["n_points"]
+        grid["n_points"] = int(value)
+        if grid["n_points"] != value:
+            raise ConfigError(f"key 'n_points' must be a whole number, got {value:g}")
     if grid_points is not None:
-        n_points = grid_points
+        grid["n_points"] = grid_points
     try:
         flat_phase = src.getboolean("flat_phase", fallback=False)
     except ValueError as exc:
-        raise ConfigError(f"{path}: key 'flat_phase': {exc}") from exc
+        raise ConfigError(f"key 'flat_phase': {exc}") from exc
 
     filters = []
     for arm in ("e", "o"):
         section = f"filter.{arm}"
         if section in parser:
-            _check_keys(parser, section, _FILTER_KEYS, path)
             sec = parser[section]
             shape = sec.get("shape", "gaussian")
             # shape = none spells out that the arm has no filter.
             if shape != "none":
                 filters.append(FilterSpec(
                     shape=shape, arm=arm,
-                    center_nm=_get_float(sec, "center_nm", path),
-                    fwhm_nm=_get_float(sec, "fwhm_nm", path),
+                    center_nm=_get_float(sec, "center_nm"),
+                    fwhm_nm=_get_float(sec, "fwhm_nm"),
                 ))
-    raw = {s: dict(parser[s]) for s in parser.sections()}
-    source = SourceSpec(
-        crystal=crystal, pump=pump, n_points=n_points,
-        span_sigmas=span_sigmas, flat_phase=flat_phase, filters=tuple(filters),
-    )
-    return RunConfig(source=source, path=str(path), raw=raw), filters
+    return SourceSpec(crystal=crystal, pump=pump, flat_phase=flat_phase,
+                      filters=tuple(filters), **grid)
 
 
 def _out_dir(args):

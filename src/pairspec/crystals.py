@@ -7,6 +7,7 @@ handbook fits they were taken from.
 
 from __future__ import annotations
 
+import configparser
 import functools
 from dataclasses import dataclass
 from importlib import resources
@@ -135,7 +136,6 @@ class CrystalSpec:
 
 
 _DB_KEYS = (
-    "name",
     "formula_id",
     "coefficients_o",
     "coefficients_e",
@@ -145,65 +145,40 @@ _DB_KEYS = (
 )
 
 
-def parse_crystal_database(text):
-    """Parse the crystal-database text format into {name: fields} dicts.
+def read_ini(path, text=None):
+    """The INI file at path (or text read from it), parsed as every input file
+    is: `%` is literal, `#` starts a comment, key names fold to lower case,
+    and a duplicated section or key, a [DEFAULT] section or an unreadable
+    file is a ConfigError naming path."""
+    # No header can name the section "\n", so [DEFAULT] is an ordinary one.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None,
+                                       default_section="\n")
+    try:
+        if text is None:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        parser.read_string(text, source=str(path))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    except configparser.Error as exc:  # its message names the file and the line
+        raise ConfigError(str(exc)) from exc
+    if "DEFAULT" in parser.sections():
+        raise ConfigError(f"{path}: a [DEFAULT] section is not allowed")
+    return parser
 
-    Records are blank-line-separated blocks of "key = value" lines, keys in
-    any case. Unknown keys, duplicate keys, and missing keys are all errors.
-    """
-    records = {}
-    block = {}
-    lineno_of_block = None
 
-    def flush():
-        if not block:
-            return
-        missing = [k for k in _DB_KEYS if k not in block]
-        if missing:
-            raise ConfigError(
-                f"crystal record starting at line {lineno_of_block} is missing "
-                f"fields: {', '.join(missing)}"
-            )
-        name = block.pop("name")
-        if name in records:
-            raise ConfigError(f"duplicate crystal record {name!r}")
-        records[name] = dict(block)
-        block.clear()
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            flush()
-            continue
-        if line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        if key not in _DB_KEYS:
-            raise ConfigError(f"line {lineno}: unknown field {key!r}")
-        if block and key == "name":
-            raise ConfigError(
-                f"line {lineno}: 'name' must start a record (missing blank line?)"
-            )
-        if key in block:
-            raise ConfigError(f"line {lineno}: duplicate field {key!r}")
-        if not block:
-            if key != "name":
-                raise ConfigError(f"line {lineno}: records must start with 'name'")
-            lineno_of_block = lineno
-        block[key] = value.strip()
-    flush()
-    return records
+def _check_fields(name, fields):
+    wrong = sorted(set(fields) ^ set(_DB_KEYS))
+    if wrong:
+        raise ConfigError(f"crystal {name!r}: missing or unknown fields: {', '.join(wrong)}")
 
 
 def crystal_from_record(name, fields, length_mm, cut_angle_deg=None):
-    """CrystalSpec from the string fields of a database record or an
-    inline [crystal] section: every record key but the name, and no other."""
-    wrong = sorted(set(fields) ^ set(_DB_KEYS[1:]))
-    if wrong:
-        raise ConfigError(f"crystal {name!r}: missing or unknown fields: {', '.join(wrong)}")
+    """CrystalSpec from the string fields of a crystal-file section or an
+    inline [crystal] section: every key of _DB_KEYS, and no other."""
+    _check_fields(name, fields)
     try:
         vmin = float(fields["valid_um_min"])
         vmax = float(fields["valid_um_max"])
@@ -222,21 +197,18 @@ def crystal_from_record(name, fields, length_mm, cut_angle_deg=None):
 
 
 class CrystalDatabase:
-    """Immutable lookup of named dispersion records."""
+    """Immutable lookup of named dispersion records, one INI section each,
+    read from text or, when text is None, from the file at source."""
 
-    def __init__(self, text):
-        self._records = parse_crystal_database(text)
+    def __init__(self, text, source="<crystal text>"):
+        parser = read_ini(source, text)
+        self._records = {name: dict(parser[name]) for name in parser.sections()}
+        for name, fields in self._records.items():
+            _check_fields(name, fields)
 
     @classmethod
     def from_file(cls, path):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read crystal file {path}: {exc.strerror}") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"crystal file {path} is not UTF-8 text: {exc}") from exc
-        return cls(text)
+        return cls(None, path)
 
     def names(self):
         return sorted(self._records)
@@ -253,8 +225,8 @@ class CrystalDatabase:
 @functools.cache
 def builtin_database():
     """The database shipped with the package (loaded once, immutable)."""
-    return CrystalDatabase(
-        resources.files("pairspec.data").joinpath("crystals.txt").read_text())
+    table = resources.files("pairspec.data").joinpath("crystals.txt")
+    return CrystalDatabase(table.read_text(encoding="utf-8"), table)
 
 
 def get_crystal(name, length_mm, cut_angle_deg=None):

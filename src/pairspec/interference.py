@@ -227,6 +227,8 @@ def two_source_experiment(source_a: SourceSpec, source_b: SourceSpec,
     grid that covers both sources' windows, at the larger n_points, so the
     two heralded states share one frequency axis. For identical windows
     this is each source's own grid. Equal specs share one heralded state.
+    A covering step more than twice a source's own step is a ConfigError,
+    raised before any JSA is built.
     """
     interfered_arm = other_arm(herald_arm, "herald_arm")
     # Specs compare by value, so a source given twice is built once.
@@ -235,6 +237,12 @@ def two_source_experiment(source_a: SourceSpec, source_b: SourceSpec,
     axis = lattice_axis(min(w[0] for w in windows), max(w[-1] for w in windows),
                         max(src.n_points for src in sources))
     grid = FrequencyGrid(omega_e=axis, omega_o=axis)
+    finest = min(w[1] - w[0] for w in windows)
+    if grid.d_omega > 2.0 * finest:
+        raise ConfigError(
+            f"covering grid too coarse: its step {grid.d_omega:.6g} rad/s is more than "
+            f"twice a source's own step {finest:.6g} rad/s; give the source with the "
+            f"wider window more grid points")
     rhos = [heralded_density_matrix(src.build_jsa(grid), interfered_arm)
             for src in sources]
     return hom_dip(rhos[0], rhos[-1], delays_fs)

@@ -19,6 +19,7 @@ from conftest import count_calls
 REPO_ROOT = Path(__file__).resolve().parents[1]
 KDP_CFG = str(REPO_ROOT / "configs" / "kdp.cfg")
 BBO_CFG = str(REPO_ROOT / "configs" / "bbo.cfg")
+CRYSTAL_TABLE = REPO_ROOT / "src" / "pairspec" / "data" / "crystals.txt"
 
 
 def run(args):
@@ -390,7 +391,10 @@ source_citation = inline test record
         "config-missing-crystal-file", "out-below-a-file", "sweep-bandwidths-text",
         "scan-negative-seed", "hom-negative-seed", "config-fractional-n-points",
         "config-not-utf8", "gvm-crystal-file-not-utf8", "config-crystal-file-not-utf8",
-        "config-flat-phase-not-boolean",
+        "config-flat-phase-not-boolean", "schmidt-pump-fwhm-negative",
+        "schmidt-length-zero", "schmidt-cut-angle-120", "schmidt-filter-fwhm-negative",
+        "schmidt-filter-shape-boxy", "hom-pump-fwhm-negative", "hom-length-zero",
+        "hom-cut-angle-120", "hom-filter-fwhm-negative", "hom-filter-shape-boxy",
     ])
     def test_bad_input_names_its_source(self, tmp_path, capsys, case):
         # Unreadable files and unusable values exit 2, and the message names
@@ -404,6 +408,15 @@ source_citation = inline test record
         not_utf8 = tmp_path / "not_utf8.txt"
         not_utf8.write_bytes(b"\xff\xfe[\x00s\x00")
         kdp = Path(KDP_CFG).read_text()
+        # Values the source's own checks refuse, each run by schmidt and by
+        # hom next to the shipped config, so the message must say which file.
+        value_faults = {
+            "pump-fwhm-negative": kdp.replace("pump_fwhm_nm = 4", "pump_fwhm_nm = -4"),
+            "length-zero": kdp.replace("length_mm = 5", "length_mm = 0"),
+            "cut-angle-120": kdp.replace("crystal = KDP", "crystal = KDP\ncut_angle_deg = 120"),
+            "filter-fwhm-negative": kdp + "\n[filter.o]\ncenter_nm = 830\nfwhm_nm = -1\n",
+            "filter-shape-boxy": kdp + "\n[filter.o]\nshape = boxy\ncenter_nm = 830\nfwhm_nm = 4\n",
+        }
         cfg = self.write(tmp_path, {
             "config-missing-crystal-file": kdp.replace(
                 "crystal = KDP", f"crystal = KDP\ncrystal_file = {missing}"),
@@ -413,7 +426,8 @@ source_citation = inline test record
                 "n_points = 512", "n_points = 100.7"),
             "config-flat-phase-not-boolean": kdp.replace(
                 "flat_phase = true", "flat_phase = maybe"),
-        }.get(case, kdp))
+        }.get(case) or value_faults.get(case.partition("-")[2], kdp))
+        grid = ["--grid-points", "64"]
         args, named = {
             "fit-missing-counts": (["fit", "--counts", missing] + out, missing),
             "fit-non-numeric-row": (["fit", "--counts", str(counts)] + out,
@@ -444,10 +458,14 @@ source_citation = inline test record
                  "--crystal-file", str(not_utf8)] + out, str(not_utf8)),
             "config-crystal-file-not-utf8": (["schmidt", "--config", cfg] + out,
                                              str(not_utf8)),
+            **{f"schmidt-{fault}": (["schmidt", "--config", cfg] + grid + out, f"{cfg}: ")
+               for fault in value_faults},
+            **{f"hom-{fault}": (["hom", "--config-a", KDP_CFG, "--config-b", cfg] + grid + out,
+                                f"{cfg}: ") for fault in value_faults},
         }[case]
         assert run(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and named in err
+        assert err.startswith("config error:") and err.count(named) == 1
 
     @pytest.mark.parametrize("delay", ["nan", "inf"])
     def test_non_finite_count_delay_is_config_error(self, tmp_path, capsys, delay):
@@ -463,6 +481,54 @@ source_citation = inline test record
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"{path}: line 12" in err
         assert not (out / "fit.json").exists()
+
+    # Each fault as an edit of (a config, a crystal file).
+    # Each fault as an edit of (a config, a crystal file), and a fragment of
+    # its message.
+    FILE_FAULTS = {
+        "duplicate-section": (lambda t: t + "\n[source]\n", lambda t: t + "\n[KDP]\n",
+                              "already exists"),
+        "duplicate-key-case": (
+            lambda t: t.replace("length_mm = 5", "length_mm = 5\nLength_MM = 5"),
+            lambda t: t.replace("[KDP]\n", "[KDP]\nFormula_ID = constant\n"),
+            "already exists"),
+        # [DEFAULT] keys would reach every section: a config's [source] would
+        # get its crystal (the config has no other section to refuse the key),
+        # and a crystal file's KDP record its citation.
+        "default-section": (
+            lambda t: "[DEFAULT]\ncrystal = KDP\n"
+            + t.replace("crystal = KDP\n", "").partition("[grid]")[0],
+            lambda t: "[DEFAULT]\nsource_citation = shared\n"
+            + t.replace("source_citation = Zernike", "# Zernike"),
+            "a [DEFAULT] section is not allowed"),
+    }
+
+    @pytest.mark.parametrize("route", ["config", "crystal_file", "gvm-crystal-file"])
+    @pytest.mark.parametrize("fault", ["not-utf8", "missing", *FILE_FAULTS])
+    def test_unusable_input_file_names_it(self, tmp_path, capsys, route, fault):
+        # Configs and crystal files go through one reader: each fault exits 2,
+        # names the file at fault, and writes nothing.
+        kdp = Path(KDP_CFG).read_text()
+        text = kdp if route == "config" else CRYSTAL_TABLE.read_text()
+        bad = tmp_path / "input.txt"
+        if fault == "not-utf8":
+            bad.write_bytes(b"\xff\xfe[\x00s\x00")
+        elif fault != "missing":
+            bad.write_text(self.FILE_FAULTS[fault][route != "config"](text))
+        expected = {"not-utf8": "is not UTF-8 text", "missing": "cannot read",
+                    **{key: value[2] for key, value in self.FILE_FAULTS.items()}}[fault]
+        args = {
+            "config": ["schmidt", "--config", str(bad), "--grid-points", "64"],
+            "crystal_file": ["schmidt", "--config", self.write(
+                tmp_path, kdp.replace("crystal = KDP", f"crystal = KDP\ncrystal_file = {bad}")),
+                "--grid-points", "64"],
+            "gvm-crystal-file": ["gvm", "--crystal", "KDP", "--daughter-nm", "830",
+                                 "--crystal-file", str(bad)],
+        }[route]
+        assert run(args + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(bad) in err and expected in err
+        assert not (tmp_path / "out").exists()
 
     def test_inline_and_named_conflict(self, tmp_path):
         cfg = self.write(tmp_path, """\
@@ -571,7 +637,6 @@ class TestErrorExitCodes:
         assert "Traceback" not in captured.out + captured.err
 
 
-_RECORD_KEYS = _DB_KEYS[1:]
 _SPACES = st.sampled_from(["", " ", "  ", "\t", " \t "])
 _COEFFICIENT = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 _CITATION = st.text(st.characters(whitelist_categories=("L", "N"),
@@ -629,10 +694,9 @@ class TestInlineCrystalProperty:
     @given(fields=crystal_records(), data=st.data())
     def test_inline_equals_crystal_file(self, tmp_path_factory, fields, data):
         tmp = tmp_path_factory.mktemp("inline")
-        inline = record_lines(data.draw, fields, data.draw(st.permutations(_RECORD_KEYS)))
-        named = record_lines(data.draw, fields, data.draw(st.permutations(_RECORD_KEYS)))
-        db = self.write(tmp / "crystals.txt",
-                        "\n".join([f"{cased(data.draw, 'name')} = REC"] + named) + "\n")
+        inline = record_lines(data.draw, fields, data.draw(st.permutations(_DB_KEYS)))
+        named = record_lines(data.draw, fields, data.draw(st.permutations(_DB_KEYS)))
+        db = self.write(tmp / "crystals.txt", "\n".join(["[REC]"] + named) + "\n")
         from_inline = cli.load_config(self.write(
             tmp / "inline.cfg", self.SOURCE + "\n[crystal]\n" + "\n".join(inline) + "\n"))
         from_file = cli.load_config(self.write(
@@ -644,7 +708,7 @@ class TestInlineCrystalProperty:
            fault=st.sampled_from(["drop", "duplicate", "unknown"]))
     def test_bad_field_set_is_config_error(self, tmp_path_factory, fields, data, fault):
         tmp = tmp_path_factory.mktemp("bad")
-        keys = list(data.draw(st.permutations(_RECORD_KEYS)))
+        keys = list(data.draw(st.permutations(_DB_KEYS)))
         key = data.draw(st.sampled_from(keys))
         if fault == "drop":
             keys.remove(key)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from pairspec.crystals import (CrystalDatabase, CrystalSpec, SellmeierForm,
-                               builtin_database, crystal_from_record, get_crystal,
-                               parse_crystal_database)
+                               builtin_database, crystal_from_record, get_crystal)
 from pairspec.errors import ConfigError, DispersionRangeError
 
 
@@ -73,7 +72,7 @@ def test_crystal_spec_validation():
 
 
 VALID_RECORD = """\
-name = TEST
+[TEST]
 formula_id = constant
 coefficients_o = 1.5
 coefficients_e = 1.6
@@ -102,27 +101,37 @@ def test_record_fields_must_match_the_database_keys():
 
 
 def test_database_unknown_field_is_error():
-    with pytest.raises(ConfigError, match="unknown field"):
-        parse_crystal_database(VALID_RECORD + "walkoff = 1\n")
+    # Every record's field set is checked when the file is loaded.
+    with pytest.raises(ConfigError, match="crystal 'TEST': missing or unknown fields: walkoff"):
+        CrystalDatabase(VALID_RECORD + "walkoff = 1\n")
 
 
 def test_database_field_names_fold_to_lowercase():
-    shouted = "".join(key.upper() + "=" + value for key, _, value in
-                      (line.partition("=") for line in VALID_RECORD.splitlines(True)))
-    assert parse_crystal_database(shouted) == parse_crystal_database(VALID_RECORD)
-    with pytest.raises(ConfigError, match="duplicate field 'formula_id'"):
-        parse_crystal_database(VALID_RECORD + "Formula_ID = constant\n")
+    header, *lines = VALID_RECORD.splitlines(True)
+    shouted = header + "".join(key.upper() + "=" + value for key, _, value in
+                               (line.partition("=") for line in lines))
+    assert (CrystalDatabase(shouted).crystal("TEST", 3.0)
+            == CrystalDatabase(VALID_RECORD).crystal("TEST", 3.0))
+    with pytest.raises(ConfigError, match="option 'formula_id' in section 'TEST' already exists"):
+        CrystalDatabase(VALID_RECORD + "Formula_ID = constant\n")
 
 
 def test_database_missing_field_is_error():
     broken = VALID_RECORD.replace("valid_um_max = 2.0\n", "")
-    with pytest.raises(ConfigError, match="missing"):
-        parse_crystal_database(broken)
+    with pytest.raises(ConfigError, match="missing or unknown fields: valid_um_max"):
+        CrystalDatabase(broken)
 
 
 def test_database_duplicate_record_is_error():
-    with pytest.raises(ConfigError, match="duplicate crystal"):
-        parse_crystal_database(VALID_RECORD + "\n" + VALID_RECORD)
+    with pytest.raises(ConfigError, match="section 'TEST' already exists"):
+        CrystalDatabase(VALID_RECORD + "\n" + VALID_RECORD)
+
+
+def test_database_default_section_is_error():
+    # Its keys would otherwise be copied into every record.
+    with pytest.raises(ConfigError, match=r"<crystal text>: a \[DEFAULT\] section"):
+        CrystalDatabase("[DEFAULT]\nsource_citation = shared\n"
+                        + VALID_RECORD.replace("source_citation = synthetic\n", ""))
 
 
 def test_unknown_crystal_name_is_error():
