@@ -169,16 +169,16 @@ def read_ini(path, text=None):
     return parser
 
 
-def _check_fields(name, fields):
+def _check_fields(label, fields):
     wrong = sorted(set(fields) ^ set(_DB_KEYS))
     if wrong:
-        raise ConfigError(f"crystal {name!r}: missing or unknown fields: {', '.join(wrong)}")
+        raise ConfigError(f"{label}: missing or unknown fields: {', '.join(wrong)}")
 
 
 def crystal_from_record(name, fields, length_mm, cut_angle_deg=None):
     """CrystalSpec from the string fields of a crystal-file section or an
     inline [crystal] section: every key of _DB_KEYS, and no other."""
-    _check_fields(name, fields)
+    _check_fields(f"crystal {name!r}", fields)
     try:
         vmin = float(fields["valid_um_min"])
         vmax = float(fields["valid_um_max"])
@@ -204,7 +204,7 @@ class CrystalDatabase:
         parser = read_ini(source, text)
         self._records = {name: dict(parser[name]) for name in parser.sections()}
         for name, fields in self._records.items():
-            _check_fields(name, fields)
+            _check_fields(f"{source}: crystal {name!r}", fields)
 
     @classmethod
     def from_file(cls, path):

@@ -240,9 +240,9 @@ def two_source_experiment(source_a: SourceSpec, source_b: SourceSpec,
     finest = min(w[1] - w[0] for w in windows)
     if grid.d_omega > 2.0 * finest:
         raise ConfigError(
-            f"covering grid too coarse: its step {grid.d_omega:.6g} rad/s is more than "
-            f"twice a source's own step {finest:.6g} rad/s; give the source with the "
-            f"wider window more grid points")
+            f"covering grid too coarse: its step {grid.d_omega:.6g} rad/s is more than twice "
+            f"a source's own step {finest:.6g} rad/s; give the wider window's config more "
+            f"[grid] n_points and leave out --grid-points, which sets one n for both")
     rhos = [heralded_density_matrix(src.build_jsa(grid), interfered_arm)
             for src in sources]
     return hom_dip(rhos[0], rhos[-1], delays_fs)

@@ -256,6 +256,32 @@ fwhm_nm = 1
         assert cfg in err and "[filter.o]" in err
 
 
+class TestHomCoveringGrid:
+    # KDP 1 mm against 10 mm, both pumped at 415 nm / 8 nm: the short
+    # crystal's window is 3.16x the long one's, so at one n for both the
+    # covering step is 3.16x the long crystal's own, whatever that n is.
+    def configs(self, tmp_path):
+        paths = []
+        for length_mm, n_points in ((1, 128), (10, 64)):
+            path = tmp_path / f"kdp_{length_mm}mm.cfg"
+            path.write_text(f"[source]\ncrystal = KDP\nlength_mm = {length_mm}\n"
+                            f"pump_center_nm = 415\npump_fwhm_nm = 8\n\n"
+                            f"[grid]\nn_points = {n_points}\n")
+            paths.append(str(path))
+        return ["hom", "--config-a", paths[0], "--config-b", paths[1],
+                "--herald-arm", "e", "--delays=-600:600:121"]
+
+    def test_grid_points_cannot_refine_unequal_windows(self, tmp_path, capsys):
+        args = self.configs(tmp_path)
+        assert run(args + ["--grid-points", "512", "--out", str(tmp_path / "one_n")]) == 2
+        err = capsys.readouterr().err
+        assert "covering grid too coarse" in err and "leave out --grid-points" in err
+        assert not (tmp_path / "one_n").exists()
+        # What the message asks for: more points for the wider window, per config.
+        assert run(args + ["--out", str(tmp_path / "per_config")]) == 0
+        assert (tmp_path / "per_config" / "hom.csv").exists()
+
+
 class TestScanCommand:
     def test_noiseless_scan(self, tmp_path):
         code = run(["scan", "--config", KDP_CFG, "--grid-points", "256",
@@ -482,7 +508,6 @@ source_citation = inline test record
         assert err.startswith("config error:") and f"{path}: line 12" in err
         assert not (out / "fit.json").exists()
 
-    # Each fault as an edit of (a config, a crystal file).
     # Each fault as an edit of (a config, a crystal file), and a fragment of
     # its message.
     FILE_FAULTS = {
@@ -501,6 +526,10 @@ source_citation = inline test record
             lambda t: "[DEFAULT]\nsource_citation = shared\n"
             + t.replace("source_citation = Zernike", "# Zernike"),
             "a [DEFAULT] section is not allowed"),
+        "missing-field": (
+            lambda t: t.replace("crystal = KDP\n", "") + "\n[crystal]\nformula_id = constant\n",
+            lambda t: t.replace("source_citation = Zernike", "# Zernike"),
+            "missing or unknown fields"),
     }
 
     @pytest.mark.parametrize("route", ["config", "crystal_file", "gvm-crystal-file"])

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, reject, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pairspec import interference
@@ -14,7 +14,8 @@ from pairspec.dispersion import phasematching_angle
 from pairspec.errors import ConfigError
 from pairspec.interference import (SourceSpec, coherence_time, hom_dip,
                                    two_source_experiment)
-from pairspec.jsa import FilterSpec, FrequencyGrid, PumpSpec, lattice_axis, normalize
+from pairspec.jsa import (FilterSpec, FrequencyGrid, PumpSpec, lattice_axis, normalize,
+                         other_arm)
 from pairspec.schmidt import (ReducedDensityMatrix, heralded_density_matrix,
                               purity, schmidt_decompose)
 
@@ -362,6 +363,18 @@ class TestTwoSourceProperties:
 
 
 def covering_states(source_a, source_b, herald_arm):
+    """The two heralded states on the grid that covers both sources' windows
+    at the larger n_points, built as two_source_experiment builds them, also
+    for a pair whose covering grid it refuses as too coarse."""
+    windows = [src.grid().omega_e for src in (source_a, source_b)]
+    axis = lattice_axis(min(w[0] for w in windows), max(w[-1] for w in windows),
+                        max(source_a.n_points, source_b.n_points))
+    grid = FrequencyGrid(omega_e=axis, omega_o=axis)
+    return tuple(heralded_density_matrix(src.build_jsa(grid), other_arm(herald_arm))
+                 for src in (source_a, source_b))
+
+
+def pipeline_states(source_a, source_b, herald_arm):
     """The two heralded states two_source_experiment hands to hom_dip."""
     states = []
     with mock.patch.object(interference, "hom_dip",
@@ -407,10 +420,13 @@ class TestOverlapReference:
     @given(overlap_cases())
     def test_matches_direct_double_sum(self, case):
         source_a, source_b, herald_arm, fractions = case
+        rho_a, rho_b = covering_states(source_a, source_b, herald_arm)
         try:
-            rho_a, rho_b = covering_states(source_a, source_b, herald_arm)
+            handed = pipeline_states(source_a, source_b, herald_arm)
         except ConfigError:  # a covering grid too coarse for one source
-            reject()
+            handed = ()
+        for rho, rho_handed in zip((rho_a, rho_b), handed):
+            np.testing.assert_array_equal(rho_handed.values, rho.values)
         assert np.iscomplexobj(rho_a.values) == (not source_a.flat_phase)
         taus = fractions * math.pi / rho_a.grid.d_omega
         expected = [reference_overlap(rho_a, rho_b, tau) for tau in taus]
@@ -474,9 +490,9 @@ class TestCoveringGridConvergence:
     @example((kdp_source(1.0, 8.0, 64, True), kdp_source(10.0, 2.0, 64, True), "o", 0.99))
     def test_accepted_scan_matches_four_times_the_points(self, case):
         source_a, source_b, herald_arm, reach = case
+        d_omega = covering_states(source_a, source_b, herald_arm)[0].grid.d_omega
+        delays = np.linspace(-reach, reach, 201) * math.pi / d_omega * 1e15
         try:
-            d_omega = covering_states(source_a, source_b, herald_arm)[0].grid.d_omega
-            delays = np.linspace(-reach, reach, 201) * math.pi / d_omega * 1e15
             scan = two_source_experiment(source_a, source_b, herald_arm, delays)
         except ConfigError:
             return
@@ -595,18 +611,15 @@ class TestAliasLimit:
         # the covering grid's step, 3.7x the narrow source's own, and the
         # narrow source's dip is wider than the overlap's period.
         a, b = (kdp_source(length, fwhm, 64, False) for length, fwhm in ((7.0, 3.0), (1.0, 6.0)))
-        windows = [src.grid().omega_e for src in (a, b)]
-        axis = lattice_axis(min(w[0] for w in windows), max(w[-1] for w in windows), 64)
-        half_period_fs = math.pi / (axis[1] - axis[0]) * 1e15
+        rho_a, rho_b = covering_states(a, b, "o")
+        half_period_fs = math.pi / rho_a.grid.d_omega * 1e15
         assert half_period_fs == pytest.approx(710.5, abs=0.1)
-        grid = FrequencyGrid(axis, axis)
-        rho_a, rho_b = (heralded_density_matrix(src.build_jsa(grid), "e") for src in (a, b))
 
         def delays(reach):
             return np.linspace(-reach * half_period_fs, reach * half_period_fs, 201)
 
-        # The states that two_source_experiment built for this pair before it
-        # refused covering grids this coarse.
+        # two_source_experiment refuses this pair, so hom_dip gets its
+        # covering states directly.
         with pytest.raises(ConfigError, match="widen"):
             hom_dip(rho_a, rho_b, delays(0.5))
         with pytest.raises(ConfigError, match=r"too coarse.*n=64 grid \(d_omega = 4\.42"):
@@ -614,5 +627,5 @@ class TestAliasLimit:
         with pytest.raises(ConfigError, match="alias limit"):
             hom_dip(rho_a, rho_b, delays(2.0))
         with pytest.raises(ConfigError, match=r"covering grid too coarse: its step 4\.42.*"
-                                              r"own step 1\.18.*more grid points"):
+                                              r"own step 1\.18.*leave out --grid-points"):
             two_source_experiment(a, b, "o", delays(0.5))
