@@ -12,8 +12,8 @@ from scipy.optimize import leastsq
 
 from .errors import ConfigError, FilterSupportError
 from .interference import HomScan, SourceSpec
-from .jsa import (FILTER_SHAPES, FilterSpec, JointAmplitude, arm_transmissions, nm_from_omega,
-                  other_arm, write_json)
+from .jsa import (FILTER_SHAPES, FWHM_PER_SIGMA, FilterSpec, JointAmplitude, arm_transmissions,
+                  nm_from_omega, other_arm, write_csv, write_json)
 from .schmidt import heralding_efficiency, schmidt_decompose
 
 FOUR_LN2 = 4.0 * math.log(2.0)
@@ -30,12 +30,9 @@ class SweepResult:
     gaps: tuple = ()  # (bandwidth, reason) pairs where filtering failed
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("# " + json.dumps(self.config, sort_keys=True) + "\n")
-            fh.write("bandwidth_nm,purity,heralding_efficiency\n")
-            for b, p, e in zip(self.bandwidths_nm, self.purities,
-                               self.heralding_efficiencies):
-                fh.write(f"{b:.9g},{p:.9g},{e:.9g}\n")
+        columns = [self.bandwidths_nm, self.purities, self.heralding_efficiencies]
+        write_csv(path, np.column_stack(columns), header="bandwidth_nm,purity,heralding_efficiency",
+                  comments=[json.dumps(self.config, sort_keys=True)])
 
 
 def filter_sweep(source: SourceSpec, bandwidths_nm, filter_shape="gaussian",
@@ -115,12 +112,10 @@ class CountRecord:
             raise ConfigError("counts must be nonnegative integers")
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(f"# pairs_per_point,{self.pairs_per_point:.9g}\n")
-            fh.write(f"# seed,{self.seed}\n")
-            fh.write("delay_fs,counts\n")
-            for t, n in zip(self.delays_fs, self.counts):
-                fh.write(f"{t:.9g},{n}\n")
+        # Object rows keep each count a Python int, exact beyond 2**53.
+        write_csv(path, np.array([self.delays_fs, self.counts], dtype=object).T,
+                  comments=[f"pairs_per_point,{self.pairs_per_point:.9g}", f"seed,{self.seed}"],
+                  header="delay_fs,counts", fmt=("%.9g", "%d"))
 
     @classmethod
     def from_csv(cls, path):
@@ -264,8 +259,8 @@ def fit_gaussian_dip(record: CountRecord):
     residual sqrt(w) (counts - model) with weights 1 / max(count, 1)
     (Poisson variance with a floor at one count). Uncertainties come from
     the inverse of the weighted normal matrix at the solution;
-    chi2_reduced uses n - 4 degrees of freedom. n_iterations is the number
-    of residual evaluations MINPACK made.
+    chi2_reduced uses n - 4 degrees of freedom and MINPACK's final residual.
+    n_iterations is MINPACK's count of residual evaluations (nfev).
     """
     delays = np.asarray(record.delays_fs, dtype=float)
     counts = np.asarray(record.counts, dtype=float)
@@ -285,19 +280,10 @@ def fit_gaussian_dip(record: CountRecord):
         )
 
     sqrt_w = np.sqrt(weights)
-    n_calls = 0
-
-    def residual(p):
-        nonlocal n_calls
-        n_calls += 1
-        return sqrt_w * (counts - _dip_model(p, delays))
-
-    # Without full_output, leastsq skips MINPACK's unused covariance. It and
-    # its extension evaluate the start point twice outside MINPACK's count.
-    params, ier = leastsq(residual, _initial_guess(delays, counts),
-                          Dfun=lambda p: -sqrt_w[:, None] * _dip_jacobian(p, delays))
-    nfev = n_calls - 2
-    chi2 = float(np.sum(residual(params) ** 2))
+    params, _, info, _, ier = leastsq(
+        lambda p: sqrt_w * (counts - _dip_model(p, delays)), _initial_guess(delays, counts),
+        Dfun=lambda p: -sqrt_w[:, None] * _dip_jacobian(p, delays), full_output=True)
+    chi2 = float(np.sum(info["fvec"] ** 2))
 
     jac = _dip_jacobian(params, delays)
     normal = (jac * weights[:, None]).T @ jac
@@ -315,7 +301,7 @@ def fit_gaussian_dip(record: CountRecord):
         uncertainties=sigma,
         chi2_reduced=chi2 / dof,
         converged=ier in (1, 2, 3, 4),
-        n_iterations=nfev,
+        n_iterations=int(info["nfev"]),
     )
 
 
@@ -331,13 +317,10 @@ class JsiScanResult:
     seed: int | None
 
     def to_csv(self, path):
-        grid = self.counts if self.counts is not None else self.expected
-        with open(path, "w") as fh:
-            fh.write(f"# resolution_fwhm_nm,{self.resolution_fwhm_nm:.9g}\n")
-            fh.write(f"# step_nm,{self.step_nm:.9g}\n")
-            axis = ",".join(f"{x:.9g}" for x in self.lambda_nm)
-            fh.write(f"# axis_e_nm,{axis}\n# axis_o_nm,{axis}\n")
-            np.savetxt(fh, grid, delimiter=",", fmt="%.9g")
+        axis = ",".join(f"{x:.9g}" for x in self.lambda_nm)
+        write_csv(path, self.counts if self.counts is not None else self.expected, comments=[
+            f"resolution_fwhm_nm,{self.resolution_fwhm_nm:.9g}", f"step_nm,{self.step_nm:.9g}",
+            f"axis_e_nm,{axis}", f"axis_o_nm,{axis}"])
 
 
 def simulate_jsi_scan(jsa: JointAmplitude, resolution_fwhm_nm, step_nm,
@@ -361,7 +344,7 @@ def simulate_jsi_scan(jsa: JointAmplitude, resolution_fwhm_nm, step_nm,
     lattice = np.arange(lam[0], lam[-1] + step_nm / 2.0, step_nm)
     # response[i, j]: weight of sample j in lattice point i.
     if resolution_fwhm_nm > 0.0:
-        s = resolution_fwhm_nm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+        s = resolution_fwhm_nm / FWHM_PER_SIGMA
         response = np.exp(-((lattice[:, None] - lam[None, :]) ** 2) / (2.0 * s ** 2))
     else:
         # Hat functions of linear interpolation; rows of zeros past the samples.

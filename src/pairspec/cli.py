@@ -22,8 +22,8 @@ from .crystals import (_DB_KEYS, CrystalDatabase, builtin_database, crystal_from
 from .dispersion import gvm_pump_wavelength
 from .errors import ConfigError, NumericalError, PhysicsDomainError
 from .interference import SourceSpec, coherence_time, two_source_experiment
-from .jsa import (FILTER_SHAPES, FilterSpec, PumpSpec, export_jsi_csv, export_metadata,
-                  jsi_pearson, write_json)
+from .jsa import (FILTER_SHAPES, MIN_GRID_POINTS, FilterSpec, PumpSpec, export_jsi_csv,
+                  export_metadata, jsi_pearson, write_json)
 from .schmidt import RESIDUAL_TOL, export_schmidt_csv, schmidt_decompose
 
 EXIT_CONFIG = 2
@@ -68,7 +68,9 @@ def _get_float(section, key):
 
 def load_config(path, grid_points=None):
     """Parse a run configuration; strict about sections and keys. Every
-    error names the file."""
+    error names the file, or the --grid-points flag that overrides its grid."""
+    if grid_points is not None and grid_points < MIN_GRID_POINTS:
+        raise ConfigError(f"--grid-points must be at least {MIN_GRID_POINTS}, got {grid_points}")
     parser = read_ini(path)
     try:
         source = _source_from(parser, grid_points)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import functools
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -89,9 +90,8 @@ class SellmeierForm:
     def _evaluate(self, fn, wavelength_nm, crystal_name):
         lam_um = np.asarray(wavelength_nm) * 1e-3
         if np.min(lam_um) < self.valid_um_min or np.max(lam_um) > self.valid_um_max:
-            bad = lam_um if lam_um.ndim == 0 else lam_um.flat[
-                int(np.argmax((lam_um < self.valid_um_min) | (lam_um > self.valid_um_max)))
-            ]
+            outside = (lam_um < self.valid_um_min) | (lam_um > self.valid_um_max)
+            bad = np.ravel(lam_um)[np.argmax(outside)]
             raise DispersionRangeError(
                 f"{float(bad) * 1e3:.6g} nm is outside the validity range "
                 f"[{self.valid_um_min * 1e3:.6g}, {self.valid_um_max * 1e3:.6g}] nm "
@@ -101,8 +101,16 @@ class SellmeierForm:
         return float(value) if np.ndim(value) == 0 else value
 
     def index(self, wavelength_nm, crystal_name="?"):
-        """Refractive index at the given wavelength (nm; scalar or array)."""
-        return self._evaluate(_FORMULAS[self.formula_id][0], wavelength_nm, crystal_name)
+        """Refractive index at the given wavelength (nm; scalar or array); a
+        DispersionRangeError names the first one where it is not positive and finite."""
+        n = self._evaluate(_FORMULAS[self.formula_id][0], wavelength_nm, crystal_name)
+        lo, hi = (n, n) if isinstance(n, float) else (np.min(n), np.max(n))
+        if 0 < lo and hi < math.inf:
+            return n
+        bad = int(np.argmin((n > 0) & (n < math.inf)))
+        raise DispersionRangeError(
+            f"refractive index {np.ravel(n)[bad]:.6g} at {np.ravel(wavelength_nm)[bad]:.6g} nm "
+            f"is not positive and finite for crystal {crystal_name}")
 
     def slope(self, wavelength_nm, crystal_name="?"):
         """Analytic dn/dlambda per nanometre at the given wavelength (nm)."""

@@ -20,6 +20,7 @@ from .crystals import CrystalSpec
 from .errors import ConfigError, NoGvmPointError, NoPhasematchingError, NumericalError
 
 C_LIGHT = 299792458.0  # speed of light in vacuum, m/s, exact by the SI definition
+TWO_PI_C = 2.0 * math.pi * C_LIGHT
 GVM_TOL_NM = 1e-4
 GVM_SCAN_HALFWIDTH_NM = 50.0  # pump window of the GVM scan, about d/2
 _ANGLE_BRACKET_DEG = (1e-9, 90.0)
@@ -35,6 +36,11 @@ class GvmSolution:
     group_index_daughter_o: float
     residual: float
     tolerance_nm: float = GVM_TOL_NM
+
+
+def nm_from_omega(omega):
+    """Angular frequency (rad/s) to vacuum wavelength (nm)."""
+    return TWO_PI_C / np.asarray(omega) * 1e9
 
 
 def index_o(crystal: CrystalSpec, wavelength_nm):
@@ -118,14 +124,11 @@ def delta_k(crystal: CrystalSpec, theta_deg, omega_e, omega_o):
     broadcastable arrays (rad/s); an array result is the caller's to overwrite.
     """
     def pump_k(omega_p):
-        lam_p = 2.0 * math.pi * C_LIGHT / omega_p * 1e9
-        return index_e(crystal, lam_p, theta_deg) * omega_p / C_LIGHT
+        return index_e(crystal, nm_from_omega(omega_p), theta_deg) * omega_p / C_LIGHT
 
-    lam_e = 2.0 * math.pi * C_LIGHT / omega_e * 1e9
-    lam_o = 2.0 * math.pi * C_LIGHT / omega_o * 1e9
     k_p = _on_sums(pump_k, omega_e, omega_o)
-    k_e = index_e(crystal, lam_e, theta_deg) * omega_e / C_LIGHT
-    k_o = index_o(crystal, lam_o) * omega_o / C_LIGHT
+    k_e = index_e(crystal, nm_from_omega(omega_e), theta_deg) * omega_e / C_LIGHT
+    k_o = index_o(crystal, nm_from_omega(omega_o)) * omega_o / C_LIGHT
     dk = k_p - k_e
     dk -= k_o
     return dk

@@ -19,10 +19,9 @@ from .crystals import CrystalSpec
 from .dispersion import phasematching_angle
 from .errors import ConfigError
 from .jsa import (FrequencyGrid, JointAmplitude, PumpSpec, apply_filters, build_grid,
-                  joint_amplitude, lattice_axis, other_arm)
+                  check_grid, joint_amplitude, lattice_axis, other_arm, write_csv)
 from .schmidt import ReducedDensityMatrix, heralded_density_matrix
 
-SQRT2 = math.sqrt(2.0)
 # Relative slack on the alias limit pi/d_omega, so a scan computed to end
 # exactly there is not refused for its last bits.
 _ALIAS_SLACK = 1e-12
@@ -39,23 +38,18 @@ class HomScan:
     dip_center_fs: float
 
     def to_csv(self, path, metadata_lines=()):
-        with open(path, "w") as fh:
-            for line in metadata_lines:
-                fh.write(f"# {line}\n")
-            fh.write(f"# visibility,{self.visibility:.9g}\n")
-            fh.write(f"# dip_fwhm_fs,{self.dip_fwhm_fs:.9g}\n")
-            fh.write(f"# dip_center_fs,{self.dip_center_fs:.9g}\n")
-            fh.write(f"# coherence_time_fs,{coherence_time(self.dip_fwhm_fs):.9g}\n")
-            fh.write("delay_fs,normalized_rate\n")
-            for t, r in zip(self.delays_fs, self.rates):
-                fh.write(f"{t:.9g},{r:.9g}\n")
+        write_csv(path, np.column_stack([self.delays_fs, self.rates]), comments=[
+            *metadata_lines, f"visibility,{self.visibility:.9g}",
+            f"dip_fwhm_fs,{self.dip_fwhm_fs:.9g}", f"dip_center_fs,{self.dip_center_fs:.9g}",
+            f"coherence_time_fs,{coherence_time(self.dip_fwhm_fs):.9g}",
+        ], header="delay_fs,normalized_rate")
 
 
 def coherence_time(dip_fwhm_fs):
     """Heralded-photon coherence time from the dip FWHM (fs), FWHM / sqrt(2)."""
     if dip_fwhm_fs < 0:
         raise ConfigError("dip FWHM must be nonnegative")
-    return dip_fwhm_fs / SQRT2
+    return dip_fwhm_fs / math.sqrt(2.0)
 
 
 class _Overlap:
@@ -196,6 +190,7 @@ class SourceSpec:
     theta: float = field(init=False)
 
     def __post_init__(self):
+        check_grid(self.n_points, self.span_sigmas)
         theta = self.crystal.cut_angle_deg
         if theta is None:
             theta = phasematching_angle(self.crystal, self.pump.center_nm,

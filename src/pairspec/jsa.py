@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crystals import CrystalSpec
-from .dispersion import C_LIGHT, _on_sums, delta_k, group_index
+from .dispersion import TWO_PI_C, _on_sums, delta_k, group_index, nm_from_omega
 from .errors import ConfigError, FilterSupportError, NumericalError
 
-TWO_PI_C = 2.0 * math.pi * C_LIGHT
+FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))  # a Gaussian's FWHM over its sigma
+MIN_GRID_POINTS = 16
 
 NORM_CONVENTION = "unit-L2-with-grid-measure"
 
@@ -34,11 +35,6 @@ def other_arm(arm, what="arm"):
     if arm not in ("e", "o"):
         raise ConfigError(f"{what} must be 'e' or 'o', got {arm!r}")
     return "o" if arm == "e" else "e"
-
-
-def nm_from_omega(omega):
-    """Angular frequency (rad/s) to vacuum wavelength (nm)."""
-    return TWO_PI_C / np.asarray(omega) * 1e9
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,7 @@ class PumpSpec:
     def sigma_omega(self):
         """Standard deviation of the intensity spectrum in rad/s."""
         d_omega = TWO_PI_C * self.fwhm_nm * 1e-9 / (self.center_nm * 1e-9) ** 2
-        return d_omega / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+        return d_omega / FWHM_PER_SIGMA
 
 
 def pump_envelope(pump: PumpSpec, omega_sum):
@@ -102,8 +98,8 @@ class FrequencyGrid:
 
     def __post_init__(self):
         ax = np.asarray(self.omega_e, dtype=float)
-        if ax.ndim != 1 or ax.size < 16:
-            raise ConfigError("need a 1-d frequency axis with >= 16 points")
+        if ax.ndim != 1 or ax.size < MIN_GRID_POINTS:
+            raise ConfigError(f"need a 1-d frequency axis with >= {MIN_GRID_POINTS} points")
         steps = np.diff(ax)
         if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9):
             raise ConfigError("frequency axis must be uniform and ascending")
@@ -182,6 +178,14 @@ def lattice_axis(lo, hi, n):
     return float(round(lo)) + step * np.arange(n)
 
 
+def check_grid(n_points, span_sigmas):
+    """ConfigError unless build_grid accepts these grid settings."""
+    if n_points < MIN_GRID_POINTS:
+        raise ConfigError(f"n_points must be at least {MIN_GRID_POINTS}, got {n_points}")
+    if not 0 < span_sigmas < math.inf:
+        raise ConfigError(f"span_sigmas must be positive and finite, got {span_sigmas:g}")
+
+
 def build_grid(crystal: CrystalSpec, pump: PumpSpec, n_points=512,
                span_sigmas=4.0, *, theta_deg):
     """Square grid centered on the degenerate frequency omega_p / 2, for a
@@ -194,10 +198,7 @@ def build_grid(crystal: CrystalSpec, pump: PumpSpec, n_points=512,
     window tight enough that far sinc sidelobes do not dominate while
     still covering the broad (pump-limited) marginal.
     """
-    if n_points < 16:
-        raise ConfigError("n_points must be at least 16")
-    if not 0 < span_sigmas < math.inf:
-        raise ConfigError("span_sigmas must be positive and finite")
+    check_grid(n_points, span_sigmas)
     daughter_nm = 2.0 * pump.center_nm
     ng_p = group_index(crystal, "e", pump.center_nm, theta_deg)
     ng_e = group_index(crystal, "e", daughter_nm, theta_deg)
@@ -246,7 +247,7 @@ def filter_transmission(filt: FilterSpec, omega):
     """Intensity transmission of a filter sampled on a frequency axis."""
     lam = nm_from_omega(omega)
     if filt.shape == "gaussian":
-        s = filt.fwhm_nm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+        s = filt.fwhm_nm / FWHM_PER_SIGMA
         return np.exp(-((lam - filt.center_nm) ** 2) / (2.0 * s ** 2))
     return (np.abs(lam - filt.center_nm) <= filt.fwhm_nm / 2.0).astype(float)
 
@@ -313,10 +314,8 @@ def export_jsi_csv(jsa: JointAmplitude, path):
     axis = jsa.grid.omega_e
     nm = ",".join(f"{x:.9g}" for x in nm_from_omega(axis))
     rad_s = ",".join(f"{x:.9g}" for x in axis)
-    with open(path, "w") as fh:
-        for arm in ("e", "o"):
-            fh.write(f"# axis_{arm}_nm,{nm}\n# axis_{arm}_rad_s,{rad_s}\n")
-        np.savetxt(fh, jsa.intensity, delimiter=",", fmt="%.9g")
+    write_csv(path, jsa.intensity, comments=[f"axis_e_nm,{nm}", f"axis_e_rad_s,{rad_s}",
+                                             f"axis_o_nm,{nm}", f"axis_o_rad_s,{rad_s}"])
 
 
 def export_metadata(path, source, jsa: JointAmplitude, *, extra=None):
@@ -357,6 +356,17 @@ def export_metadata(path, source, jsa: JointAmplitude, *, extra=None):
     if extra:
         meta.update(extra)
     write_json(path, meta)
+
+
+def write_csv(path, rows, comments=(), header=None, fmt="%.9g"):
+    """Write a CSV table the one way every table is: a `# ` line per comment, the
+    header if any, then each row of the 2-d array in fmt (one %-format, or one per column)."""
+    line = ",".join([fmt] * rows.shape[1] if isinstance(fmt, str) else fmt) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(f"# {comment}\n" for comment in comments)
+        if header is not None:
+            fh.write(header + "\n")
+        fh.writelines(line % tuple(row.tolist()) for row in rows)
 
 
 def write_json(path, payload):

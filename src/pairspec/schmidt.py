@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FilterSupportError, NumericalError
-from .jsa import NO_SUPPORT, FrequencyGrid, JointAmplitude, arm_transmissions, other_arm
+from .jsa import NO_SUPPORT, FrequencyGrid, JointAmplitude, arm_transmissions, other_arm, write_csv
 
 
 # A Schmidt basis is certified when ||F - Q Q^H F||_F / ||F||_F is at most this.
@@ -195,7 +195,6 @@ def heralding_efficiency(jsa: JointAmplitude, filters, herald_arm):
 def export_schmidt_csv(result: SchmidtResult, path):
     """CSV (k, c_k, c_k^2) of the resolved coefficients (those above the
     certified residual), at most 64, largest first."""
-    with open(path, "w") as fh:
-        fh.write("k,c_k,c_k_squared\n")
-        for k, c in enumerate(result.resolved[:64], start=1):
-            fh.write(f"{k},{c:.12g},{c ** 2:.12g}\n")
+    c = result.resolved[:64]
+    write_csv(path, np.column_stack([np.arange(1, c.size + 1), c, c ** 2]),
+              header="k,c_k,c_k_squared", fmt=("%d", "%.12g", "%.12g"))

@@ -282,22 +282,25 @@ class TestFitGaussianDip:
             np.testing.assert_allclose(fit.uncertainties, sigma, rtol=1e-5)
 
     def test_iterations_are_minpack_evaluations(self):
-        # n_iterations is counted in the residual closure; it must equal the
-        # nfev that MINPACK reports through leastsq's full output.
+        # n_iterations is the nfev that MINPACK reports through leastsq's
+        # full output, and chi2_reduced comes from its final residual; a
+        # direct full_output call must agree on every scipy the package takes.
         delays = np.linspace(-1500.0, 1500.0, 61)
         scan = make_scan(delays, dip_curve(delays, 1.0, 0.944, 0.0, 440.0))
         for pairs, seed in ((1000.0, 5000), (1e5, 11), (30.0, 7), (2.0, 13)):
             record = simulate_counts(scan, pairs, seed=seed)
             counts = record.counts.astype(float)
             sqrt_w = np.sqrt(1.0 / np.maximum(counts, 1.0))
-            _, _, info, _, ier = leastsq(
-                lambda p: sqrt_w * (counts - analysis._dip_model(p, delays)),
-                analysis._initial_guess(delays, counts),
+            residual = lambda p: sqrt_w * (counts - analysis._dip_model(p, delays))
+            params, _, info, _, ier = leastsq(
+                residual, analysis._initial_guess(delays, counts),
                 Dfun=lambda p: -sqrt_w[:, None] * analysis._dip_jacobian(p, delays),
                 full_output=True)
             fit = fit_gaussian_dip(record)
             assert fit.n_iterations == info["nfev"]
             assert fit.converged == (ier in (1, 2, 3, 4))
+            assert [fit.baseline, fit.visibility, fit.center_fs] == list(params[:3])
+            assert fit.chi2_reduced == np.sum(residual(params) ** 2) / (delays.size - 4)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ConfigError):

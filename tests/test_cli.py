@@ -421,6 +421,8 @@ source_citation = inline test record
         "schmidt-length-zero", "schmidt-cut-angle-120", "schmidt-filter-fwhm-negative",
         "schmidt-filter-shape-boxy", "hom-pump-fwhm-negative", "hom-length-zero",
         "hom-cut-angle-120", "hom-filter-fwhm-negative", "hom-filter-shape-boxy",
+        "schmidt-n-points-8", "schmidt-span-sigmas-zero", "hom-n-points-8",
+        "hom-span-sigmas-zero", "schmidt-grid-points-8", "hom-grid-points-8",
     ])
     def test_bad_input_names_its_source(self, tmp_path, capsys, case):
         # Unreadable files and unusable values exit 2, and the message names
@@ -442,6 +444,8 @@ source_citation = inline test record
             "cut-angle-120": kdp.replace("crystal = KDP", "crystal = KDP\ncut_angle_deg = 120"),
             "filter-fwhm-negative": kdp + "\n[filter.o]\ncenter_nm = 830\nfwhm_nm = -1\n",
             "filter-shape-boxy": kdp + "\n[filter.o]\nshape = boxy\ncenter_nm = 830\nfwhm_nm = 4\n",
+            "n-points-8": kdp.replace("n_points = 512", "n_points = 8"),
+            "span-sigmas-zero": kdp.replace("span_sigmas = 4", "span_sigmas = 0"),
         }
         cfg = self.write(tmp_path, {
             "config-missing-crystal-file": kdp.replace(
@@ -453,7 +457,9 @@ source_citation = inline test record
             "config-flat-phase-not-boolean": kdp.replace(
                 "flat_phase = true", "flat_phase = maybe"),
         }.get(case) or value_faults.get(case.partition("-")[2], kdp))
-        grid = ["--grid-points", "64"]
+        # --grid-points would override the faulty n_points.
+        grid = {fault: [] if fault == "n-points-8" else ["--grid-points", "64"]
+                for fault in value_faults}
         args, named = {
             "fit-missing-counts": (["fit", "--counts", missing] + out, missing),
             "fit-non-numeric-row": (["fit", "--counts", str(counts)] + out,
@@ -484,10 +490,16 @@ source_citation = inline test record
                  "--crystal-file", str(not_utf8)] + out, str(not_utf8)),
             "config-crystal-file-not-utf8": (["schmidt", "--config", cfg] + out,
                                              str(not_utf8)),
-            **{f"schmidt-{fault}": (["schmidt", "--config", cfg] + grid + out, f"{cfg}: ")
-               for fault in value_faults},
-            **{f"hom-{fault}": (["hom", "--config-a", KDP_CFG, "--config-b", cfg] + grid + out,
-                                f"{cfg}: ") for fault in value_faults},
+            **{f"schmidt-{fault}": (["schmidt", "--config", cfg] + grid[fault] + out,
+                                    f"{cfg}: ") for fault in value_faults},
+            **{f"hom-{fault}": (
+                ["hom", "--config-a", KDP_CFG, "--config-b", cfg] + grid[fault] + out,
+                f"{cfg}: ") for fault in value_faults},
+            "schmidt-grid-points-8": (
+                ["schmidt", "--config", KDP_CFG, "--grid-points", "8"] + out, "--grid-points"),
+            "hom-grid-points-8": (
+                ["hom", "--config-a", KDP_CFG, "--config-b", KDP_CFG, "--grid-points", "8"]
+                + out, "--grid-points"),
         }[case]
         assert run(args) == 2
         err = capsys.readouterr().err
@@ -664,6 +676,42 @@ class TestErrorExitCodes:
         assert captured.err == ("physics error: 1062 nm is outside the validity range "
                                 "[220, 1060] nm of crystal BBO\n")
         assert "Traceback" not in captured.out + captured.err
+
+    # An inline crystal whose index is zero (with and without a cut angle),
+    # NaN (KDP's record with A_o negated, so n_o^2 < 0) or negative is a
+    # physics error naming the first bad wavelength, not a traceback (exit
+    # 1) or a purity computed from a negative index.
+    BAD_INDEX = {
+        "zero": ("constant", "0", "0", "", "0"),
+        "zero-cut-45": ("constant", "0", "0", "cut_angle_deg = 45\n", "0"),
+        "kdp-negated-a-o": ("sellmeier_2pole",
+                            "-2.259276, 0.01008956, 0.012942625, 13.00522, 400.0",
+                            "2.132668, 0.008637494, 0.012281043, 3.2279924, 400.0", "", "nan"),
+        "negative-cut-45": ("constant", "-1.5", "-1.5", "cut_angle_deg = 45\n", "-1.5"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_INDEX))
+    def test_index_not_positive_and_finite(self, tmp_path, capsys, case):
+        formula, coefficients_o, coefficients_e, cut, index = self.BAD_INDEX[case]
+        cfg = tmp_path / "bad_index.cfg"
+        cfg.write_text(
+            f"[source]\nlength_mm = 5\n{cut}pump_center_nm = 415\npump_fwhm_nm = 4\n"
+            f"flat_phase = true\n\n[crystal]\nformula_id = {formula}\n"
+            f"coefficients_o = {coefficients_o}\ncoefficients_e = {coefficients_e}\n"
+            "valid_um_min = 0.25\nvalid_um_max = 1.5\nsource_citation = test\n")
+        out = tmp_path / "out"
+        args = ["schmidt", "--config", str(cfg), "--grid-points", "64", "--out", str(out)]
+        if index == "nan":  # numpy warns at the square root of n^2 < 0 first
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                code = run(args)
+        else:
+            code = run(args)
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == (f"physics error: refractive index {index} at 415 nm is not "
+                                "positive and finite for crystal inline\n")
+        assert "Traceback" not in captured.out + captured.err
+        assert not out.exists()
 
 
 _SPACES = st.sampled_from(["", " ", "  ", "\t", " \t "])

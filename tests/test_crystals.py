@@ -43,6 +43,21 @@ def test_out_of_range_is_an_error_not_extrapolation():
         kdp.sellmeier_o.index(100.0, "KDP")
 
 
+def test_index_must_be_positive_and_finite():
+    # n = 1 - 0.5 / lambda_um^2 is 0.5 at 1000 nm and negative below 707 nm;
+    # an array names the first wavelength with a bad index, a scalar its own.
+    form = SellmeierForm("cauchy2", (1.0, -0.5), 0.2, 2.0)
+    assert form.index(1000.0, "X") == 0.5
+    with pytest.raises(DispersionRangeError,
+                       match=r"^refractive index -0.388889 at 600 nm is not positive and "
+                             r"finite for crystal X$"):
+        form.index(np.array([1000.0, 600.0, 500.0]), "X")
+    with pytest.raises(DispersionRangeError, match=r"index 0 at 700 nm"):
+        SellmeierForm("constant", (0.0,), 0.2, 2.0).index(700.0, "X")
+    with pytest.raises(DispersionRangeError, match=r"index inf at 1000 nm"):
+        SellmeierForm("constant", (math.inf,), 0.2, 2.0).index(np.full((2, 2), 1000.0), "X")
+
+
 def test_array_evaluation_matches_scalar():
     kdp = get_crystal("KDP", 5.0)
     lams = np.array([400.0, 830.0, 1000.0])

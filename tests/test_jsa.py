@@ -200,6 +200,14 @@ class TestBuildGrid:
             build_grid(kdp, PumpSpec(415.0, 4.0), span_sigmas=0.0, theta_deg=theta)
         with pytest.raises(ConfigError):
             build_grid(kdp, PumpSpec(415.0, 4.0), span_sigmas=math.nan, theta_deg=theta)
+        # A source refuses the settings when it is made, with the same message.
+        for settings, message in (({"n_points": 8}, "n_points must be at least 16, got 8"),
+                                  ({"span_sigmas": 0.0},
+                                   "span_sigmas must be positive and finite, got 0")):
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                build_grid(kdp, PumpSpec(415.0, 4.0), theta_deg=theta, **settings)
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                replace(kdp_source, **settings)
         for fwhm_nm in (0.0, math.nan, math.inf):
             with pytest.raises(ConfigError):
                 PumpSpec(415.0, fwhm_nm)
