@@ -9,7 +9,7 @@ from .interference import (HomScan, SourceSpec, coherence_time, hom_dip,
                            two_source_experiment)
 from .jsa import (FilterSpec, FrequencyGrid, JointAmplitude, PumpSpec,
                   apply_filters, build_grid, joint_amplitude, marginal_spectrum,
-                  phasematching_function, pump_envelope)
+                  normalize, phasematching_function, pump_envelope)
 from .schmidt import (ReducedDensityMatrix, SchmidtResult,
                       heralded_density_matrix, heralding_efficiency, purity,
                       schmidt_decompose)
@@ -22,7 +22,7 @@ __all__ = [
     "two_source_experiment",
     "FilterSpec", "FrequencyGrid", "JointAmplitude", "PumpSpec",
     "apply_filters", "build_grid", "joint_amplitude", "marginal_spectrum",
-    "phasematching_function", "pump_envelope",
+    "normalize", "phasematching_function", "pump_envelope",
     "ReducedDensityMatrix", "SchmidtResult", "heralded_density_matrix",
     "heralding_efficiency", "purity", "schmidt_decompose",
 ]

@@ -317,10 +317,13 @@ class JsiScanResult:
     seed: int | None
 
     def to_csv(self, path):
+        """Counts in %d, so a cell of 1e9 or more keeps every digit; the
+        noiseless sentinel's expected counts in %.9g."""
         axis = ",".join(f"{x:.9g}" for x in self.lambda_nm)
-        write_csv(path, self.counts if self.counts is not None else self.expected, comments=[
+        sampled = self.counts is not None
+        write_csv(path, self.counts if sampled else self.expected, comments=[
             f"resolution_fwhm_nm,{self.resolution_fwhm_nm:.9g}", f"step_nm,{self.step_nm:.9g}",
-            f"axis_e_nm,{axis}", f"axis_o_nm,{axis}"])
+            f"axis_e_nm,{axis}", f"axis_o_nm,{axis}"], fmt="%d" if sampled else "%.9g")
 
 
 def simulate_jsi_scan(jsa: JointAmplitude, resolution_fwhm_nm, step_nm,

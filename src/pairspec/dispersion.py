@@ -24,6 +24,9 @@ TWO_PI_C = 2.0 * math.pi * C_LIGHT
 GVM_TOL_NM = 1e-4
 GVM_SCAN_HALFWIDTH_NM = 50.0  # pump window of the GVM scan, about d/2
 _ANGLE_BRACKET_DEG = (1e-9, 90.0)
+# An n x n pass by row blocks makes temporaries of about 1/ROW_BLOCKS of
+# the array.
+ROW_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -116,12 +119,21 @@ def _on_sums(fn, omega_e, omega_o):
     return fn(omega_e + omega_o)
 
 
-def delta_k(crystal: CrystalSpec, theta_deg, omega_e, omega_o):
+def row_blocks(n):
+    """At most ROW_BLOCKS slices of consecutive rows covering range(n)."""
+    step = -(-n // ROW_BLOCKS)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def delta_k(crystal: CrystalSpec, theta_deg, omega_e, omega_o, *, out=None):
     """Collinear wavevector mismatch k_p(w_e + w_o) - k_e(w_e) - k_o(w_o), rad/m.
 
     The pump and the e-daughter see the angle-dependent extraordinary
     index; the o-daughter sees the ordinary index. Frequencies may be
-    broadcastable arrays (rad/s); an array result is the caller's to overwrite.
+    broadcastable arrays (rad/s); an array result is the caller's to
+    overwrite. It is written into `out` if given, a float array of the
+    broadcast shape, by row blocks, so numpy's buffers for the broadcast
+    terms stay a block's size.
     """
     def pump_k(omega_p):
         return index_e(crystal, nm_from_omega(omega_p), theta_deg) * omega_p / C_LIGHT
@@ -129,9 +141,14 @@ def delta_k(crystal: CrystalSpec, theta_deg, omega_e, omega_o):
     k_p = _on_sums(pump_k, omega_e, omega_o)
     k_e = index_e(crystal, nm_from_omega(omega_e), theta_deg) * omega_e / C_LIGHT
     k_o = index_o(crystal, nm_from_omega(omega_o)) * omega_o / C_LIGHT
-    dk = k_p - k_e
-    dk -= k_o
-    return dk
+    if out is None:
+        out = np.empty(np.broadcast_shapes(*(np.shape(k) for k in (k_p, k_e, k_o))))
+    rows_of = np.atleast_1d(out)  # a view: a 0-d out is one row
+    k_p, k_e, k_o = (np.broadcast_to(k, rows_of.shape) for k in (k_p, k_e, k_o))
+    for rows in row_blocks(len(rows_of)):
+        np.subtract(k_p[rows], k_e[rows], out=rows_of[rows])
+        rows_of[rows] -= k_o[rows]
+    return out if out.ndim else out[()]
 
 
 def _angle_mismatch(crystal: CrystalSpec, degenerate_wavelength_nm):

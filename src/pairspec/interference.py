@@ -10,17 +10,17 @@ matrices of the two photons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .crystals import CrystalSpec
-from .dispersion import phasematching_angle
+from .dispersion import phasematching_angle, row_blocks
 from .errors import ConfigError
 from .jsa import (FrequencyGrid, JointAmplitude, PumpSpec, apply_filters, build_grid,
                   check_grid, joint_amplitude, lattice_axis, other_arm, write_csv)
-from .schmidt import ReducedDensityMatrix, heralded_density_matrix
+from .schmidt import ReducedDensityMatrix, herald_rows, heralded_density_matrix
 
 # Relative slack on the alias limit pi/d_omega, so a scan computed to end
 # exactly there is not refused for its last bits.
@@ -58,28 +58,36 @@ class _Overlap:
     On a uniform axis the phase exp(-i (w_j - w_i) tau) depends only on
     k = j - i, so the trace collapses to the diagonal sums D_k of the
     elementwise product P = rho_a * rho_b^T. Both states are Hermitian, so
-    rho_b^T = conj(rho_b) and D_-k = conj(D_k): P is formed in one n x n
-    array, only its n upper diagonals are summed, and
+    rho_b^T = conj(rho_b) and D_-k = conj(D_k): only the n upper diagonals
+    of P are summed, and
 
         overlap(tau) = D_0 + 2 sum_{k>=1} [Re D_k cos(k dw tau) + Im D_k sin(k dw tau)].
 
     For real states (flat phase) D is real and the sine term drops out.
+    The overlap is made from P itself, of which only the diagonal and
+    above are read (`two_source_experiment` streams them into rho_a's
+    buffer), or from the two states by `between`.
     """
 
-    def __init__(self, rho_a: ReducedDensityMatrix, rho_b: ReducedDensityMatrix):
-        axis_a, axis_b = rho_a.grid.omega_e, rho_b.grid.omega_e
-        if axis_a.size != axis_b.size or not np.allclose(axis_a, axis_b, rtol=1e-12):
-            raise ConfigError("density matrices must share an identical frequency axis")
-        n, d_omega = axis_a.size, rho_a.grid.d_omega
-        product = np.empty((n, n), dtype=np.result_type(rho_a.values, rho_b.values))
-        np.conjugate(rho_b.values, out=product)
-        product *= rho_a.values
-        diag = np.array([product.diagonal(k).sum() for k in range(n)])
+    def __init__(self, product, d_omega):
+        self.n, self.d_omega = product.shape[0], d_omega
+        diag = np.array([product.diagonal(k).sum() for k in range(self.n)])
         diag *= d_omega ** 2
         self._d0 = float(diag[0].real)
         self._cos_weights = 2.0 * diag[1:].real
         self._sin_weights = 2.0 * diag[1:].imag if np.iscomplexobj(diag) else None
-        self._freq_steps = np.arange(1, n) * d_omega
+        self._freq_steps = np.arange(1, self.n) * d_omega
+
+    @classmethod
+    def between(cls, rho_a: ReducedDensityMatrix, rho_b: ReducedDensityMatrix):
+        """The overlap of two states on one axis, P formed in one n x n array."""
+        axis_a, axis_b = rho_a.grid.omega_e, rho_b.grid.omega_e
+        if axis_a.size != axis_b.size or not np.allclose(axis_a, axis_b, rtol=1e-12):
+            raise ConfigError("density matrices must share an identical frequency axis")
+        product = np.empty(rho_a.values.shape, dtype=np.result_type(rho_a.values, rho_b.values))
+        np.conjugate(rho_b.values, out=product)
+        product *= rho_a.values
+        return cls(product, rho_a.grid.d_omega)
 
     def __call__(self, tau_s):
         tau_s = np.atleast_1d(np.asarray(tau_s, dtype=float))
@@ -91,13 +99,24 @@ class _Overlap:
         return vals if vals.size > 1 else float(vals[0])
 
 
+def _delay_axis(delays_fs):
+    """The delays as a 1-d float array; a ConfigError unless there are at
+    least 3, all finite."""
+    delays_fs = np.asarray(delays_fs, dtype=float)
+    if delays_fs.ndim != 1 or delays_fs.size < 3:
+        raise ConfigError("need at least 3 delay points")
+    if not np.all(np.isfinite(delays_fs)):
+        raise ConfigError("delays must be finite")
+    return delays_fs
+
+
 def hom_dip(rho_a: ReducedDensityMatrix, rho_b: ReducedDensityMatrix, delays_fs):
     """Normalized coincidence rates over the given delays plus dip metrics.
 
     Both density matrices must be Hermitian, as every heralded state is,
     and share one uniform frequency axis. On that axis of step dw the
     overlap repeats every 2 pi / dw, so delays must lie within +-pi / dw
-    (up to rounding).
+    (up to rounding). The inputs are left as they are.
 
     Visibility is the maximum overlap found by a bounded scalar search
     within one mean scan step of the best scan sample, and never less than
@@ -105,13 +124,13 @@ def hom_dip(rho_a: ReducedDensityMatrix, rho_b: ReducedDensityMatrix, delays_fs)
     beats it by more than rounding. The dip FWHM comes from linear
     interpolation of the scan's crossings of 1 - V/2.
     """
-    delays_fs = np.asarray(delays_fs, dtype=float)
-    if delays_fs.ndim != 1 or delays_fs.size < 3:
-        raise ConfigError("need at least 3 delay points")
-    if not np.all(np.isfinite(delays_fs)):
-        raise ConfigError("delays must be finite")
-    overlap = _Overlap(rho_a, rho_b)
-    n, d_omega = rho_a.grid.omega_e.size, rho_a.grid.d_omega
+    delays_fs = _delay_axis(delays_fs)
+    return _dip_scan(_Overlap.between(rho_a, rho_b), delays_fs)
+
+
+def _dip_scan(overlap: _Overlap, delays_fs):
+    """`hom_dip`'s scan and dip metrics for an overlap over checked delays."""
+    n, d_omega = overlap.n, overlap.d_omega
     half_period_fs = math.pi / d_omega * 1e15
     grid_text = f"the n={n} grid (d_omega = {d_omega:.6g} rad/s)"
     if np.max(np.abs(delays_fs)) > half_period_fs * (1.0 + _ALIAS_SLACK):
@@ -221,11 +240,17 @@ def two_source_experiment(source_a: SourceSpec, source_b: SourceSpec,
     interferes the e-rays and vice versa). Both JSAs are evaluated on one
     grid that covers both sources' windows, at the larger n_points, so the
     two heralded states share one frequency axis. For identical windows
-    this is each source's own grid. Equal specs share one heralded state.
-    A covering step more than twice a source's own step is a ConfigError,
-    raised before any JSA is built.
+    this is each source's own grid. A covering step more than twice a
+    source's own step is a ConfigError, raised before any JSA is built.
+
+    Sources equal but for their windows (n_points, span_sigmas) share one
+    heralded state, scanned by `hom_dip`. Otherwise rho_a is formed and its
+    JSA dropped, then JSA_b is built and rho_b is never formed:
+    `_stream_product` writes the product with conj(rho_b) into rho_a's
+    buffer. So no stage holds more than two n x n arrays.
     """
     interfered_arm = other_arm(herald_arm, "herald_arm")
+    delays_fs = _delay_axis(delays_fs)
     # Specs compare by value, so a source given twice is built once.
     sources = (source_a,) if source_b == source_a else (source_a, source_b)
     windows = [src.grid().omega_e for src in sources]
@@ -238,6 +263,34 @@ def two_source_experiment(source_a: SourceSpec, source_b: SourceSpec,
             f"covering grid too coarse: its step {grid.d_omega:.6g} rad/s is more than twice "
             f"a source's own step {finest:.6g} rad/s; give the wider window's config more "
             f"[grid] n_points and leave out --grid-points, which sets one n for both")
-    rhos = [heralded_density_matrix(src.build_jsa(grid), interfered_arm)
-            for src in sources]
-    return hom_dip(rhos[0], rhos[-1], delays_fs)
+    # A JSA on the covering grid depends on neither source's own window, so
+    # sources that differ only in n_points or span_sigmas share one state.
+    if all(getattr(source_a, f.name) == getattr(source_b, f.name)
+           for f in fields(SourceSpec) if f.name not in ("n_points", "span_sigmas")):
+        rho = heralded_density_matrix(source_a.build_jsa(grid), interfered_arm)
+        return hom_dip(rho, rho, delays_fs)
+    # Each JSA is an argument only, so it is freed as soon as it is used.
+    overlap = _stream_product(heralded_density_matrix(source_a.build_jsa(grid), interfered_arm),
+                              source_b.build_jsa(grid), interfered_arm)
+    return _dip_scan(overlap, delays_fs)
+
+
+def _stream_product(rho_a: ReducedDensityMatrix, jsa_b: JointAmplitude, heralded_arm):
+    """The overlap of rho_a with jsa_b's heralded state, without forming it.
+
+    With f = jsa_b's rows of the heralded photon, rho_b = f f^H dw / tr and
+    tr = ||f||^2 dw^2 = jsa_b.norm_sq(). conj(rho_b)'s upper triangle is
+    made one row block at a time as conj(f[rows]) f[rows.start:]^T and
+    multiplied into the same place of rho_a's values, which become P (a
+    real rho_a is first copied to complex against a complex JSA_b); the
+    strictly-lower triangle keeps rho_a, as `_Overlap` reads only above it.
+    """
+    f = herald_rows(jsa_b, heralded_arm)
+    scale = jsa_b.grid.d_omega / jsa_b.norm_sq()
+    product = rho_a.values.astype(np.result_type(rho_a.values, f), copy=False)
+    for rows in row_blocks(f.shape[0]):
+        block = np.conjugate(f[rows]) @ f[rows.start:].T
+        block *= scale
+        product[rows, rows.start:] *= block
+        del block  # before the next one is made
+    return _Overlap(product, rho_a.grid.d_omega)

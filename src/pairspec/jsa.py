@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crystals import CrystalSpec
-from .dispersion import TWO_PI_C, _on_sums, delta_k, group_index, nm_from_omega
+from .dispersion import TWO_PI_C, _on_sums, delta_k, group_index, nm_from_omega, row_blocks
 from .errors import ConfigError, FilterSupportError, NumericalError
 
 FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))  # a Gaussian's FWHM over its sigma
@@ -27,6 +27,9 @@ NORM_CONVENTION = "unit-L2-with-grid-measure"
 
 FILTER_SHAPES = ("gaussian", "rectangular")
 NO_SUPPORT = "filter removes all support of the joint amplitude"
+
+# `_sum_abs_sq` hands numpy runs of at most this many elements to sum whole.
+_SUM_RUN = 4096
 
 
 def other_arm(arm, what="arm"):
@@ -71,21 +74,42 @@ def pump_envelope(pump: PumpSpec, omega_sum):
 def phasematching_function(crystal: CrystalSpec, theta_deg, omega_e, omega_o,
                            flat_phase=False):
     """sinc(dk L / 2) * exp(i dk L / 2); the phase factor is dropped in
-    flat-phase mode, which leaves a real amplitude. The sinc repeats the
-    steps of np.sinc(x / pi) in place on delta_k's array, so it has its bits."""
-    x = np.asarray(delta_k(crystal, theta_deg, omega_e, omega_o))
-    x *= crystal.length_mm * 1e-3
+    flat-phase mode, which leaves a real amplitude.
+
+    The result is the one full-size array: `delta_k` writes into it (into
+    its real part when the phase is kept), and the sinc runs over row
+    blocks of it, repeating the steps of np.sinc(x / pi) (so it has their
+    bits) with temporaries of one block.
+    """
+    out = np.empty(np.broadcast_shapes(np.shape(omega_e), np.shape(omega_o)),
+                   dtype=float if flat_phase else complex)
+    delta_k(crystal, theta_deg, omega_e, omega_o, out=out.real)
+    blocks = np.atleast_1d(out)  # a view, so a 0-d result is one block of one row
+    for rows in row_blocks(len(blocks)):
+        _phasematch_block(blocks[rows], crystal.length_mm * 1e-3)
+    return out if out.ndim else out[()]
+
+
+def _phasematch_block(block, length):
+    """Overwrite a block of dk values (the real part of a complex block)
+    with sinc(x) exp(i x), or sinc(x) for a real block, x = dk length / 2.
+    Its temporaries are a block's and die with the call."""
+    kept_phase = np.iscomplexobj(block)
+    x = block.real.copy() if kept_phase else block
+    x *= length
     x /= 2.0
-    phase = None if flat_phase else np.exp(1j * x)
+    if kept_phase:
+        phase = 1j * x
+        np.exp(phase, out=phase)
     x /= np.pi
     x *= np.pi
     x[x == 0.0] = np.finfo(float).eps
     amp = np.sin(x)
-    amp /= x
-    if flat_phase:
-        return amp
-    phase *= amp
-    return phase
+    if kept_phase:
+        amp /= x
+        np.multiply(phase, amp, out=block)
+    else:
+        np.divide(amp, x, out=block)
 
 
 @dataclass(frozen=True)
@@ -144,7 +168,7 @@ class JointAmplitude:
         return intensity
 
     def norm_sq(self):
-        return float(np.sum(self.intensity) * self.grid.measure)
+        return float(_sum_abs_sq(self.values) * self.grid.measure)
 
 
 def _abs_sq(values):
@@ -152,13 +176,40 @@ def _abs_sq(values):
     return np.abs(values) ** 2 if np.iscomplexobj(values) else np.square(values)
 
 
+def _sum_abs_sq(values):
+    """np.sum(|v|^2) of a contiguous array, bit for bit, with no full-size square.
+
+    numpy sums a contiguous array pairwise in memory order: a run longer
+    than 128 elements is split at half its length, rounded down to a
+    multiple of 8. Splitting the same way down to runs of at most _SUM_RUN
+    elements, and letting numpy sum each of those, adds the same partial
+    sums in the same order.
+    """
+    flat = values.ravel(order="K")
+    return _pairwise_abs_sq(flat, 0, flat.size)
+
+
+def _pairwise_abs_sq(flat, lo, hi):
+    """sum |flat[lo:hi]|^2 in numpy's pairwise order (see `_sum_abs_sq`)."""
+    if hi - lo <= _SUM_RUN:
+        return np.sum(_abs_sq(flat[lo:hi]))
+    half = (hi - lo) // 2
+    half -= half % 8
+    return _pairwise_abs_sq(flat, lo, lo + half) + _pairwise_abs_sq(flat, lo + half, hi)
+
+
 def normalize(grid: FrequencyGrid, values):
     """Wrap raw amplitudes, left as they are, into a unit-norm JointAmplitude."""
-    values = np.asarray(values)
-    norm_sq = np.sum(_abs_sq(values)) * grid.measure
+    return _normalized(grid, np.array(values, dtype=complex if np.iscomplexobj(values) else float))
+
+
+def _normalized(grid: FrequencyGrid, values):
+    """A unit-norm JointAmplitude in `values`' own buffer, divided in place."""
+    norm_sq = _sum_abs_sq(values) * grid.measure
     if not np.isfinite(norm_sq) or norm_sq == 0.0:
         raise NumericalError("cannot normalize: joint amplitude has zero norm")
-    return JointAmplitude(grid, values / math.sqrt(norm_sq))
+    values /= math.sqrt(norm_sq)
+    return JointAmplitude(grid, values)
 
 
 def lattice_axis(lo, hi, n):
@@ -217,13 +268,15 @@ def build_grid(crystal: CrystalSpec, pump: PumpSpec, n_points=512,
 
 def joint_amplitude(crystal: CrystalSpec, theta_deg, pump: PumpSpec,
                     grid: FrequencyGrid, flat_phase=False):
-    """f = pump envelope times phasematching function (in phi's buffer), unit-normalized."""
+    """f = pump envelope times phasematching function, unit-normalized, all
+    in phi's one n x n array."""
     we = grid.omega_e[:, None]
     wo = grid.omega_o[None, :]
     alpha = _on_sums(lambda omega_sum: pump_envelope(pump, omega_sum), we, wo)
     phi = phasematching_function(crystal, theta_deg, we, wo, flat_phase=flat_phase)
-    phi *= alpha
-    return normalize(grid, phi)
+    for rows in row_blocks(len(phi)):
+        phi[rows] *= alpha[rows]
+    return _normalized(grid, phi)
 
 
 @dataclass(frozen=True)
@@ -271,12 +324,13 @@ def apply_filters(jsa: JointAmplitude, filters):
     if not filters:
         return jsa, 1.0
     t = arm_transmissions(filters, jsa.grid.omega_e)
-    values = jsa.values * np.sqrt(t["e"])[:, None] * np.sqrt(t["o"])[None, :]
-    kept = float(np.sum(np.abs(values) ** 2) * jsa.grid.measure)
+    values = jsa.values * np.sqrt(t["e"])[:, None]
+    values *= np.sqrt(t["o"])[None, :]
+    kept = float(_sum_abs_sq(values) * jsa.grid.measure)
     if kept == 0.0:
         raise FilterSupportError(NO_SUPPORT)
-    filtered = JointAmplitude(jsa.grid, values / math.sqrt(kept))
-    return filtered, kept / jsa.norm_sq()
+    values /= math.sqrt(kept)
+    return JointAmplitude(jsa.grid, values), kept / jsa.norm_sq()
 
 
 def marginal_spectrum(jsa: JointAmplitude, arm):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dispersion import row_blocks
 from .errors import ConfigError, FilterSupportError, NumericalError
 from .jsa import NO_SUPPORT, FrequencyGrid, JointAmplitude, arm_transmissions, other_arm, write_csv
 
@@ -154,19 +155,33 @@ def heralded_density_matrix(jsa: JointAmplitude, heralded_arm):
     rho(w, w') = sum_h f(w, w_h) f*(w', w_h) dw_h on the heralded arm's
     axis, normalized to unit trace. A herald filter acts through
     `jsa.apply_filters` on the amplitude, as sqrt(T) on the herald's index,
-    so rho = f f^dagger stays Hermitian by construction (and, for real
-    amplitudes, bitwise symmetric from one SYRK).
+    so rho = f f^dagger stays Hermitian by construction. rho is the only
+    n x n array made: for real amplitudes it comes from one SYRK (bitwise
+    symmetric); for complex ones each row block is conj(conj(f[rows]) f^T),
+    so no conjugated copy of f is made.
     """
     other_arm(heralded_arm, "heralded_arm")
     d_omega = jsa.grid.d_omega
-    f = jsa.values if heralded_arm == "e" else jsa.values.T
-    rho = f @ f.conj().T
+    f = herald_rows(jsa, heralded_arm)
+    if jsa.flat_phase:
+        rho = f @ f.T
+    else:
+        rho = np.empty((f.shape[0],) * 2, dtype=complex)
+        for rows in row_blocks(f.shape[0]):
+            np.matmul(np.conjugate(f[rows]), f.T, out=rho[rows])
+        np.conjugate(rho, out=rho)
     rho *= d_omega
     tr = float(np.real(np.trace(rho)) * d_omega)
     if tr <= 0.0:
         raise FilterSupportError("heralded state has zero trace")
     rho /= tr
     return ReducedDensityMatrix(grid=jsa.grid, values=rho)
+
+
+def herald_rows(jsa: JointAmplitude, heralded_arm):
+    """The amplitude indexed [heralded photon, herald]: a view, transposed
+    when the heralded photon is the o photon."""
+    return jsa.values if heralded_arm == "e" else jsa.values.T
 
 
 def purity(rho: ReducedDensityMatrix):

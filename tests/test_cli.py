@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairspec import cli, errors
+from pairspec.analysis import simulate_jsi_scan
 from pairspec.cli import main
 from pairspec.crystals import _DB_KEYS, _FORMULAS
 from pairspec.jsa import NO_SUPPORT
@@ -300,6 +301,18 @@ class TestScanCommand:
                         "--budget", "10000", "--seed", "5",
                         "--out", str(out)]) == 0
         assert (out_a / "scan.csv").read_bytes() == (out_b / "scan.csv").read_bytes()
+
+    def test_large_counts_read_back_exactly(self, tmp_path):
+        # A 1e15 budget puts cells past 1e9, whose every digit must survive.
+        argv = ["scan", "--config", KDP_CFG, "--grid-points", "64", "--resolution-nm", "0.5",
+                "--step-nm", "0.5", "--budget", "1e15", "--seed", "1"]
+        assert run(argv + ["--out", str(tmp_path)]) == 0
+        config, _ = cli.load_config(KDP_CFG, 64)
+        drawn = simulate_jsi_scan(config.source.build_jsa(), 0.5, 0.5, 1e15, 1).counts
+        cells = [int(cell) for line in (tmp_path / "scan.csv").read_text().splitlines()
+                 if not line.startswith("#") for cell in line.split(",")]
+        assert drawn.max() > 1e9
+        assert max(cells) == drawn.max()
 
 
 class TestConfigValidation:

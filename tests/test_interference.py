@@ -253,10 +253,11 @@ class TestIdenticalSources:
                         for _ in range(2))
         np.testing.assert_array_equal(scan.rates, hom_dip(rho_a, rho_b, delays).rates)
 
-    def test_different_specs_build_two_states(self, kdp_source, rho_calls):
+    def test_different_specs_form_one_state(self, kdp_source, rho_calls):
+        # rho_b is streamed into the product with rho_a and never formed.
         other = replace(kdp_source, pump=PumpSpec(415.0, 8.0))
         two_source_experiment(kdp_source, other, "o", np.linspace(-1500, 1500, 301))
-        assert len(rho_calls) == 2
+        assert len(rho_calls) == 1
 
 
 class TestCoveringGrid:
@@ -375,12 +376,15 @@ def covering_states(source_a, source_b, herald_arm):
 
 
 def pipeline_states(source_a, source_b, herald_arm):
-    """The two heralded states two_source_experiment hands to hom_dip."""
-    states = []
+    """What two_source_experiment scans: the two heralded states it hands to
+    hom_dip, or, where it streams rho_b instead, the overlap it scans."""
+    handed = []
     with mock.patch.object(interference, "hom_dip",
-                           lambda rho_a, rho_b, delays: states.append((rho_a, rho_b))):
+                           lambda rho_a, rho_b, delays: handed.append((rho_a, rho_b))), \
+            mock.patch.object(interference, "_dip_scan",
+                              lambda overlap, delays: handed.append(overlap)):
         two_source_experiment(source_a, source_b, herald_arm, [0.0, 0.0, 0.0])
-    return states[0]
+    return handed[0]
 
 
 def reference_overlap(rho_a, rho_b, tau_s):
@@ -424,14 +428,17 @@ class TestOverlapReference:
         try:
             handed = pipeline_states(source_a, source_b, herald_arm)
         except ConfigError:  # a covering grid too coarse for one source
-            handed = ()
-        for rho, rho_handed in zip((rho_a, rho_b), handed):
-            np.testing.assert_array_equal(rho_handed.values, rho.values)
+            handed = None
+        if isinstance(handed, tuple):
+            for rho, rho_handed in zip((rho_a, rho_b), handed):
+                np.testing.assert_array_equal(rho_handed.values, rho.values)
         assert np.iscomplexobj(rho_a.values) == (not source_a.flat_phase)
         taus = fractions * math.pi / rho_a.grid.d_omega
         expected = [reference_overlap(rho_a, rho_b, tau) for tau in taus]
-        np.testing.assert_allclose(interference._Overlap(rho_a, rho_b)(taus), expected,
+        np.testing.assert_allclose(interference._Overlap.between(rho_a, rho_b)(taus), expected,
                                    rtol=0, atol=1e-12)
+        if isinstance(handed, interference._Overlap):  # rho_b streamed into the product
+            np.testing.assert_allclose(handed(taus), expected, rtol=0, atol=1e-12)
 
     def test_real_and_complex_states_mix(self):
         rho = pure_state_density(AXIS, 5e12)
@@ -442,7 +449,7 @@ class TestOverlapReference:
         taus = np.linspace(-1e-12, 1e-12, 9)
         for pair in ((real, shifted), (shifted, real)):
             expected = [reference_overlap(*pair, tau) for tau in taus]
-            np.testing.assert_allclose(interference._Overlap(*pair)(taus), expected,
+            np.testing.assert_allclose(interference._Overlap.between(*pair)(taus), expected,
                                        rtol=0, atol=1e-12)
 
 
@@ -512,11 +519,63 @@ class TestOverlapMemory:
             rho = ReducedDensityMatrix(grid=rho.grid, values=rho.values.real.copy())
         tracemalloc.start()
         try:
-            interference._Overlap(rho, rho)
+            interference._Overlap.between(rho, rho)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * rho.values.nbytes
+
+
+# The paper's two-source case: KDP sources with 4 and 8 nm pumps.
+STREAM_DELAYS = np.linspace(-1500, 1500, 301)
+
+
+def scan_fields(scan):
+    return [scan.visibility, scan.dip_fwhm_fs, *scan.rates]
+
+
+class TestStreamedProduct:
+    """Unequal sources: rho_b is streamed into the product with rho_a."""
+
+    @pytest.mark.parametrize("phase_a, phase_b", [(True, True), (False, False), (True, False)],
+                             ids=["flat", "kept", "mixed"])
+    @pytest.mark.parametrize("herald_arm", ["e", "o"])
+    def test_equals_hom_dip_of_formed_states(self, phase_a, phase_b, herald_arm):
+        a, b = kdp_source(5.0, 4.0, 256, phase_a), kdp_source(5.0, 8.0, 256, phase_b)
+        streamed = two_source_experiment(a, b, herald_arm, STREAM_DELAYS)
+        formed = hom_dip(*covering_states(a, b, herald_arm), STREAM_DELAYS)
+        np.testing.assert_allclose(scan_fields(streamed), scan_fields(formed),
+                                   rtol=1e-12, atol=0)
+        # The centre is the bounded search's argument, good to its tolerance.
+        assert streamed.dip_center_fs == pytest.approx(formed.dip_center_fs, abs=1e-5)
+
+    @pytest.mark.parametrize("flat_phase", [True, False], ids=["flat", "kept"])
+    def test_strictly_lower_triangle_is_not_read(self, flat_phase):
+        a, b = kdp_source(5.0, 4.0, 128, flat_phase), kdp_source(5.0, 8.0, 128, flat_phase)
+        rho_a, rho_b = covering_states(a, b, "o")
+        before = rho_a.values.copy(), rho_b.values.copy()
+        expected = hom_dip(rho_a, rho_b, STREAM_DELAYS)
+        for rho, values in zip((rho_a, rho_b), before):  # hom_dip leaves its inputs alone
+            np.testing.assert_array_equal(rho.values, values)
+        product = rho_a.values * rho_b.values.conj()
+        product[np.tril_indices(product.shape[0], -1)] = np.nan
+        scan = interference._dip_scan(interference._Overlap(product, rho_a.grid.d_omega),
+                                      STREAM_DELAYS)
+        assert scan_fields(scan) == scan_fields(expected)
+        assert scan.dip_center_fs == expected.dip_center_fs
+
+    @pytest.mark.parametrize("flat_phase", [True, False], ids=["flat", "kept"])
+    def test_two_n_by_n_arrays(self, flat_phase):
+        # rho_a and JSA_b are the only full arrays alive at once.
+        n = 256
+        a, b = kdp_source(5.0, 4.0, n, flat_phase), kdp_source(5.0, 8.0, n, flat_phase)
+        tracemalloc.start()
+        try:
+            two_source_experiment(a, b, "o", STREAM_DELAYS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * n * n * np.dtype(float if flat_phase else complex).itemsize
 
 
 # Frequency unit of the two-Gaussian oracle, rad/s, and its sources as

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -147,7 +148,11 @@ class TestPhasematchingFunction:
         dk[0, 0] = -0.0
         axis = np.linspace(2.2e15, 2.3e15, 8)
         for given, zeros in ((dk, (np.array([0, 3]), np.array([0, 3]))), (0.0, ())):
-            monkeypatch.setattr(jsa_module, "delta_k", lambda *args, dk=given: np.copy(dk))
+            def fake_delta_k(*args, out, dk=given):
+                out[...] = dk
+                return out
+
+            monkeypatch.setattr(jsa_module, "delta_k", fake_delta_k)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 phi = phasematching_function(kdp, 60.0, axis[:, None], axis[None, :],
@@ -317,6 +322,32 @@ class TestJointAmplitude:
         flipped = normalize(jsa.grid, jsa.values[::-1, ::-1])
         assert_same_bits(jsa.values, before)
         assert not np.shares_memory(flipped.values, jsa.values)
+
+    @pytest.mark.parametrize("flat_phase", [True, False], ids=["flat", "kept"])
+    def test_one_n_by_n_buffer(self, kdp_source, flat_phase):
+        # phi, the pump product and the normalization share delta_k's array.
+        n = 256
+        grid = replace(kdp_source, n_points=n).grid()
+        tracemalloc.start()
+        try:
+            joint_amplitude(kdp_source.crystal, kdp_source.theta, kdp_source.pump, grid,
+                            flat_phase=flat_phase)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * n * np.dtype(float if flat_phase else complex).itemsize
+
+    @pytest.mark.parametrize("shape", [(16, 16), (100, 100), (256, 256), (300, 300),
+                                       (513, 513), (64, 1000)])
+    @pytest.mark.parametrize("kind", ["real", "complex", "fortran"])
+    def test_norm_is_np_sum_bit_for_bit(self, rng, shape, kind):
+        values = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 5, (shape[0], 1))
+        if kind == "complex":
+            values = values + 1j * rng.standard_normal(shape)
+        if kind == "fortran":
+            values = np.asfortranarray(values)
+        assert_same_bits(jsa_module._sum_abs_sq(values),
+                         np.sum(jsa_module._abs_sq(values)))
 
     def test_energy_conservation_structure(self, rng):
         # alpha depends on the frequencies only through their sum: shearing

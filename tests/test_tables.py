@@ -31,6 +31,11 @@ WRITERS = {
     "scan-counts": lambda path: JsiScanResult(
         LAMBDA_NM, EXPECTED, np.array([[1, 12, 0], [7, 1235, 2], [0, 0, 4]]), 0.2, 0.1, 5,
     ).to_csv(path),
+    # Cells at and past 1e9, where %.9g would drop digits.
+    "scan-large-counts": lambda path: JsiScanResult(
+        LAMBDA_NM, EXPECTED, np.array([[999999999, 1000000000, 0], [7, 6083130621519, 2],
+                                       [0, 0, 2 ** 62 + 1]]), 0.2, 0.1, 5,
+    ).to_csv(path),
     "scan-noiseless": lambda path: JsiScanResult(
         LAMBDA_NM, EXPECTED, None, 0.0, 0.1, None).to_csv(path),
     "schmidt": lambda path: export_schmidt_csv(SchmidtResult(
@@ -98,6 +103,14 @@ TEXT = {
         "1,12,0\n"
         "7,1235,2\n"
         "0,0,4\n"),
+    "scan-large-counts": (
+        "# resolution_fwhm_nm,0.2\n"
+        "# step_nm,0.1\n"
+        "# axis_e_nm,829.9,830,830.1\n"
+        "# axis_o_nm,829.9,830,830.1\n"
+        "999999999,1000000000,0\n"
+        "7,6083130621519,2\n"
+        "0,0,4611686018427387905\n"),
     "scan-noiseless": (
         "# resolution_fwhm_nm,0\n"
         "# step_nm,0.1\n"
