@@ -141,6 +141,8 @@ class CountRecord:
                     delay = float(t)
                     if not math.isfinite(delay):
                         raise ValueError(f"delay {t.strip()!r} is not finite")
+                    if int(n) < 0:
+                        raise ValueError(f"count {n.strip()!r} is negative")
                     delays.append(delay)
                     counts.append(int(n))
         except OSError as exc:

@@ -183,12 +183,11 @@ def cmd_gvm(args):
 
 def cmd_jsa(args):
     config, _ = load_config(args.config, args.grid_points)
-    source = config.source
-    jsa = source.build_jsa()
+    jsa = config.source.build_jsa()
     pearson = jsi_pearson(jsa)
     out = _out_dir(args)
     export_jsi_csv(jsa, out / "jsi.csv")
-    export_metadata(out / "jsi_meta.json", source, jsa,
+    export_metadata(out / "jsi_meta.json", config.source, jsa,
                     extra={"pearson_correlation": pearson, **config.metadata()})
     print(f"JSI written to {out / 'jsi.csv'} "
           f"(Pearson correlation {pearson:+.3f})")
@@ -286,8 +285,7 @@ def cmd_hom(args):
 
 
 def cmd_fit(args):
-    record = CountRecord.from_csv(args.counts)
-    result = fit_gaussian_dip(record)
+    result = fit_gaussian_dip(CountRecord.from_csv(args.counts))
     out = _out_dir(args)
     result.to_json(out / "fit.json")
     print(f"Fit: B = {result.baseline:.1f}, V = {result.visibility:.4f} "
@@ -317,81 +315,79 @@ def cmd_scan(args):
     return 0
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="pairspec",
-        description="Spectrally engineered photon-pair source simulator",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    # Each subcommand takes only the flags it acts on: --out everywhere, the
-    # grid flags where a JSA is built, and --seed where counts are drawn.
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--out", default=".", help="output directory")
-    gridded = argparse.ArgumentParser(add_help=False, parents=[output])
-    gridded.add_argument("--grid-points", type=int, default=None,
-                         help="override the grid point count per axis")
-    seeded = argparse.ArgumentParser(add_help=False, parents=[gridded])
-    seeded.add_argument("--seed", type=int, default=0, help="random seed")
-    sub = parser.add_subparsers(dest="command", required=True)
+# (handler, help, arguments) of each subcommand, from which both parsers are
+# built; --grid-points goes where a JSA is built, --seed where counts are drawn.
+_REQUIRED, _REQUIRED_FLOAT = dict(required=True), dict(type=float, required=True)
+_OUT = ("--out", dict(default=".", help="output directory"))
+_GRID = ("--grid-points", dict(type=int, help="override the grid point count per axis"))
+_SEED = ("--seed", dict(type=int, default=0, help="random seed"))
+_CONFIG = ("--config", _REQUIRED)
+_HERALD = ("--herald-arm", dict(default="o", choices=["e", "o"]))
+COMMANDS = {
+    "gvm": (cmd_gvm, "solve the group-velocity-matched pump wavelength", [
+        _OUT, ("--crystal", _REQUIRED), ("--daughter-nm", _REQUIRED_FLOAT),
+        ("--crystal-file", {})]),
+    "jsa": (cmd_jsa, "compute and export the JSI", [_OUT, _GRID, _CONFIG]),
+    "schmidt": (cmd_schmidt, "Schmidt spectrum and purity of a source", [_OUT, _GRID, _CONFIG]),
+    "sweep": (cmd_sweep, "purity/efficiency vs filter bandwidth", [
+        _OUT, _GRID, _CONFIG,
+        ("--bandwidths", dict(required=True, help="comma-separated FWHM list in nm")),
+        ("--shape", dict(default="gaussian", choices=FILTER_SHAPES)), _HERALD,
+        ("--asymmetric", dict(action="store_true", help="filter only the herald arm"))]),
+    "hom": (cmd_hom, "two-source Hong-Ou-Mandel scan", [
+        _OUT, _GRID, _SEED, ("--config-a", _REQUIRED), ("--config-b", _REQUIRED), _HERALD,
+        ("--delays", dict(default="-2000:2000:201", help="start:stop:count in fs")),
+        ("--pairs-per-point", dict(type=float, default=0.0,
+                                   help="also emit Poisson counts with this mean pair budget"))]),
+    "fit": (cmd_fit, "weighted Gaussian fit of a counts CSV", [_OUT, ("--counts", _REQUIRED)]),
+    "scan": (cmd_scan, "simulated monochromator scan of the JSI", [
+        _OUT, _GRID, _SEED, _CONFIG,
+        ("--resolution-nm", _REQUIRED_FLOAT), ("--step-nm", _REQUIRED_FLOAT),
+        ("--budget", dict(type=float, default=0.0,
+                          help="total expected pairs; 0 means noiseless"))]),
+}
 
-    p = sub.add_parser("gvm", parents=[output],
-                       help="solve the group-velocity-matched pump wavelength")
-    p.add_argument("--crystal", required=True)
-    p.add_argument("--daughter-nm", type=float, required=True)
-    p.add_argument("--crystal-file", default=None)
-    p.set_defaults(func=cmd_gvm)
 
-    p = sub.add_parser("jsa", parents=[gridded], help="compute and export the JSI")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_jsa)
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser, which raises a usage error for the full parser."""
 
-    p = sub.add_parser("schmidt", parents=[gridded],
-                       help="Schmidt spectrum and purity of a source")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_schmidt)
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
-    p = sub.add_parser("sweep", parents=[gridded],
-                       help="purity/efficiency vs filter bandwidth")
-    p.add_argument("--config", required=True)
-    p.add_argument("--bandwidths", required=True,
-                   help="comma-separated FWHM list in nm")
-    p.add_argument("--shape", default="gaussian",
-                   choices=FILTER_SHAPES)
-    p.add_argument("--herald-arm", default="o", choices=["e", "o"])
-    p.add_argument("--asymmetric", action="store_true",
-                   help="filter only the herald arm")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("hom", parents=[seeded],
-                       help="two-source Hong-Ou-Mandel scan")
-    p.add_argument("--config-a", required=True)
-    p.add_argument("--config-b", required=True)
-    p.add_argument("--herald-arm", default="o", choices=["e", "o"])
-    p.add_argument("--delays", default="-2000:2000:201",
-                   help="start:stop:count in fs")
-    p.add_argument("--pairs-per-point", type=float, default=0.0,
-                   help="also emit Poisson counts with this mean pair budget")
-    p.set_defaults(func=cmd_hom)
-
-    p = sub.add_parser("fit", parents=[output],
-                       help="weighted Gaussian fit of a counts CSV")
-    p.add_argument("--counts", required=True)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("scan", parents=[seeded],
-                       help="simulated monochromator scan of the JSI")
-    p.add_argument("--config", required=True)
-    p.add_argument("--resolution-nm", type=float, required=True)
-    p.add_argument("--step-nm", type=float, required=True)
-    p.add_argument("--budget", type=float, default=0.0,
-                   help="total expected pairs; 0 means noiseless")
-    p.set_defaults(func=cmd_scan)
+def build_parser(command=None):
+    """The full parser, or one command's parser: the full parser's
+    subparser of that name, built alone."""
+    if command is None:
+        parser = argparse.ArgumentParser(
+            prog="pairspec", description="Spectrally engineered photon-pair source simulator")
+        parser.add_argument("--version", action="version", version=__version__)
+        sub = parser.add_subparsers(dest="command", required=True)
+        parsers = {name: sub.add_parser(name, help=entry[1]) for name, entry in COMMANDS.items()}
+    else:
+        parser = _CommandParser(prog=f"pairspec {command}")
+        parsers = {command: parser}
+    for name, command_parser in parsers.items():
+        func, _, arguments = COMMANDS[name]
+        for flag, kwargs in arguments:
+            command_parser.add_argument(flag, **kwargs)
+        command_parser.set_defaults(func=func, command=name)
     return parser
 
 
+def parse_args(argv):
+    """argv parsed by the parser of its first word, as every valid run names
+    its command first; help, --version and usage errors go to the full parser."""
+    if argv and argv[0] in COMMANDS:
+        try:
+            return build_parser(argv[0]).parse_args(argv[1:])
+        except argparse.ArgumentError:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except ConfigError as exc:

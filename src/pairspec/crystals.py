@@ -11,7 +11,7 @@ import configparser
 import functools
 import math
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -233,8 +233,7 @@ class CrystalDatabase:
 @functools.cache
 def builtin_database():
     """The database shipped with the package (loaded once, immutable)."""
-    table = resources.files("pairspec.data").joinpath("crystals.txt")
-    return CrystalDatabase(table.read_text(encoding="utf-8"), table)
+    return CrystalDatabase.from_file(Path(__file__).with_name("data") / "crystals.txt")
 
 
 def get_crystal(name, length_mm, cut_angle_deg=None):

@@ -226,10 +226,10 @@ class SourceSpec:
 
     def build_jsa(self, grid: FrequencyGrid | None = None, filtered=True) -> JointAmplitude:
         """The JSA on the source's own grid, or on the given one, through the
-        source's filters unless filtered is False."""
+        source's filters (in the JSA's own array) unless filtered is False."""
         jsa = joint_amplitude(self.crystal, self.theta, self.pump,
                               grid or self.grid(), flat_phase=self.flat_phase)
-        return apply_filters(jsa, self.filters if filtered else ())[0]
+        return apply_filters(jsa, self.filters if filtered else (), _in_place=True)[0]
 
 
 def two_source_experiment(source_a: SourceSpec, source_b: SourceSpec,

@@ -314,23 +314,26 @@ def arm_transmissions(filters, omega):
     return t
 
 
-def apply_filters(jsa: JointAmplitude, filters):
+def apply_filters(jsa: JointAmplitude, filters, *, _in_place=False):
     """Multiply by the amplitude transmission sqrt(T) per arm and renormalize.
 
     Returns (filtered JointAmplitude, passed fraction), where the passed
     fraction is the intensity surviving the filters before renormalization.
-    An empty list returns the amplitude itself and 1.0.
+    An empty list returns the amplitude itself and 1.0. _in_place filters
+    jsa's own array, which the caller gives up.
     """
     if not filters:
         return jsa, 1.0
     t = arm_transmissions(filters, jsa.grid.omega_e)
-    values = jsa.values * np.sqrt(t["e"])[:, None]
+    norm_sq = jsa.norm_sq()
+    values = np.multiply(jsa.values, np.sqrt(t["e"])[:, None],
+                         out=jsa.values if _in_place else None)
     values *= np.sqrt(t["o"])[None, :]
     kept = float(_sum_abs_sq(values) * jsa.grid.measure)
     if kept == 0.0:
         raise FilterSupportError(NO_SUPPORT)
     values /= math.sqrt(kept)
-    return JointAmplitude(jsa.grid, values), kept / jsa.norm_sq()
+    return JointAmplitude(jsa.grid, values), kept / norm_sq
 
 
 def marginal_spectrum(jsa: JointAmplitude, arm):

@@ -1,5 +1,8 @@
+import argparse
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -436,6 +439,7 @@ source_citation = inline test record
         "hom-cut-angle-120", "hom-filter-fwhm-negative", "hom-filter-shape-boxy",
         "schmidt-n-points-8", "schmidt-span-sigmas-zero", "hom-n-points-8",
         "hom-span-sigmas-zero", "schmidt-grid-points-8", "hom-grid-points-8",
+        "fit-negative-count",
     ])
     def test_bad_input_names_its_source(self, tmp_path, capsys, case):
         # Unreadable files and unusable values exit 2, and the message names
@@ -444,6 +448,8 @@ source_citation = inline test record
         missing = str(tmp_path / "missing.txt")
         counts = tmp_path / "counts.csv"
         counts.write_text("delay_fs,counts\n-10,5\nx,3\n")
+        negative = tmp_path / "negative.csv"
+        negative.write_text("delay_fs,counts\n-10,5\n0,-3\n")
         a_file = tmp_path / "a_file"
         a_file.write_text("")
         not_utf8 = tmp_path / "not_utf8.txt"
@@ -477,6 +483,8 @@ source_citation = inline test record
             "fit-missing-counts": (["fit", "--counts", missing] + out, missing),
             "fit-non-numeric-row": (["fit", "--counts", str(counts)] + out,
                                     f"{counts}: line 3"),
+            "fit-negative-count": (["fit", "--counts", str(negative)] + out,
+                                   f"{negative}: line 3"),
             "gvm-missing-crystal-file": (
                 ["gvm", "--crystal", "KDP", "--daughter-nm", "830",
                  "--crystal-file", missing] + out, missing),
@@ -813,6 +821,91 @@ class TestInlineCrystalProperty:
         assert cli.main(["schmidt", "--config", cfg, "--grid-points", "16",
                          "--out", str(tmp / "out")]) == 2
         assert not (tmp / "out").exists()
+
+
+def full_subparser(name):
+    """The full parser's subparser of one command."""
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+def exit_outcome(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestParsers:
+    # A run builds only its command's parser; that parser must read argv as
+    # the full parser does, and help and usage errors must read the same.
+    ARGS = {
+        "gvm": ["--crystal", "KDP", "--daughter-nm", "830", "--crystal-file", "t.txt"],
+        "jsa": ["--config", "k.cfg", "--grid-points", "64"],
+        "schmidt": ["--config", "k.cfg"],
+        "sweep": ["--config", "k.cfg", "--bandwidths", "8,4", "--shape", "rectangular",
+                  "--herald-arm", "e", "--asymmetric"],
+        "hom": ["--config-a", "a.cfg", "--config-b=b.cfg", "--delays=-10:10:3",
+                "--pairs-per-point", "5", "--seed", "2"],
+        "fit": ["--counts", "c.csv", "--out", "o"],
+        "scan": ["--config", "k.cfg", "--resolution-nm", "0.5", "--step-nm", "0.25",
+                 "--budget", "1e6", "--seed", "4"],
+    }
+    # The arguments each command requires, so that the rest keep their defaults.
+    REQUIRED = {"gvm": 4, "jsa": 2, "schmidt": 2, "sweep": 4, "hom": 4, "fit": 2, "scan": 6}
+
+    def test_every_command_is_covered(self):
+        assert list(cli.COMMANDS) == list(self.ARGS) == list(self.REQUIRED)
+
+    @pytest.mark.parametrize("name", list(ARGS))
+    def test_same_help_text(self, name):
+        assert cli.build_parser(name).format_help() == full_subparser(name).format_help()
+
+    @pytest.mark.parametrize("name", list(ARGS))
+    def test_same_namespace_from_its_parser_alone(self, name, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(a) or build(*a))
+        for argv in ([name] + self.ARGS[name], [name] + self.ARGS[name][:self.REQUIRED[name]]):
+            args = cli.parse_args(argv)
+            assert built.pop() == (name,) and built == []
+            assert args == build().parse_args(argv)
+            assert args.func is cli.COMMANDS[name][0] and args.command == name
+
+    @pytest.mark.parametrize("name", list(ARGS))
+    @pytest.mark.parametrize("tail", [
+        None, ["--bogus"], ["extra"], ["--version"], ["--out"], ["--seed"], ["--=x"],
+        ["--", "x"], ["--grid-points", "many"]])
+    def test_same_usage_error(self, name, tail, capsys):
+        argv = [name] if tail is None else [name] + self.ARGS[name] + tail
+        expected = exit_outcome(cli.build_parser().parse_args, argv, capsys)
+        assert expected[0] == 2 and expected[2]
+        assert exit_outcome(main, argv, capsys) == expected
+
+    @pytest.mark.parametrize("name", list(ARGS))
+    @pytest.mark.parametrize("argv", [["--help"], ["--bogus", "-h"], ["-h", "--out"]])
+    def test_same_help_output(self, name, argv, capsys):
+        expected = exit_outcome(cli.build_parser().parse_args, [name] + argv, capsys)
+        assert expected[0] == 0 and "usage: pairspec " + name in expected[1]
+        assert exit_outcome(main, [name] + argv, capsys) == expected
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["--version"], ["bogus"], ["--out", "o"]])
+    def test_top_level_is_the_full_parser(self, argv, capsys):
+        assert exit_outcome(main, argv, capsys) == exit_outcome(
+            cli.build_parser().parse_args, argv, capsys)
+
+    def test_module_help_lists_every_command(self, tmp_path):
+        # main(argv=None), as the console script calls it, reads sys.argv.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "pairspec.cli", "--help"], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert "{gvm,jsa,schmidt,sweep,hom,fit,scan}" in proc.stdout
+        for name in ("gvm", "jsa", "schmidt", "sweep", "hom", "fit", "scan"):
+            assert f"\n    {name} " in proc.stdout
 
 
 class TestBenchmarkCallContract:

@@ -564,11 +564,16 @@ class TestStreamedProduct:
         assert scan_fields(scan) == scan_fields(expected)
         assert scan.dip_center_fs == expected.dip_center_fs
 
-    @pytest.mark.parametrize("flat_phase", [True, False], ids=["flat", "kept"])
-    def test_two_n_by_n_arrays(self, flat_phase):
-        # rho_a and JSA_b are the only full arrays alive at once.
+    @pytest.mark.parametrize("flat_phase, herald_filter", [
+        (True, False), (False, False), (True, True), (False, True)],
+        ids=["flat", "kept", "flat-herald-filter", "kept-herald-filter"])
+    def test_two_n_by_n_arrays(self, flat_phase, herald_filter):
+        # rho_a and JSA_b are the only full arrays alive at once: a herald
+        # filter acts on each JSA in its own array.
         n = 256
-        a, b = kdp_source(5.0, 4.0, n, flat_phase), kdp_source(5.0, 8.0, n, flat_phase)
+        filters = (FilterSpec("gaussian", "o", 830.0, 4.0),) if herald_filter else ()
+        a, b = (replace(kdp_source(5.0, fwhm_nm, n, flat_phase), filters=filters)
+                for fwhm_nm in (4.0, 8.0))
         tracemalloc.start()
         try:
             two_source_experiment(a, b, "o", STREAM_DELAYS)

@@ -373,6 +373,20 @@ class TestApplyFilters:
         assert apply_filters(jsa, [filt])[0].values.dtype == dtype
         assert jsa.flat_phase is flat_phase
 
+    @pytest.mark.parametrize("flat_phase", [True, False], ids=["flat", "kept"])
+    def test_source_filters_its_own_array_to_the_same_bits(self, kdp_source, flat_phase):
+        # build_jsa filters the amplitude it built in place; that gives
+        # apply_filters' new array bit for bit, and apply_filters leaves
+        # its input alone.
+        filters = (FilterSpec("gaussian", "o", 830.0, 4.0),
+                   FilterSpec("rectangular", "e", 830.0, 6.0))
+        source = replace(kdp_source, n_points=64, flat_phase=flat_phase, filters=filters)
+        unfiltered = source.build_jsa(filtered=False)
+        before = unfiltered.values.copy()
+        expected = apply_filters(unfiltered, filters)[0]
+        assert_same_bits(unfiltered.values, before)
+        assert_same_bits(source.build_jsa().values, expected.values)
+
     def test_no_filters_is_identity(self, kdp_jsa):
         # An empty list returns the amplitude itself, with nothing lost.
         filtered, passed = apply_filters(kdp_jsa, [])
