@@ -1,7 +1,8 @@
 """Command-line surface: config parsing, experiment commands, CSV/JSON output.
 
 Exit codes: 0 success, 2 configuration error, 3 physics-domain error
-(no phasematching, filter removes support), 4 numerical failure.
+(no phasematching, filter removes support), 4 numerical failure (also an
+array too large to allocate, such as an n x n grid at a huge n).
 """
 
 from __future__ import annotations
@@ -396,7 +397,7 @@ def main(argv=None):
     except PhysicsDomainError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except (NumericalError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

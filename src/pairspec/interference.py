@@ -219,41 +219,21 @@ class SourceSpec:
     def resolve_theta(self):
         return self.theta
 
-    def grid(self) -> FrequencyGrid:
-        """The source's own window at its n_points."""
-        return build_grid(self.crystal, self.pump, n_points=self.n_points,
-                          span_sigmas=self.span_sigmas, theta_deg=self.theta)
-
     def build_jsa(self, grid: FrequencyGrid | None = None, filtered=True) -> JointAmplitude:
         """The JSA on the source's own grid, or on the given one, through the
         source's filters (in the JSA's own array) unless filtered is False."""
         jsa = joint_amplitude(self.crystal, self.theta, self.pump,
-                              grid or self.grid(), flat_phase=self.flat_phase)
+                              grid or covering_grid(self), flat_phase=self.flat_phase)
         return apply_filters(jsa, self.filters if filtered else (), _in_place=True)[0]
 
 
-def two_source_experiment(source_a: SourceSpec, source_b: SourceSpec,
-                          herald_arm, delays_fs):
-    """Full pipeline: JSA -> heralded state per source -> HOM scan.
-
-    Heralding on one arm interferes the other arm's photons (herald on o
-    interferes the e-rays and vice versa). Both JSAs are evaluated on one
-    grid that covers both sources' windows, at the larger n_points, so the
-    two heralded states share one frequency axis. For identical windows
-    this is each source's own grid. A covering step more than twice a
-    source's own step is a ConfigError, raised before any JSA is built.
-
-    Sources equal but for their windows (n_points, span_sigmas) share one
-    heralded state, scanned by `hom_dip`. Otherwise rho_a is formed and its
-    JSA dropped, then JSA_b is built and rho_b is never formed:
-    `_stream_product` writes the product with conj(rho_b) into rho_a's
-    buffer. So no stage holds more than two n x n arrays.
-    """
-    interfered_arm = other_arm(herald_arm, "herald_arm")
-    delays_fs = _delay_axis(delays_fs)
-    # Specs compare by value, so a source given twice is built once.
-    sources = (source_a,) if source_b == source_a else (source_a, source_b)
-    windows = [src.grid().omega_e for src in sources]
+def covering_grid(*sources: SourceSpec) -> FrequencyGrid:
+    """The lattice covering the sources' own windows at their largest
+    n_points; for one source, its own grid. A covering step more than twice
+    a source's own step is a ConfigError."""
+    windows = [build_grid(src.crystal, src.pump, n_points=src.n_points,
+                          span_sigmas=src.span_sigmas, theta_deg=src.theta).omega_e
+               for src in sources]
     axis = lattice_axis(min(w[0] for w in windows), max(w[-1] for w in windows),
                         max(src.n_points for src in sources))
     grid = FrequencyGrid(omega_e=axis, omega_o=axis)
@@ -263,6 +243,28 @@ def two_source_experiment(source_a: SourceSpec, source_b: SourceSpec,
             f"covering grid too coarse: its step {grid.d_omega:.6g} rad/s is more than twice "
             f"a source's own step {finest:.6g} rad/s; give the wider window's config more "
             f"[grid] n_points and leave out --grid-points, which sets one n for both")
+    return grid
+
+
+def two_source_experiment(source_a: SourceSpec, source_b: SourceSpec,
+                          herald_arm, delays_fs):
+    """Full pipeline: JSA -> heralded state per source -> HOM scan.
+
+    Heralding on one arm interferes the other arm's photons (herald on o
+    interferes the e-rays and vice versa). Both JSAs are evaluated on one
+    grid, `covering_grid(source_a, source_b)`, so the two heralded states
+    share one frequency axis. Its ConfigError for a step too coarse comes
+    before any JSA is built.
+
+    Sources equal but for their windows (n_points, span_sigmas) share one
+    heralded state, scanned by `hom_dip`. Otherwise rho_a is formed and its
+    JSA dropped, then JSA_b is built and rho_b is never formed:
+    `_stream_product` writes the product with conj(rho_b) into rho_a's
+    buffer. So no stage holds more than two n x n arrays.
+    """
+    interfered_arm = other_arm(herald_arm, "herald_arm")
+    delays_fs = _delay_axis(delays_fs)
+    grid = covering_grid(source_a, source_b)
     # A JSA on the covering grid depends on neither source's own window, so
     # sources that differ only in n_points or span_sigmas share one state.
     if all(getattr(source_a, f.name) == getattr(source_b, f.name)

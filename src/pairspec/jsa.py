@@ -28,9 +28,6 @@ NORM_CONVENTION = "unit-L2-with-grid-measure"
 FILTER_SHAPES = ("gaussian", "rectangular")
 NO_SUPPORT = "filter removes all support of the joint amplitude"
 
-# `_sum_abs_sq` hands numpy runs of at most this many elements to sum whole.
-_SUM_RUN = 4096
-
 
 def other_arm(arm, what="arm"):
     """The partner of photon arm 'e' or 'o'; a ConfigError naming `what`
@@ -78,8 +75,7 @@ def phasematching_function(crystal: CrystalSpec, theta_deg, omega_e, omega_o,
 
     The result is the one full-size array: `delta_k` writes into it (into
     its real part when the phase is kept), and the sinc runs over row
-    blocks of it, repeating the steps of np.sinc(x / pi) (so it has their
-    bits) with temporaries of one block.
+    blocks of it with temporaries of one block.
     """
     out = np.empty(np.broadcast_shapes(np.shape(omega_e), np.shape(omega_o)),
                    dtype=float if flat_phase else complex)
@@ -101,8 +97,6 @@ def _phasematch_block(block, length):
     if kept_phase:
         phase = 1j * x
         np.exp(phase, out=phase)
-    x /= np.pi
-    x *= np.pi
     x[x == 0.0] = np.finfo(float).eps
     amp = np.sin(x)
     if kept_phase:
@@ -177,25 +171,11 @@ def _abs_sq(values):
 
 
 def _sum_abs_sq(values):
-    """np.sum(|v|^2) of a contiguous array, bit for bit, with no full-size square.
-
-    numpy sums a contiguous array pairwise in memory order: a run longer
-    than 128 elements is split at half its length, rounded down to a
-    multiple of 8. Splitting the same way down to runs of at most _SUM_RUN
-    elements, and letting numpy sum each of those, adds the same partial
-    sums in the same order.
-    """
+    """sum |v|^2 of an array as one BLAS dot of its memory, real or complex,
+    with no full-size square. Its last bits follow the BLAS build and its
+    thread count."""
     flat = values.ravel(order="K")
-    return _pairwise_abs_sq(flat, 0, flat.size)
-
-
-def _pairwise_abs_sq(flat, lo, hi):
-    """sum |flat[lo:hi]|^2 in numpy's pairwise order (see `_sum_abs_sq`)."""
-    if hi - lo <= _SUM_RUN:
-        return np.sum(_abs_sq(flat[lo:hi]))
-    half = (hi - lo) // 2
-    half -= half % 8
-    return _pairwise_abs_sq(flat, lo, lo + half) + _pairwise_abs_sq(flat, lo + half, hi)
+    return np.vdot(flat, flat).real
 
 
 def normalize(grid: FrequencyGrid, values):

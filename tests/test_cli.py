@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairspec import cli, errors
+from pairspec import cli, errors, interference
 from pairspec.analysis import simulate_jsi_scan
 from pairspec.cli import main
 from pairspec.crystals import _DB_KEYS, _FORMULAS
@@ -680,6 +680,24 @@ class TestErrorExitCodes:
                     "--out", str(tmp_path)]) == code
         captured = capsys.readouterr()
         assert captured.err == f"{prefix} injected failure\n"
+        assert "Traceback" not in captured.out + captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unallocatable_grid_is_numerical_error(self, tmp_path, monkeypatch, capsys):
+        # The builder fails as numpy fails to allocate. The n x n array is
+        # never asked for: a host that overcommits memory may grant it and
+        # then kill the run.
+        def fail(crystal, theta, pump, grid, **kwargs):
+            n = grid.omega_e.size
+            raise MemoryError(f"Unable to allocate 29.1 TiB for an array with shape "
+                              f"({n}, {n}) and data type complex128")
+
+        monkeypatch.setattr(interference, "joint_amplitude", fail)
+        assert run(["jsa", "--config", KDP_CFG, "--grid-points", "2000000",
+                    "--out", str(tmp_path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == ("numerical error: Unable to allocate 29.1 TiB for an array "
+                                "with shape (2000000, 2000000) and data type complex128\n")
         assert "Traceback" not in captured.out + captured.err
         assert list(tmp_path.iterdir()) == []
 

@@ -12,14 +12,14 @@ from pairspec import interference
 from pairspec.crystals import get_crystal
 from pairspec.dispersion import phasematching_angle
 from pairspec.errors import ConfigError
-from pairspec.interference import (SourceSpec, coherence_time, hom_dip,
+from pairspec.interference import (SourceSpec, coherence_time, covering_grid, hom_dip,
                                    two_source_experiment)
-from pairspec.jsa import (FilterSpec, FrequencyGrid, PumpSpec, lattice_axis, normalize,
-                         other_arm)
+from pairspec.jsa import (FilterSpec, FrequencyGrid, PumpSpec, build_grid, lattice_axis,
+                         normalize, other_arm)
 from pairspec.schmidt import (ReducedDensityMatrix, heralded_density_matrix,
                               purity, schmidt_decompose)
 
-from conftest import assert_lattice
+from conftest import assert_lattice, assert_same_bits
 
 
 def pure_state_density(axis, sigma, center=None):
@@ -272,6 +272,14 @@ class TestCoveringGrid:
         assert mixed.visibility == same.visibility
         assert mixed.dip_fwhm_fs == same.dip_fwhm_fs
 
+    @pytest.mark.parametrize("n", [16, 255, 512, 4000])
+    @pytest.mark.parametrize("source", ["kdp_source", "bbo_source"])
+    def test_one_source_covers_with_its_own_grid(self, source, n, request):
+        src = replace(request.getfixturevalue(source), n_points=n)
+        own = build_grid(src.crystal, src.pump, n_points=n, span_sigmas=src.span_sigmas,
+                         theta_deg=src.theta)
+        assert_same_bits(covering_grid(src).omega_e, own.omega_e)
+
     def test_covering_grid_is_a_lattice(self, kdp_source, monkeypatch):
         grids = []
         build = interference.joint_amplitude
@@ -300,7 +308,7 @@ MIN_POINTS = 64
 
 
 def grid_step(src):
-    return src.grid().d_omega
+    return covering_grid(src).d_omega
 
 
 @st.composite
@@ -367,7 +375,7 @@ def covering_states(source_a, source_b, herald_arm):
     """The two heralded states on the grid that covers both sources' windows
     at the larger n_points, built as two_source_experiment builds them, also
     for a pair whose covering grid it refuses as too coarse."""
-    windows = [src.grid().omega_e for src in (source_a, source_b)]
+    windows = [covering_grid(src).omega_e for src in (source_a, source_b)]
     axis = lattice_axis(min(w[0] for w in windows), max(w[-1] for w in windows),
                         max(source_a.n_points, source_b.n_points))
     grid = FrequencyGrid(omega_e=axis, omega_o=axis)
