@@ -36,7 +36,7 @@ for _cfg in ("kdp", "bbo"):
     _path = f"configs/{_cfg}.cfg"
     MATRIX[f"jsa_{_cfg}"] = ["jsa", "--config", _path]
     MATRIX[f"schmidt_{_cfg}"] = ["schmidt", "--config", _path]
-    MATRIX[f"sweep_{_cfg}"] = ["sweep", "--config", _path, "--bandwidths", "1,2,4,8,16"]
+    MATRIX[f"sweep_{_cfg}"] = ["sweep", "--config", _path, "--bandwidths", "inf,1,2,4,8,16"]
     MATRIX[f"scan_{_cfg}"] = ["scan", "--config", _path, "--resolution-nm", "0.5",
                               "--step-nm", "0.5", "--budget", "1e6", "--seed", "7"]
     for _arm in ("e", "o"):

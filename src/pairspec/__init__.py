@@ -11,7 +11,7 @@ from .jsa import (FilterSpec, FrequencyGrid, JointAmplitude, PumpSpec,
                   apply_filters, build_grid, joint_amplitude, marginal_spectrum,
                   normalize, phasematching_function, pump_envelope)
 from .schmidt import (ReducedDensityMatrix, SchmidtResult,
-                      heralded_density_matrix, heralding_efficiency, purity,
+                      heralded_density_matrix, heralding_efficiency,
                       schmidt_decompose)
 
 __all__ = [
@@ -24,5 +24,5 @@ __all__ = [
     "apply_filters", "build_grid", "joint_amplitude", "marginal_spectrum",
     "normalize", "phasematching_function", "pump_envelope",
     "ReducedDensityMatrix", "SchmidtResult", "heralded_density_matrix",
-    "heralding_efficiency", "purity", "schmidt_decompose",
+    "heralding_efficiency", "schmidt_decompose",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -163,19 +163,10 @@ def cmd_gvm(args):
     # The GVM point follows from dispersion alone; length sets only bandwidth.
     crystal = db.crystal(args.crystal, length_mm=1.0)
     solution = gvm_pump_wavelength(crystal, args.daughter_nm)
-    payload = {
-        "crystal": args.crystal,
-        "daughter_wavelength_nm": args.daughter_nm,
-        "pump_wavelength_nm": solution.pump_wavelength_nm,
-        "phasematching_angle_deg": solution.phasematching_angle_deg,
-        "group_index_pump_e": solution.group_index_pump_e,
-        "group_index_daughter_o": solution.group_index_daughter_o,
-        "residual": solution.residual,
-        "tolerance_nm": solution.tolerance_nm,
-        "tool_version": __version__,
-    }
     out = _out_dir(args)
-    write_json(out / "gvm.json", payload)
+    write_json(out / "gvm.json", {**asdict(solution), "crystal": args.crystal,
+                                  "daughter_wavelength_nm": args.daughter_nm,
+                                  "tool_version": __version__})
     print(f"GVM pump wavelength: {solution.pump_wavelength_nm:.3f} nm "
           f"(theta = {solution.phasematching_angle_deg:.3f} deg, "
           f"residual = {solution.residual:.3e})")

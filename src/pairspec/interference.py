@@ -101,12 +101,17 @@ class _Overlap:
 
 def _delay_axis(delays_fs):
     """The delays as a 1-d float array; a ConfigError unless there are at
-    least 3, all finite."""
+    least 3, all finite and increasing, which the dip's crossings need."""
     delays_fs = np.asarray(delays_fs, dtype=float)
     if delays_fs.ndim != 1 or delays_fs.size < 3:
         raise ConfigError("need at least 3 delay points")
     if not np.all(np.isfinite(delays_fs)):
         raise ConfigError("delays must be finite")
+    stalled = np.flatnonzero(np.diff(delays_fs) <= 0.0)
+    if stalled.size:
+        i = stalled[0] + 1
+        raise ConfigError(f"delays must increase: delay {i} ({delays_fs[i]:g} fs) does not "
+                          f"exceed the one before it ({delays_fs[i - 1]:g} fs)")
     return delays_fs
 
 

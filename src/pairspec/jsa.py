@@ -254,8 +254,7 @@ def joint_amplitude(crystal: CrystalSpec, theta_deg, pump: PumpSpec,
     wo = grid.omega_o[None, :]
     alpha = _on_sums(lambda omega_sum: pump_envelope(pump, omega_sum), we, wo)
     phi = phasematching_function(crystal, theta_deg, we, wo, flat_phase=flat_phase)
-    for rows in row_blocks(len(phi)):
-        phi[rows] *= alpha[rows]
+    phi *= alpha
     return _normalized(grid, phi)
 
 

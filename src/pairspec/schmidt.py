@@ -2,7 +2,8 @@
 
 The Schmidt decomposition is a certified truncated SVD of the sampled
 joint amplitude (`schmidt_decompose`); one basis also gives the purity of
-any filtered version of it (`SchmidtResult.filtered_purity`).
+it and of any filtered version of it (`SchmidtResult.filtered_purity`),
+the package's one purity formula.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ class SchmidtResult:
     """
 
     coefficients: np.ndarray  # descending, sum of squares = 1
-    purity: float
-    schmidt_number: float
     modes_e: np.ndarray  # n x rank, u_k as columns
     modes_o: np.ndarray  # n x rank, v_k as columns
     residual: float  # certified ||F - Q Q^H F||_F / ||F||_F
@@ -48,6 +47,17 @@ class SchmidtResult:
     def resolved(self):
         """The coefficients above the residual; the rest sit at round-off."""
         return self.coefficients[self.coefficients > self.residual]
+
+    @property
+    def purity(self):
+        """Schmidt purity: `filtered_purity` with both arms open, which is
+        sum_k c_k^4 up to rounding."""
+        open_arm = np.ones(self.modes_e.shape[0])
+        return self.filtered_purity({"e": open_arm, "o": open_arm})
+
+    @property
+    def schmidt_number(self):
+        return 1.0 / self.purity
 
     def filtered_purity(self, transmissions):
         """Schmidt purity of the amplitude after intensity filters
@@ -120,10 +130,8 @@ def schmidt_decompose(jsa: JointAmplitude):
         small_u, s, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
-    coeff = s / math.sqrt(float(np.sum(s ** 2)))
-    purity = float(np.sum(coeff ** 4))
     return SchmidtResult(
-        coefficients=coeff, purity=purity, schmidt_number=1.0 / purity,
+        coefficients=s / math.sqrt(float(np.sum(s ** 2))),
         modes_e=np.hstack(basis) @ small_u, modes_o=vh.conj().T, residual=rel,
     )
 
@@ -144,9 +152,6 @@ class ReducedDensityMatrix:
         if v.shape != (self.grid.omega_e.size,) * 2:
             raise ConfigError("density matrix shape does not match its grid")
         object.__setattr__(self, "values", v)
-
-    def trace(self):
-        return float(np.real(np.trace(self.values)) * self.grid.d_omega)
 
 
 def heralded_density_matrix(jsa: JointAmplitude, heralded_arm):
@@ -182,11 +187,6 @@ def herald_rows(jsa: JointAmplitude, heralded_arm):
     """The amplitude indexed [heralded photon, herald]: a view, transposed
     when the heralded photon is the o photon."""
     return jsa.values if heralded_arm == "e" else jsa.values.T
-
-
-def purity(rho: ReducedDensityMatrix):
-    """Tr rho^2 with the grid measure."""
-    return float(np.sum(np.abs(rho.values) ** 2) * rho.grid.d_omega ** 2)
 
 
 def heralding_efficiency(jsa: JointAmplitude, filters, herald_arm):

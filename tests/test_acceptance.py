@@ -15,7 +15,9 @@ from pairspec.analysis import (CountRecord, filter_sweep, fit_gaussian_dip,
 from pairspec.dispersion import gvm_pump_wavelength
 from pairspec.interference import HomScan, coherence_time, two_source_experiment
 from pairspec.jsa import FrequencyGrid, export_metadata, normalize
-from pairspec.schmidt import heralded_density_matrix, purity, schmidt_decompose
+from pairspec.schmidt import heralded_density_matrix, schmidt_decompose
+
+from conftest import purity
 
 FOUR_LN2 = 4.0 * math.log(2.0)
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,15 +10,17 @@ from scipy.optimize import least_squares, leastsq
 from pairspec import analysis
 from pairspec.analysis import (CountRecord, filter_sweep, fit_gaussian_dip,
                                simulate_counts, simulate_jsi_scan)
+from pairspec.cli import load_config
 from pairspec.crystals import get_crystal
 from pairspec.errors import ConfigError, FilterSupportError
 from pairspec.interference import HomScan, SourceSpec, two_source_experiment
 from pairspec.jsa import FilterSpec, PumpSpec, apply_filters, jsi_pearson, nm_from_omega
-from pairspec.schmidt import heralded_density_matrix, purity, schmidt_decompose
+from pairspec.schmidt import heralded_density_matrix, schmidt_decompose
 
-from conftest import count_calls
+from conftest import count_calls, purity
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 FOUR_LN2 = 4.0 * math.log(2.0)
 
 
@@ -56,11 +59,17 @@ class TestFilterSweep:
         assert np.all(np.diff(sweep.purities) > 0)
         assert np.all(np.diff(sweep.heralding_efficiencies) < 0)
 
-    def test_infinite_bandwidth_matches_unfiltered(self, bbo_source, bbo_jsa):
-        sweep = filter_sweep(bbo_source, np.array([np.inf, 4.0]))
-        assert sweep.purities[0] == pytest.approx(
-            schmidt_decompose(bbo_jsa).purity, abs=1e-9)
-        assert sweep.heralding_efficiencies[0] == pytest.approx(1.0, abs=1e-12)
+    def test_infinite_bandwidth_matches_unfiltered(self):
+        # schmidt_meta.json's purity and the sweep's unfiltered row are one
+        # expression, filtered_purity with both arms open, so they are equal.
+        for name in ("kdp", "bbo"):
+            source = load_config(CONFIGS / f"{name}.cfg")[0].source
+            sweep = filter_sweep(source, np.array([np.inf, 4.0]))
+            result = schmidt_decompose(source.build_jsa())
+            assert source.n_points == 512
+            assert sweep.purities[0] == result.purity
+            assert result.schmidt_number == 1.0 / result.purity
+            assert sweep.heralding_efficiencies[0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("source_name", ["kdp_source", "bbo_source"])
     @pytest.mark.parametrize("shape,symmetric,herald_arm", [

@@ -214,6 +214,16 @@ class TestHomFitRoundtrip:
                     "--delays", "oops", "--out", str(tmp_path)])
         assert code == 2
 
+    def test_descending_delays_fail_before_any_jsa(self, tmp_path, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, ["jsa.joint_amplitude"])
+        out = tmp_path / "out"
+        code = run(["hom", "--config-a", KDP_CFG, "--config-b", KDP_CFG,
+                    "--delays=1500:-1500:301", "--out", str(out)])
+        assert code == 2
+        assert "delays must increase: delay 1 (1490 fs)" in capsys.readouterr().err
+        assert calls == {"jsa.joint_amplitude": 0}
+        assert not out.exists()
+
 
 class TestHomFilters:
     CONFIG = """\

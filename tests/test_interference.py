@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -16,10 +17,9 @@ from pairspec.interference import (SourceSpec, coherence_time, covering_grid, ho
                                    two_source_experiment)
 from pairspec.jsa import (FilterSpec, FrequencyGrid, PumpSpec, build_grid, lattice_axis,
                          normalize, other_arm)
-from pairspec.schmidt import (ReducedDensityMatrix, heralded_density_matrix,
-                              purity, schmidt_decompose)
+from pairspec.schmidt import ReducedDensityMatrix, heralded_density_matrix, schmidt_decompose
 
-from conftest import assert_lattice, assert_same_bits
+from conftest import assert_lattice, assert_same_bits, purity
 
 
 def pure_state_density(axis, sigma, center=None):
@@ -134,6 +134,23 @@ class TestHomDip:
             hom_dip(rho, rho, np.linspace(-20, 20, 21))
         with pytest.raises(ConfigError):
             hom_dip(rho, rho, [0.0, 1.0])
+
+    @pytest.mark.parametrize("delays,first", [
+        (np.linspace(1500, -1500, 301), "delay 1 (1490 fs)"),
+        ([-100.0, 100.0, 0.0, 200.0], "delay 2 (0 fs)"),
+        ([-100.0, 0.0, 0.0, 100.0], "delay 2 (0 fs)"),
+    ], ids=["descending", "shuffled", "repeated"])
+    def test_delays_must_increase(self, kdp_source, delays, first):
+        # A scan read backwards gave a negative dip FWHM; the first delay
+        # that does not increase is named, before any JSA is built.
+        rho = pure_state_density(AXIS, 5e12)
+        message = f"delays must increase: {first}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            hom_dip(rho, rho, delays)
+        with mock.patch("pairspec.interference.joint_amplitude") as build:
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                two_source_experiment(kdp_source, kdp_source, "o", delays)
+        build.assert_not_called()
 
     def test_states_on_different_axes_are_error(self):
         rho = pure_state_density(AXIS, 5e12)

@@ -12,10 +12,10 @@ from pairspec.interference import SourceSpec, hom_dip
 from pairspec.jsa import (FilterSpec, FrequencyGrid, JointAmplitude, PumpSpec,
                           apply_filters, lattice_axis, nm_from_omega, normalize)
 from pairspec.schmidt import (RESIDUAL_TOL, ReducedDensityMatrix, export_schmidt_csv,
-                              heralded_density_matrix, heralding_efficiency, purity,
+                              heralded_density_matrix, heralding_efficiency,
                               schmidt_decompose)
 
-from conftest import assert_same_bits
+from conftest import assert_same_bits, purity, trace
 
 
 def make_grid(half=5e13, n=129, center=2.27e15):
@@ -162,7 +162,7 @@ class TestHeraldedDensityMatrix:
     def test_unit_trace_and_hermitian(self, kdp_jsa):
         for arm in ("e", "o"):
             rho = heralded_density_matrix(kdp_jsa, arm)
-            assert rho.trace() == pytest.approx(1.0, abs=1e-9)
+            assert trace(rho) == pytest.approx(1.0, abs=1e-9)
             np.testing.assert_allclose(rho.values, rho.values.conj().T, atol=1e-20)
 
     @pytest.mark.parametrize("flat_phase", [True, False])
@@ -310,7 +310,7 @@ class TestPurityIdentity:
         jsa = source.build_jsa()
         rho = heralded_density_matrix(jsa, arm)
         assert purity(rho) == pytest.approx(schmidt_decompose(jsa).purity, abs=1e-12)
-        assert rho.trace() == pytest.approx(1.0, abs=1e-12)
+        assert trace(rho) == pytest.approx(1.0, abs=1e-12)
         hermitian_err = np.max(np.abs(rho.values - rho.values.conj().T)) * rho.grid.d_omega
         assert hermitian_err <= 1e-12
 
@@ -321,7 +321,7 @@ class TestPurityIdentity:
         jsa = source.build_jsa()
         filtered = apply_filters(jsa, filters)[0]
         rho = heralded_density_matrix(filtered, other_arm(herald_arm))
-        assert rho.trace() == pytest.approx(1.0, abs=1e-12)
+        assert trace(rho) == pytest.approx(1.0, abs=1e-12)
         weighted = rho.values * rho.grid.d_omega
         assert np.max(np.abs(weighted - weighted.conj().T)) <= 1e-12
         eigs = np.linalg.eigvalsh(weighted)

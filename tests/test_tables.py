@@ -39,7 +39,7 @@ WRITERS = {
     "scan-noiseless": lambda path: JsiScanResult(
         LAMBDA_NM, EXPECTED, None, 0.0, 0.1, None).to_csv(path),
     "schmidt": lambda path: export_schmidt_csv(SchmidtResult(
-        np.array([0.97, 0.2, 0.1234567890123, 1e-13]), 0.9, 1.1, np.eye(4), np.eye(4), 1e-11,
+        np.array([0.97, 0.2, 0.1234567890123, 1e-13]), np.eye(4), np.eye(4), 1e-11,
     ), path),
     "jsi": lambda path: export_jsi_csv(
         JointAmplitude(FrequencyGrid(JSI_AXIS, JSI_AXIS), JSI_VALUES), path),
