@@ -10,9 +10,10 @@ relative to the worktree, so both write the same file names and paths.
 Every numeric cell of every CSV and JSON output is compared under the
 first rule of TOLERANCES that matches it; text, booleans and JSON integers
 must match exactly. It prints, per file, the largest absolute and relative
-move, and exits 1 if any value moves beyond its tolerance, any text
-differs, or a file exists at one revision only. It needs git and the
-standard library, and no network.
+move and whether the two files hold the same bytes, then the number of
+byte-identical files. It exits 1 if any value moves beyond its tolerance,
+any text differs, or a file exists at one revision only. It needs git and
+the standard library, and no network.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ for _cfg in ("kdp", "bbo"):
     MATRIX[f"sweep_{_cfg}"] = ["sweep", "--config", _path, "--bandwidths", "inf,1,2,4,8,16"]
     MATRIX[f"scan_{_cfg}"] = ["scan", "--config", _path, "--resolution-nm", "0.5",
                               "--step-nm", "0.5", "--budget", "1e6", "--seed", "7"]
+    # The noiseless scan writes its expected counts in %.9g, the second-largest float table.
+    MATRIX[f"scan_noiseless_{_cfg}"] = ["scan", "--config", _path, "--resolution-nm", "0.2",
+                                        "--step-nm", "0.1"]
     for _arm in ("e", "o"):
         MATRIX[f"hom_{_cfg}_{_arm}"] = ["hom", "--config-a", _path, "--config-b", _path,
                                         "--herald-arm", _arm, "--pairs-per-point", "1000",
@@ -236,17 +240,21 @@ def main(argv=None):
     failed = sorted(set(old) ^ set(new))
     for name in failed:
         print(f"FAIL {name}: written at {'base' if name in old else 'new'} only")
-    print(f"{'file':<32} {'values':>7} {'max |move|':>11} {'max rel':>9}  verdict")
+    print(f"{'file':<34} {'values':>7} {'max |move|':>11} {'max rel':>9} "
+          f"{'same bytes':>10}  verdict")
+    same = 0
     for name in sorted(set(old) & set(new)):
         report = compare_file(name, old[name], new[name])
-        print(f"{name:<32} {report.values:>7} {report.max_abs:>11.3g} {report.max_rel:>9.3g}  "
+        same += old[name] == new[name]
+        print(f"{name:<34} {report.values:>7} {report.max_abs:>11.3g} {report.max_rel:>9.3g} "
+              f"{'yes' if old[name] == new[name] else 'no':>10}  "
               f"{'ok' if report.ok else 'FAIL'}  {report.worst}")
         for failure in report.failures[:5]:
             print(f"    {failure}")
         if not report.ok:
             failed.append(name)
     print(f"compare_outputs: {'FAIL' if failed else 'PASS'} "
-          f"({len(set(old) | set(new))} files, {len(failed)} failed)")
+          f"({len(set(old) | set(new))} files, {len(failed)} failed, {same} byte-identical)")
     return 1 if failed else 0
 
 

@@ -13,10 +13,11 @@ from scipy.optimize import leastsq
 from .errors import ConfigError, FilterSupportError
 from .interference import HomScan, SourceSpec
 from .jsa import (FILTER_SHAPES, FWHM_PER_SIGMA, FilterSpec, JointAmplitude, arm_transmissions,
-                  nm_from_omega, other_arm, write_csv, write_json)
+                  csv_cells, nm_from_omega, other_arm, write_csv, write_json)
 from .schmidt import heralding_efficiency, schmidt_decompose
 
 FOUR_LN2 = 4.0 * math.log(2.0)
+POISSON_MAX_MEAN = 9.223372006484771e18  # numpy's Generator.poisson limit, 2**63 - 10 sqrt(2**63)
 
 
 @dataclass(frozen=True)
@@ -112,8 +113,7 @@ class CountRecord:
             raise ConfigError("counts must be nonnegative integers")
 
     def to_csv(self, path):
-        # Object rows keep each count a Python int, exact beyond 2**53.
-        write_csv(path, np.array([self.delays_fs, self.counts], dtype=object).T,
+        write_csv(path, (self.delays_fs, self.counts),
                   comments=[f"pairs_per_point,{self.pairs_per_point:.9g}", f"seed,{self.seed}"],
                   header="delay_fs,counts", fmt=("%.9g", "%d"))
 
@@ -152,8 +152,9 @@ class CountRecord:
         return cls(np.array(delays), np.array(counts, dtype=int), pairs, seed)
 
 
-def _poisson_draws(means, seed):
-    """Poisson counts of the given means, integer array of the same shape.
+def _poisson_draws(means, seed, budget):
+    """Poisson counts of the given means, integer array of the same shape; a
+    mean past numpy's limit is a ConfigError naming the pair `budget`.
 
     Index i along the first axis (a scan point, or a scan row) draws from
     its own generator seeded with seed + i, so serial and parallel
@@ -161,6 +162,9 @@ def _poisson_draws(means, seed):
     """
     if seed is None or seed < 0:
         raise ConfigError(f"drawing counts needs a nonnegative seed, got {seed}")
+    if means.max() > POISSON_MAX_MEAN:
+        raise ConfigError(f"pair budget {budget:.9g} gives a largest Poisson mean of "
+                          f"{means.max():.9g}, past numpy's limit of {POISSON_MAX_MEAN:.9g}")
     counts = np.empty(means.shape, dtype=int)
     for i in range(means.shape[0]):
         counts[i] = np.random.default_rng(seed + i).poisson(means[i])
@@ -174,7 +178,7 @@ def simulate_counts(scan: HomScan, pairs_per_point, seed):
         raise ConfigError("pairs_per_point must be positive and finite")
     return CountRecord(
         delays_fs=scan.delays_fs.copy(),
-        counts=_poisson_draws(pairs_per_point * scan.rates, seed),
+        counts=_poisson_draws(pairs_per_point * scan.rates, seed, pairs_per_point),
         pairs_per_point=float(pairs_per_point),
         seed=int(seed),
     )
@@ -321,7 +325,7 @@ class JsiScanResult:
     def to_csv(self, path):
         """Counts in %d, so a cell of 1e9 or more keeps every digit; the
         noiseless sentinel's expected counts in %.9g."""
-        axis = ",".join(f"{x:.9g}" for x in self.lambda_nm)
+        axis = csv_cells(self.lambda_nm)
         sampled = self.counts is not None
         write_csv(path, self.counts if sampled else self.expected, comments=[
             f"resolution_fwhm_nm,{self.resolution_fwhm_nm:.9g}", f"step_nm,{self.step_nm:.9g}",
@@ -370,7 +374,7 @@ def simulate_jsi_scan(jsa: JointAmplitude, resolution_fwhm_nm, step_nm,
         if not 0 < pairs_budget < math.inf:
             raise ConfigError("pairs_budget must be positive and finite (or None for noiseless)")
         expected = smoothed * (pairs_budget / total)
-        counts = _poisson_draws(expected, seed)
+        counts = _poisson_draws(expected, seed, pairs_budget)
     return JsiScanResult(
         lambda_nm=lattice,
         expected=expected,

@@ -348,8 +348,7 @@ def jsi_pearson(jsa: JointAmplitude):
 def export_jsi_csv(jsa: JointAmplitude, path):
     """Write the JSI matrix row-major with each arm's axis in nm and rad/s."""
     axis = jsa.grid.omega_e
-    nm = ",".join(f"{x:.9g}" for x in nm_from_omega(axis))
-    rad_s = ",".join(f"{x:.9g}" for x in axis)
+    nm, rad_s = csv_cells(nm_from_omega(axis)), csv_cells(axis)
     write_csv(path, jsa.intensity, comments=[f"axis_e_nm,{nm}", f"axis_e_rad_s,{rad_s}",
                                              f"axis_o_nm,{nm}", f"axis_o_rad_s,{rad_s}"])
 
@@ -394,15 +393,126 @@ def export_metadata(path, source, jsa: JointAmplitude, *, extra=None):
     write_json(path, meta)
 
 
-def write_csv(path, rows, comments=(), header=None, fmt="%.9g"):
+CSV_BLOCK_CELLS = 1 << 13  # cells per formatted block: its temporaries stay under 2 MB
+# The four ASCII digits of each of 0 .. 9999, one uint32 each.
+_DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
+                    -1).view(np.uint32).ravel()
+_POW10 = 10.0 ** np.arange(-300, 308)  # _POW10[300 + k] = 10**k
+# The %d slots: a sign, 20 digits, the end. Their masks, by 20 sign + digits - 1:
+_INT_KEEP = ((np.arange(24) >= 20 - np.arange(40)[:, None] % 20) & (np.arange(24) < 22)
+             | (np.arange(24) == 0) & (np.arange(40)[:, None] >= 20)).view(np.uint64)
+
+
+def write_csv(path, table, comments=(), header=None, fmt="%.9g"):
     """Write a CSV table the one way every table is: a `# ` line per comment, the
-    header if any, then each row of the 2-d array in fmt (one %-format, or one per column)."""
-    line = ",".join([fmt] * rows.shape[1] if isinstance(fmt, str) else fmt) + "\n"
-    with open(path, "w") as fh:
-        fh.writelines(f"# {comment}\n" for comment in comments)
-        if header is not None:
-            fh.write(header + "\n")
-        fh.writelines(line % tuple(row.tolist()) for row in rows)
+    header if any, then the rows in blocks of CSV_BLOCK_CELLS cells. `table` is a
+    2-d array in one fmt, or for a tuple of fmts a sequence of 1-d columns."""
+    groups = ([(np.asarray(table), fmt)] if isinstance(fmt, str) else
+              [(np.asarray(column)[:, None], f) for column, f in zip(table, fmt, strict=True)])
+    step = max(1, CSV_BLOCK_CELLS // sum(values.shape[1] for values, _ in groups))
+    with open(path, "wb") as fh:
+        head = [f"# {comment}\n" for comment in comments] + [f"{header}\n"] * (header is not None)
+        fh.write("".join(head).encode())
+        for start in range(0, len(groups[0][0]), step):
+            fh.write(_format_rows([(values[start:start + step], f) for values, f in groups]))
+
+
+def csv_cells(values, fmt="%.9g"):
+    """The cells of a 1-d array joined by commas, as write_csv writes a row."""
+    return _format_rows([(np.asarray(values)[None, :], fmt)]).decode()[:-1]
+
+
+def _format_rows(groups):
+    """Rows, given as (2-d values, fmt) groups of columns, as the bytes of `fmt %
+    cell` per cell: the slots of each cell (`_cell_slots`) that hold its text."""
+    slots, keep = [], []
+    for i, (values, fmt) in enumerate(groups):
+        ends = np.full(values.shape, 44, np.uint8)  # a comma, or the newline after a row
+        ends[:, -1] = 10 if i == len(groups) - 1 else 44
+        for out, part in zip((slots, keep), _cell_slots(values.ravel(), fmt, ends.ravel())):
+            out.append(part.reshape(len(values), -1))
+    slots, keep = (np.hstack(parts) if len(parts) > 1 else parts[0] for parts in (slots, keep))
+    return np.compress(keep.ravel(), slots.ravel()).tobytes()
+
+
+def _ascii(m, count):
+    """The text of `count` base-10000 digits of a nonnegative integer array."""
+    chunks = np.empty((m.size, count), m.dtype)
+    for j in range(count - 1, 0, -1):
+        m, chunks[:, j] = m // 10000, m % 10000
+    chunks[:, 0] = m
+    return _DIGITS4.take(chunks).view(np.uint8)
+
+
+def _cell_slots(x, fmt, ends):
+    """Each cell's text in a row of byte slots (padded to whole 8-byte words),
+    ended by `ends`, and the mask of the slots that hold it. %.Pg cells are built
+    from the P-digit rounded mantissa, %d cells from the integer; zero,
+    non-finite, tiny, huge and near-tie %.Pg cells go through `%`."""
+    if fmt == "%d":
+        if not np.issubdtype(x.dtype, np.integer):
+            raise ValueError(f"%d cells must be integers, got {x.dtype}")
+        x = x.astype(np.int64)
+        u = np.abs(x).view(np.uint64)  # exact at the int64 minimum, which np.abs leaves as it is
+        slots = np.empty((x.size, 24), np.uint8)
+        slots[:, 0], slots[:, 1:21], slots[:, 21] = 45, _ascii(u, 5), ends
+        width = np.searchsorted(10 ** np.arange(1, 20, dtype=np.uint64), u, side="right")
+        return slots, _INT_KEEP.take((x < 0) * 20 + width, axis=0).view(bool)
+    if not (fmt[:2] == "%." and fmt[-1:] == "g" and fmt[2:-1].isdigit()
+            and 0 < int(fmt[2:-1]) < 16):
+        raise ValueError(f"unsupported CSV cell format {fmt!r}: only %.Pg (P <= 15) and %d")
+    p, a = int(fmt[2:-1]), np.abs(x, dtype=float)
+    slow = ~((a >= 1e-290) & (a <= 1e290))  # past these, 10**k below may not be a normal float
+    a[slow] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    y = a * _POW10[300 + p - 1 - e]  # the mantissa times 10**(P - 1), within about 1 ulp
+    m = np.rint(y)
+    # Past 1e-5 * 10**(P - 9) from a tie, y's error cannot change its rounding. m
+    # is out of range where it rounds up to 10**P or log10 is one off.
+    slow |= np.abs(y - np.floor(y) - 0.5) < 1e-5 * 10.0 ** (p - 9)
+    slow |= (m < 10.0 ** (p - 1)) | (m >= 10.0 ** p)
+    digits = _ascii(np.where(slow, 10.0 ** (p - 1), m).astype(np.int64), -(-p // 4))[:, -p:]
+    last = p - 1 - np.argmax(digits[:, ::-1] != 48, axis=1)  # the last nonzero digit
+    template, forms, table = _float_layout(p)
+    slots = np.tile(template, (x.size, 1)).view(np.uint8)
+    slots[:, 6:2 * p + 5:2] = digits
+    slots[:, 2 * p + 6] = np.where(e < 0, 45, 43)
+    slots[:, 2 * p + 7:2 * p + 10] = _DIGITS4.take(np.abs(e)[:, None]).view(np.uint8)[:, 1:]
+    slots[:, 2 * p + 10] = ends
+    keep = table.take(forms[400 + e] + np.signbit(x) * p + last, axis=0).view(bool)
+    cells = np.flatnonzero(slow)
+    text = "".join(f"{fmt % value}{chr(end)}".ljust(slots.shape[1], "\0")
+                   for value, end in zip(x[cells].tolist(), ends[cells].tolist()))
+    slots[cells] = np.frombuffer(text.encode(), np.uint8).reshape(-1, slots.shape[1])
+    keep[cells] = slots[cells] != 0
+    return slots, keep
+
+
+@functools.cache
+def _float_layout(p):
+    """The tables of %.Pg cells, whose slots are "-0.000", each digit followed
+    by a ".", "e+123" and the end: their blank row (uint64 words); `forms`, the
+    offset of each exponent -400 .. 399's form (the fixed notation of each
+    exponent -4 .. P - 1, then the e-notation with a 2- and a 3-digit exponent);
+    and the slot masks (uint64 rows) at that offset + P sign + the last nonzero digit."""
+    form, neg, last = (g.ravel() for g in np.meshgrid(
+        np.arange(p + 6), [False, True], np.arange(p), indexing="ij"))
+    e = np.r_[np.arange(-4, p + 1), 100][form]  # an exponent of each form
+    fixed = (e >= -4) & (e < p)
+    point = np.where(fixed, e, 0)  # the digit the decimal point follows
+    lead = fixed & (e < 0)  # "0." and -e - 1 zeros before the digits
+    keep = np.zeros((neg.size, -(-(2 * p + 11) // 8) * 8), bool)
+    keep[:, 0], keep[:, 1], keep[:, 2], keep[:, 2 * p + 10] = neg, lead, lead, True
+    keep[:, 3:6] = np.arange(3) < np.where(lead, -e - 1, 0)[:, None]
+    keep[:, 6:2 * p + 5:2] = np.arange(p) <= np.maximum(last, point)[:, None]
+    keep[:, 7:2 * p + 4:2] = (np.arange(p - 1) == point[:, None]) & (last > point)[:, None]
+    keep[:, 2 * p + 5:2 * p + 10] = ~fixed[:, None]
+    keep[:, 2 * p + 7] &= np.abs(e) >= 100
+    exponent = np.arange(-400, 400)
+    forms = 2 * p * np.where((exponent >= -4) & (exponent < p), exponent + 4,
+                             np.where(np.abs(exponent) < 100, p + 4, p + 5))
+    blank = (b"-0.000" + b"0." * (p - 1) + b"0e+000,").ljust(keep.shape[1], b"\0")
+    return np.frombuffer(blank, np.uint64), forms, keep.view(np.uint64)
 
 
 def write_json(path, payload):

@@ -211,5 +211,5 @@ def export_schmidt_csv(result: SchmidtResult, path):
     """CSV (k, c_k, c_k^2) of the resolved coefficients (those above the
     certified residual), at most 64, largest first."""
     c = result.resolved[:64]
-    write_csv(path, np.column_stack([np.arange(1, c.size + 1), c, c ** 2]),
+    write_csv(path, (np.arange(1, c.size + 1), c, c ** 2),
               header="k,c_k,c_k_squared", fmt=("%d", "%.12g", "%.12g"))

@@ -200,6 +200,18 @@ class TestSimulateCounts:
         with pytest.raises(ConfigError):
             simulate_counts(scan, math.nan, seed=1)
 
+    def test_mean_past_numpy_poisson_limit_is_config_error(self):
+        # numpy's Generator.poisson draws up to its limit and raises a bare
+        # ValueError past it; the limit itself still draws.
+        scan = make_scan(self.delays, np.ones_like(self.delays))
+        assert simulate_counts(scan, analysis.POISSON_MAX_MEAN, seed=1).counts.min() > 0
+        past = np.nextafter(analysis.POISSON_MAX_MEAN, math.inf)
+        with pytest.raises(ConfigError, match="pair budget 1e\\+20 gives a largest Poisson mean "
+                                              "of 1e\\+20, past numpy's limit of 9.22337201e\\+18"):
+            simulate_counts(scan, 1e20, seed=1)
+        with pytest.raises(ConfigError, match="past numpy's limit"):
+            simulate_counts(scan, past, seed=1)
+
     def test_csv_roundtrip(self, tmp_path):
         scan = make_scan(self.delays, dip_curve(self.delays, 1.0, 0.9, 0.0, 300.0))
         record = simulate_counts(scan, 500.0, seed=11)
@@ -385,6 +397,10 @@ class TestJsiScan:
         a = simulate_jsi_scan(kdp_jsa, 0.5, 0.2, pairs_budget=1e4, seed=9)
         b = simulate_jsi_scan(kdp_jsa, 0.5, 0.2, pairs_budget=1e4, seed=9)
         np.testing.assert_array_equal(a.counts, b.counts)
+
+    def test_budget_past_numpy_poisson_limit_is_config_error(self, kdp_jsa):
+        with pytest.raises(ConfigError, match=r"pair budget 1e\+24 gives a largest Poisson mean"):
+            simulate_jsi_scan(kdp_jsa, 0.5, 0.2, pairs_budget=1e24, seed=1)
 
     def test_invalid_inputs(self, kdp_jsa):
         with pytest.raises(ConfigError):

@@ -214,6 +214,17 @@ class TestHomFitRoundtrip:
                     "--delays", "oops", "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["hom", "--config-a", KDP_CFG, "--config-b", KDP_CFG, "--delays=-1000:1000:21",
+         "--pairs-per-point", "1e20"],
+        ["scan", "--config", KDP_CFG, "--resolution-nm", "0.5", "--step-nm", "0.5",
+         "--budget", "1e24"]])
+    def test_poisson_mean_past_numpy_limit_writes_nothing(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run(argv + ["--grid-points", "64", "--out", str(out)]) == 2
+        assert "past numpy's limit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_descending_delays_fail_before_any_jsa(self, tmp_path, capsys, monkeypatch):
         calls = count_calls(monkeypatch, ["jsa.joint_amplitude"])
         out = tmp_path / "out"

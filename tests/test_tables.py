@@ -1,13 +1,20 @@
 """The byte layout of every CSV table pairspec writes, on tiny hand-built
 results: `# ` comment lines, an optional column header, comma-separated
-cells in %.9g (%d for k and counts, %.12g for Schmidt coefficients)."""
+cells in %.9g (%d for k and counts, %.12g for Schmidt coefficients); and
+the block formatter behind them, cell for cell the bytes of Python's `%`."""
+
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pairspec.analysis import CountRecord, JsiScanResult, SweepResult
 from pairspec.interference import HomScan
-from pairspec.jsa import FrequencyGrid, JointAmplitude, export_jsi_csv, lattice_axis
+from pairspec.jsa import (FrequencyGrid, JointAmplitude, csv_cells, export_jsi_csv,
+                          lattice_axis, write_csv)
 from pairspec.schmidt import SchmidtResult, export_schmidt_csv
 
 LAMBDA_NM = np.array([829.9, 830.0, 830.1])
@@ -139,3 +146,123 @@ def test_table_layout(tmp_path, table):
     path = tmp_path / f"{table}.csv"
     WRITERS[table](path)
     assert path.read_bytes() == TEXT[table].encode()
+
+
+def percent_rows(columns, fmts):
+    """The reference text of a table: Python's `%` on each cell, row by row."""
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    return "".join(",".join(f % v for f, v in zip(fmts, row)) + "\n" for row in rows).encode()
+
+
+@pytest.fixture(scope="module")
+def cells_dir(tmp_path_factory):
+    """One directory for every example of a property test (a function-scoped
+    tmp_path is not reset between the examples)."""
+    return tmp_path_factory.mktemp("cells")
+
+
+def write_table(directory, table, fmt):
+    path = directory / "t.csv"
+    write_csv(path, table, fmt=fmt)
+    return path.read_bytes()
+
+
+def float_of_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+FLOAT_FORMATS = ("%.9g", "%.12g")
+PRECISION = {"%.9g": 9, "%.12g": 12}
+
+
+@st.composite
+def hard_floats(draw, fmt):
+    """A float64 where %.Pg is hardest to get right: any bit pattern, or
+    one next to a P-digit tie, a power of ten, a 9.99..95e+k rounding
+    boundary or the edges of the fixed notation (exponents -5, -4, P - 1, P)."""
+    p = PRECISION[fmt]
+    kind = draw(st.sampled_from(["bits", "tie", "power", "boundary", "edge"]))
+    if kind == "bits":
+        return float_of_bits(draw(st.integers(0, 2 ** 64 - 1)))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if kind == "tie":  # exact when the tie is representable, a near tie otherwise
+        mantissa = draw(st.integers(10 ** (p - 1), 10 ** p - 1))
+        value = float(f"{mantissa}.5e{draw(st.integers(-320, 290))}")
+    elif kind == "power":
+        value = 10.0 ** draw(st.integers(-323, 308))
+    elif kind == "boundary":
+        value = float(f"9.{'9' * (p - 1)}5e{draw(st.integers(-320, 300))}")
+    else:
+        mantissa = draw(st.floats(1.0, 10.0, exclude_max=True))
+        value = mantissa * 10.0 ** draw(st.sampled_from([-5, -4, p - 1, p]))
+    value = np.nextafter(value, draw(st.sampled_from([0.0, value, np.inf])))
+    return sign * float(value)
+
+
+SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
+            1e-290, 1e290, 1.7976931348623157e308, 123456789.5, 0.5, 2.5, 1e16, 1e-5, 1e-4]
+
+
+@pytest.mark.parametrize("fmt", FLOAT_FORMATS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_float_cells_match_percent(cells_dir, fmt, data):
+    cells = data.draw(st.lists(hard_floats(fmt), min_size=1, max_size=40))
+    shape = data.draw(st.sampled_from([(1, 1), (1, -1), (-1, 1)]))
+    table = np.array(cells[:1] if shape == (1, 1) else cells + SPECIALS).reshape(shape)
+    assert write_table(cells_dir, table, fmt) == percent_rows(table.T, [fmt] * table.shape[1])
+
+
+@pytest.mark.parametrize("fmt", FLOAT_FORMATS)
+def test_float_block_matches_percent(tmp_path, fmt):
+    # Many blocks of cells across the whole exponent range, in both notations.
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal((333, 97)) * 10.0 ** rng.integers(-30, 30, (333, 97))
+    table[::7, ::5] = SPECIALS[0]
+    table[1::11, 2::3] = rng.integers(0, 10 ** 6, (31, 32))
+    assert write_table(tmp_path, table, fmt) == percent_rows(table.T, [fmt] * 97)
+
+
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cells=st.lists(st.one_of(INT64, st.sampled_from(
+    [0, -1, 9, 10, -(2 ** 63), 2 ** 63 - 1, 10 ** 18, -(10 ** 18) + 1])), min_size=1, max_size=40),
+    shape=st.sampled_from([(1, 1), (1, -1), (-1, 1)]))
+@example(cells=[-(2 ** 63), 2 ** 63 - 1, 0], shape=(1, -1))
+def test_int_cells_match_percent(cells_dir, cells, shape):
+    table = np.array(cells[:1] if shape == (1, 1) else cells, dtype=np.int64).reshape(shape)
+    assert write_table(cells_dir, table, "%d") == percent_rows(table.T, ["%d"] * table.shape[1])
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(st.tuples(INT64, hard_floats("%.12g"), hard_floats("%.9g")),
+                     min_size=1, max_size=20))
+def test_columns_each_in_their_own_format(cells_dir, rows):
+    columns = [np.array(column) for column in zip(*rows)]
+    fmts = ("%d", "%.12g", "%.9g")
+    assert write_table(cells_dir, columns, fmts) == percent_rows(columns, fmts)
+
+
+def test_csv_cells_is_a_row_without_its_newline():
+    values = np.array([829.9, 1e-7, -0.0, 2.27066667e15])
+    assert csv_cells(values) == ",".join(f"{x:.9g}" for x in values)
+
+
+@pytest.mark.parametrize("fmt", ["%.9f", "%s", "%.16g", "%.0g", "%d"])
+def test_unsupported_formats_are_refused(tmp_path, fmt):
+    # %d takes integer columns only; these cells are floats.
+    with pytest.raises(ValueError, match="unsupported CSV cell format|must be integers"):
+        write_table(tmp_path, np.ones((2, 2)), fmt)
+
+
+def test_blocks_bound_the_memory_of_a_large_table(tmp_path):
+    table = np.random.default_rng(5).random((1024, 1024)) ** 8
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "big.csv", table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
