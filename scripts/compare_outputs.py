@@ -31,7 +31,11 @@ from pathlib import Path
 
 # Each case runs at both revisions from the worktree root and writes into
 # out/<case>. "fit" cases fit the counts a hom case of the same revision wrote.
-# kdp8.cfg is configs/kdp.cfg with an 8 nm pump, for the unequal pair.
+# kdp8.cfg is configs/kdp.cfg with an 8 nm pump, for the unequal pair, and
+# kdp_filtered.cfg is configs/kdp.cfg with 4 nm Gaussian filters at 830 nm on
+# both arms (FILTERS), for a filtered source.
+FILTERS = "".join(f"\n[filter.{arm}]\nshape = gaussian\ncenter_nm = 830\nfwhm_nm = 4\n"
+                  for arm in ("e", "o"))
 MATRIX = {}
 for _cfg in ("kdp", "bbo"):
     _path = f"configs/{_cfg}.cfg"
@@ -52,6 +56,9 @@ for _arm in ("e", "o"):
     MATRIX[f"hom_kdp4_kdp8_{_arm}"] = ["hom", "--config-a", "configs/kdp.cfg",
                                        "--config-b", "out/kdp8.cfg", "--herald-arm", _arm,
                                        "--delays=-2500:2500:201"]
+MATRIX["jsa_kdp_filtered"] = ["jsa", "--config", "out/kdp_filtered.cfg"]
+MATRIX["scan_noiseless_kdp_filtered"] = ["scan", "--config", "out/kdp_filtered.cfg",
+                                         "--resolution-nm", "0.2", "--step-nm", "0.1"]
 MATRIX["gvm_kdp"] = ["gvm", "--crystal", "KDP", "--daughter-nm", "830"]
 
 # (file name, quantity, kind, bound, reason); the first rule whose patterns
@@ -212,6 +219,7 @@ def run_matrix(repo, rev, work):
         (tree / "out").mkdir()
         (tree / "out" / "kdp8.cfg").write_text(kdp.replace("pump_fwhm_nm = 4\n",
                                                            "pump_fwhm_nm = 8\n"))
+        (tree / "out" / "kdp_filtered.cfg").write_text(kdp + FILTERS)
         outputs = {}
         for case, argv in MATRIX.items():
             done = subprocess.run([sys.executable, "-m", "pairspec.cli", *argv,

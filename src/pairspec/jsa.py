@@ -331,17 +331,19 @@ def marginal_spectrum(jsa: JointAmplitude, arm):
 
 
 def jsi_pearson(jsa: JointAmplitude):
-    """Pearson correlation of the two frequencies under the JSI density."""
-    density = jsa.intensity
-    density = density / np.sum(density)
-    p_e = density.sum(axis=1)
-    p_o = density.sum(axis=0)
+    """Pearson correlation of the two frequencies under the JSI density. The
+    covariance is (w - mu_e) @ JSI @ (w - mu_o) / sum(JSI), so no n x n
+    array is formed beside the JSI."""
+    intensity = jsa.intensity
+    total = float(np.sum(intensity))
+    p_e = intensity.sum(axis=1) / total
+    p_o = intensity.sum(axis=0) / total
     w = jsa.grid.omega_e
     mu_e = float(p_e @ w)
     mu_o = float(p_o @ w)
     var_e = float(p_e @ (w - mu_e) ** 2)
     var_o = float(p_o @ (w - mu_o) ** 2)
-    cov = float(((w - mu_e)[:, None] * (w - mu_o)[None, :] * density).sum())
+    cov = float((w - mu_e) @ intensity @ (w - mu_o)) / total
     return cov / math.sqrt(var_e * var_o)
 
 
@@ -409,26 +411,42 @@ def write_csv(path, table, comments=(), header=None, fmt="%.9g"):
     2-d array in one fmt, or for a tuple of fmts a sequence of 1-d columns."""
     groups = ([(np.asarray(table), fmt)] if isinstance(fmt, str) else
               [(np.asarray(column)[:, None], f) for column, f in zip(table, fmt, strict=True)])
-    step = max(1, CSV_BLOCK_CELLS // sum(values.shape[1] for values, _ in groups))
     with open(path, "wb") as fh:
         head = [f"# {comment}\n" for comment in comments] + [f"{header}\n"] * (header is not None)
         fh.write("".join(head).encode())
-        for start in range(0, len(groups[0][0]), step):
-            fh.write(_format_rows([(values[start:start + step], f) for values, f in groups]))
+        fh.writelines(_blocks(groups))
 
 
 def csv_cells(values, fmt="%.9g"):
     """The cells of a 1-d array joined by commas, as write_csv writes a row."""
-    return _format_rows([(np.asarray(values)[None, :], fmt)]).decode()[:-1]
+    return b"".join(_blocks([(np.asarray(values)[None, :], fmt)])).decode()[:-1]
 
 
-def _format_rows(groups):
+def _blocks(groups):
+    """The bytes of the rows of (2-d values, fmt) groups of columns, in blocks of
+    at most CSV_BLOCK_CELLS cells: whole rows, or for a row of one group longer
+    than that, chunks of its cells, of which only the last ends the line."""
+    width = sum(values.shape[1] for values, _ in groups)
+    if width <= CSV_BLOCK_CELLS or len(groups) > 1:
+        step = max(1, CSV_BLOCK_CELLS // width)
+        for start in range(0, len(groups[0][0]), step):
+            yield _format_rows([(values[start:start + step], f) for values, f in groups])
+        return
+    (values, fmt), = groups
+    for row in values:
+        for start in range(0, width, CSV_BLOCK_CELLS):
+            stop = start + CSV_BLOCK_CELLS
+            yield _format_rows([(row[None, start:stop], fmt)], 10 if stop >= width else 44)
+
+
+def _format_rows(groups, end=10):
     """Rows, given as (2-d values, fmt) groups of columns, as the bytes of `fmt %
-    cell` per cell: the slots of each cell (`_cell_slots`) that hold its text."""
+    cell` per cell: the slots of each cell (`_cell_slots`) that hold its text.
+    Each row ends with `end`, a newline or a comma."""
     slots, keep = [], []
     for i, (values, fmt) in enumerate(groups):
-        ends = np.full(values.shape, 44, np.uint8)  # a comma, or the newline after a row
-        ends[:, -1] = 10 if i == len(groups) - 1 else 44
+        ends = np.full(values.shape, 44, np.uint8)  # a comma, or `end` after a row
+        ends[:, -1] = end if i == len(groups) - 1 else 44
         for out, part in zip((slots, keep), _cell_slots(values.ravel(), fmt, ends.ravel())):
             out.append(part.reshape(len(values), -1))
     slots, keep = (np.hstack(parts) if len(parts) > 1 else parts[0] for parts in (slots, keep))

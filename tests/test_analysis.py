@@ -14,7 +14,8 @@ from pairspec.cli import load_config
 from pairspec.crystals import get_crystal
 from pairspec.errors import ConfigError, FilterSupportError
 from pairspec.interference import HomScan, SourceSpec, two_source_experiment
-from pairspec.jsa import FilterSpec, PumpSpec, apply_filters, jsi_pearson, nm_from_omega
+from pairspec.jsa import (FWHM_PER_SIGMA, FilterSpec, PumpSpec, apply_filters, jsi_pearson,
+                          nm_from_omega)
 from pairspec.schmidt import heralded_density_matrix, schmidt_decompose
 
 from conftest import count_calls, purity
@@ -386,6 +387,29 @@ class TestJsiScan:
         assert abs(_lattice_pearson(fine)) == pytest.approx(
             abs(jsi_pearson(bbo_jsa)), abs=0.05)
 
+    @pytest.mark.parametrize("resolution_nm, step_nm", [(0.2, 0.1), (1.0, 0.05), (0.5, 0.5)])
+    @pytest.mark.parametrize("name", ["kdp", "bbo"])
+    def test_cut_response_gives_the_untruncated_scan(self, name, resolution_nm, step_nm):
+        # On a shipped source every cell is far above what the 32-sigma cut drops.
+        jsa = load_config(CONFIGS / f"{name}.cfg")[0].source.build_jsa()
+        result = simulate_jsi_scan(jsa, resolution_nm, step_nm)
+        np.testing.assert_array_equal(result.expected,
+                                      _untruncated_scan(jsa, resolution_nm, step_nm))
+
+    def test_cut_response_zeroes_what_a_rectangular_filter_leaves_dark(self):
+        # Each cut weight is below e^-512 and each weight at most 1, so the cut
+        # moves a cell by at most 2 e^-512 times the JSI's sum; the products
+        # of nonnegative terms round within n eps of the cell.
+        source = load_config(CONFIGS / "kdp.cfg")[0].source
+        jsa = replace(source, filters=[FilterSpec("rectangular", arm, 830.0, 2.0)
+                                       for arm in ("e", "o")]).build_jsa()
+        reference = _untruncated_scan(jsa, 0.2, 0.1)
+        expected = simulate_jsi_scan(jsa, 0.2, 0.1).expected
+        bound = 2 * math.exp(-512) * jsa.intensity.sum()
+        rounding = jsa.grid.omega_e.size * np.finfo(float).eps * reference
+        assert np.all(np.abs(expected - reference) <= bound + rounding)
+        assert np.any((expected == 0) & (reference > 0))
+
     def test_budget_conserved_in_expectation(self, kdp_jsa):
         result = simulate_jsi_scan(kdp_jsa, resolution_fwhm_nm=0.5, step_nm=0.2,
                                    pairs_budget=1e5, seed=5)
@@ -413,6 +437,15 @@ class TestJsiScan:
                                          (math.inf, 0.1, None), (0.5, 0.1, math.nan)):
             with pytest.raises(ConfigError):
                 simulate_jsi_scan(kdp_jsa, resolution, step, pairs_budget=budget, seed=1)
+
+
+def _untruncated_scan(jsa, resolution_nm, step_nm):
+    """The noiseless scan with the whole Gaussian response, R @ JSI @ R.T."""
+    lam = nm_from_omega(jsa.grid.omega_e)[::-1]
+    lattice = np.arange(lam[0], lam[-1] + step_nm / 2.0, step_nm)
+    s = resolution_nm / FWHM_PER_SIGMA
+    response = np.exp(-((lattice[:, None] - lam[None, :]) ** 2) / (2.0 * s ** 2))
+    return response @ jsa.intensity[::-1, ::-1] @ response.T
 
 
 def _reference_purity(jsa):

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.constants import c as c_light
 
 from pairspec import dispersion as disp
 from pairspec import jsa as jsa_module
+from pairspec.cli import load_config
 from pairspec.crystals import SellmeierForm
 from pairspec.errors import ConfigError, FilterSupportError, NumericalError
 from pairspec.interference import covering_grid
@@ -19,6 +21,8 @@ from pairspec.jsa import (FilterSpec, FrequencyGrid, PumpSpec, apply_filters,
                           phasematching_function, pump_envelope)
 
 from conftest import assert_lattice, assert_same_bits, constant_crystal
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def fwhm_of_curve(x, y):
@@ -481,6 +485,35 @@ class TestMarginals:
         lam_e, int_e = marginal_spectrum(kdp_jsa, "e")
         lam_o, int_o = marginal_spectrum(kdp_jsa, "o")
         assert fwhm_of_curve(lam_o, int_o) > fwhm_of_curve(lam_e, int_e)
+
+
+class TestJsiPearson:
+    @pytest.mark.parametrize("rho", [-0.8, 0.0, 0.5])
+    def test_sampled_bivariate_gaussian_gives_its_correlation(self, rho):
+        # A JSI N(0, [[1, rho], [rho, 1]]) in units of sigma, sampled at step
+        # h = 0.1 sigma within +-12 sigma. Its sampled moments differ from the
+        # continuous ones by aliasing terms ~ exp(-2 pi^2 (1 - |rho|) / h^2)
+        # (below e^-390) and the mass past the edges, 2 erfc(12 / sqrt 2)
+        # (below 1e-32): the discretization error is far below rounding, so
+        # the tolerance is the rounding of n-term sums, n eps.
+        sigma, n = 1e12, 241
+        axis = lattice_axis(2.27e15 - 12 * sigma, 2.27e15 + 12 * sigma, n)
+        x = (axis - axis[n // 2]) / sigma
+        q = (x[:, None] ** 2 - 2 * rho * x[:, None] * x[None, :] + x[None, :] ** 2) / (1 - rho ** 2)
+        jsa = normalize(FrequencyGrid(axis, axis), np.exp(-q / 4))
+        assert jsi_pearson(jsa) == pytest.approx(rho, abs=n * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("name", ["kdp", "bbo"])
+    def test_shipped_configs_match_the_dense_formula(self, name):
+        source = load_config(CONFIGS / f"{name}.cfg")[0].source
+        jsa = source.build_jsa()
+        w = jsa.grid.omega_e
+        density = jsa.intensity / np.sum(jsa.intensity)
+        p_e, p_o = density.sum(axis=1), density.sum(axis=0)
+        mu_e, mu_o = p_e @ w, p_o @ w
+        cov = ((w - mu_e)[:, None] * (w - mu_o)[None, :] * density).sum()
+        reference = cov / math.sqrt((p_e @ (w - mu_e) ** 2) * (p_o @ (w - mu_o) ** 2))
+        assert jsi_pearson(jsa) == pytest.approx(reference, rel=w.size * np.finfo(float).eps)
 
 
 class TestGridConvergence:

@@ -257,12 +257,34 @@ def test_unsupported_formats_are_refused(tmp_path, fmt):
         write_table(tmp_path, np.ones((2, 2)), fmt)
 
 
-def test_blocks_bound_the_memory_of_a_large_table(tmp_path):
-    table = np.random.default_rng(5).random((1024, 1024)) ** 8
+def traced_peak(call):
+    """The result of call() and the peak of the memory it allocated."""
     tracemalloc.start()
     try:
-        write_csv(tmp_path / "big.csv", table)
+        result = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_blocks_bound_the_memory_of_a_large_table(tmp_path):
+    table = np.random.default_rng(5).random((1024, 1024)) ** 8
+    _, peak = traced_peak(lambda: write_csv(tmp_path / "big.csv", table))
     assert peak <= 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("shape", [(2, 100_000), (1, 20_000)], ids=["2x100000", "1x20000"])
+def test_rows_longer_than_a_block_bound_their_memory(tmp_path, shape):
+    # Such a row is written in chunks of cells, the last one ending the line.
+    table = np.random.default_rng(5).random(shape) ** 8
+    _, peak = traced_peak(lambda: write_csv(tmp_path / "long.csv", table))
+    assert peak <= 2 * 2 ** 20
+    assert (tmp_path / "long.csv").read_bytes() == percent_rows(table.T, ["%.9g"] * shape[1])
+
+
+def test_csv_cells_of_a_long_axis_bound_their_memory():
+    values = np.random.default_rng(5).random(20_000) ** 8
+    text, peak = traced_peak(lambda: csv_cells(values))
+    assert peak <= 2 * 2 ** 20
+    assert text == ",".join("%.9g" % x for x in values.tolist())
