@@ -31,9 +31,10 @@ from pathlib import Path
 
 # Each case runs at both revisions from the worktree root and writes into
 # out/<case>. "fit" cases fit the counts a hom case of the same revision wrote.
-# kdp8.cfg is configs/kdp.cfg with an 8 nm pump, for the unequal pair, and
+# kdp8.cfg is configs/kdp.cfg with an 8 nm pump, for the unequal pair,
 # kdp_filtered.cfg is configs/kdp.cfg with 4 nm Gaussian filters at 830 nm on
-# both arms (FILTERS), for a filtered source.
+# both arms (FILTERS), for a filtered source, and kdp_phase.cfg is
+# configs/kdp.cfg with flat_phase = false, for complex heralded states.
 FILTERS = "".join(f"\n[filter.{arm}]\nshape = gaussian\ncenter_nm = 830\nfwhm_nm = 4\n"
                   for arm in ("e", "o"))
 MATRIX = {}
@@ -56,6 +57,13 @@ for _arm in ("e", "o"):
     MATRIX[f"hom_kdp4_kdp8_{_arm}"] = ["hom", "--config-a", "configs/kdp.cfg",
                                        "--config-b", "out/kdp8.cfg", "--herald-arm", _arm,
                                        "--delays=-2500:2500:201"]
+    # Equal sources only: their dip centre is 0 by symmetry, while an unequal
+    # kept-phase pair's centre is the bounded search's argument, good to 1e-5 fs.
+    MATRIX[f"hom_kdp_phase_{_arm}"] = ["hom", "--config-a", "out/kdp_phase.cfg",
+                                       "--config-b", "out/kdp_phase.cfg", "--herald-arm", _arm,
+                                       "--pairs-per-point", "1000", "--seed", "7"]
+    MATRIX[f"fit_kdp_phase_{_arm}"] = ["fit", "--counts",
+                                       f"out/hom_kdp_phase_{_arm}/hom_counts.csv"]
 MATRIX["jsa_kdp_filtered"] = ["jsa", "--config", "out/kdp_filtered.cfg"]
 MATRIX["scan_noiseless_kdp_filtered"] = ["scan", "--config", "out/kdp_filtered.cfg",
                                          "--resolution-nm", "0.2", "--step-nm", "0.1"]
@@ -214,12 +222,15 @@ def run_matrix(repo, rev, work):
             raise SystemExit(f"{rev[:12]}: pairspec imports from {probe.stdout.strip()}, "
                              f"not from the worktree")
         kdp = (tree / "configs" / "kdp.cfg").read_text()
-        if "pump_fwhm_nm = 4\n" not in kdp:
-            raise SystemExit(f"{rev[:12]}: configs/kdp.cfg has no 'pump_fwhm_nm = 4' line")
+        for line in ("pump_fwhm_nm = 4\n", "flat_phase = true\n"):
+            if line not in kdp:
+                raise SystemExit(f"{rev[:12]}: configs/kdp.cfg has no {line.strip()!r} line")
         (tree / "out").mkdir()
         (tree / "out" / "kdp8.cfg").write_text(kdp.replace("pump_fwhm_nm = 4\n",
                                                            "pump_fwhm_nm = 8\n"))
         (tree / "out" / "kdp_filtered.cfg").write_text(kdp + FILTERS)
+        (tree / "out" / "kdp_phase.cfg").write_text(kdp.replace("flat_phase = true\n",
+                                                                "flat_phase = false\n"))
         outputs = {}
         for case, argv in MATRIX.items():
             done = subprocess.run([sys.executable, "-m", "pairspec.cli", *argv,

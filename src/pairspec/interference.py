@@ -63,39 +63,45 @@ class _Overlap:
 
         overlap(tau) = D_0 + 2 sum_{k>=1} [Re D_k cos(k dw tau) + Im D_k sin(k dw tau)].
 
-    For real states (flat phase) D is real and the sine term drops out.
-    The overlap is made from P itself, of which only the diagonal and
-    above are read (`two_source_experiment` streams them into rho_a's
-    buffer), or from the two states by `between`.
+    With w_0 = D_0 and w_k = 2 conj(D_k), that is Re sum_k w_k exp(i k dw tau).
+    Writing k = q b + r with b ~ sqrt(n), exp(i k x) = exp(i q b x) exp(i r x),
+    so for m delays the sum takes two m x b tables of phase factors, one
+    matrix product with w as a b x (n / b) matrix, and an elementwise
+    product: O(m sqrt(n)) trigonometric evaluations in place of O(m n).
+    The n sums D_k come from `_diagonal_sums`, which takes them from P's row
+    blocks: `between` makes them from the two states, and
+    `two_source_experiment` from rho_a and JSA_b (`_stream_product`).
     """
 
-    def __init__(self, product, d_omega):
-        self.n, self.d_omega = product.shape[0], d_omega
-        diag = np.array([product.diagonal(k).sum() for k in range(self.n)])
-        diag *= d_omega ** 2
-        self._d0 = float(diag[0].real)
-        self._cos_weights = 2.0 * diag[1:].real
-        self._sin_weights = 2.0 * diag[1:].imag if np.iscomplexobj(diag) else None
-        self._freq_steps = np.arange(1, self.n) * d_omega
+    def __init__(self, diag, d_omega):
+        self.n, self.d_omega = diag.size, d_omega
+        b = math.isqrt(self.n - 1) + 1  # b * b >= n
+        weights = np.zeros(b * -(-self.n // b), dtype=diag.dtype)
+        np.conjugate(diag, out=weights[:self.n])
+        weights *= 2.0 * d_omega ** 2
+        weights[0] = diag[0].real * d_omega ** 2
+        self._weights = weights.reshape(-1, b).T
+        self._steps = np.arange(b) * d_omega, np.arange(weights.size // b) * (b * d_omega)
 
     @classmethod
     def between(cls, rho_a: ReducedDensityMatrix, rho_b: ReducedDensityMatrix):
-        """The overlap of two states on one axis, P formed in one n x n array."""
+        """The overlap of two states on one axis, P made one row block at a
+        time from the states' upper triangles."""
         axis_a, axis_b = rho_a.grid.omega_e, rho_b.grid.omega_e
         if axis_a.size != axis_b.size or not np.allclose(axis_a, axis_b, rtol=1e-12):
             raise ConfigError("density matrices must share an identical frequency axis")
-        product = np.empty(rho_a.values.shape, dtype=np.result_type(rho_a.values, rho_b.values))
-        np.conjugate(rho_b.values, out=product)
-        product *= rho_a.values
-        return cls(product, rho_a.grid.d_omega)
+        a, b = rho_a.values, rho_b.values
+
+        def fill(rows, block):
+            np.conjugate(b[rows, rows.start:], out=block)
+            block *= a[rows, rows.start:]
+
+        return cls(_diagonal_sums(a.shape[0], np.result_type(a, b), fill), rho_a.grid.d_omega)
 
     def __call__(self, tau_s):
         tau_s = np.atleast_1d(np.asarray(tau_s, dtype=float))
-        phases = np.outer(tau_s, self._freq_steps)
-        vals = self._d0
-        if self._sin_weights is not None:
-            vals = vals + np.sin(phases) @ self._sin_weights
-        vals = vals + np.cos(phases, out=phases) @ self._cos_weights
+        fine, coarse = (np.exp(1j * np.outer(tau_s, steps)) for steps in self._steps)
+        vals = np.sum(coarse * (fine @ self._weights), axis=1).real
         return vals if vals.size > 1 else float(vals[0])
 
 
@@ -264,8 +270,9 @@ def two_source_experiment(source_a: SourceSpec, source_b: SourceSpec,
     Sources equal but for their windows (n_points, span_sigmas) share one
     heralded state, scanned by `hom_dip`. Otherwise rho_a is formed and its
     JSA dropped, then JSA_b is built and rho_b is never formed:
-    `_stream_product` writes the product with conj(rho_b) into rho_a's
-    buffer. So no stage holds more than two n x n arrays.
+    `_stream_product` takes the overlap's diagonal sums from rho_a and
+    JSA_b one row block at a time. So while they are summed, only rho_a,
+    JSA_b and one row block of about 1/16 n x n are alive.
     """
     interfered_arm = other_arm(herald_arm, "herald_arm")
     delays_fs = _delay_axis(delays_fs)
@@ -286,18 +293,44 @@ def _stream_product(rho_a: ReducedDensityMatrix, jsa_b: JointAmplitude, heralded
     """The overlap of rho_a with jsa_b's heralded state, without forming it.
 
     With f = jsa_b's rows of the heralded photon, rho_b = f f^H dw / tr and
-    tr = ||f||^2 dw^2 = jsa_b.norm_sq(). conj(rho_b)'s upper triangle is
-    made one row block at a time as conj(f[rows]) f[rows.start:]^T and
-    multiplied into the same place of rho_a's values, which become P (a
-    real rho_a is first copied to complex against a complex JSA_b); the
-    strictly-lower triangle keeps rho_a, as `_Overlap` reads only above it.
+    tr = ||f||^2 dw^2 = jsa_b.norm_sq(). Each row block of P's upper part is
+    made as conj(f[rows]) f[rows.start:]^T * scale * rho_a[rows, rows.start:],
+    conj(rho_b)'s block times rho_a's. rho_a is only read, and neither a
+    real rho_a nor a real f is copied.
     """
     f = herald_rows(jsa_b, heralded_arm)
     scale = jsa_b.grid.d_omega / jsa_b.norm_sq()
-    product = rho_a.values.astype(np.result_type(rho_a.values, f), copy=False)
-    for rows in row_blocks(f.shape[0]):
-        block = np.conjugate(f[rows]) @ f[rows.start:].T
+    a = rho_a.values
+
+    def fill(rows, block):
+        np.matmul(np.conjugate(f[rows]) if np.iscomplexobj(f) else f[rows], f[rows.start:].T,
+                  out=block)
         block *= scale
-        product[rows, rows.start:] *= block
-        del block  # before the next one is made
-    return _Overlap(product, rho_a.grid.d_omega)
+        block *= a[rows, rows.start:]
+
+    return _Overlap(_diagonal_sums(a.shape[0], np.result_type(a, f), fill), rho_a.grid.d_omega)
+
+
+def _diagonal_sums(n, dtype, fill):
+    """D_k = sum_i P[i, i + k] for k < n, of the n x n product P that
+    `fill(rows, block)` writes, row block by row block, as P[rows, rows.start:]
+    into a C-contiguous (m, w) block of the given dtype.
+
+    The block is the head of one reused buffer of m (w + 1) elements. With
+    the block's strictly-lower m x m triangle and the m elements after it
+    zeroed, the buffer seen as (m, w + 1) holds diagonal k of the block in
+    column k, so D[:w] gains the column sums of its first w columns. What
+    `fill` writes below P's diagonal is overwritten, so it is never read.
+    """
+    diag = np.zeros(n, dtype)
+    blocks = row_blocks(n)
+    buffer = np.empty(blocks[0].stop * (n + 1), dtype)
+    for rows in blocks:
+        m, w = rows.stop - rows.start, n - rows.start
+        flat = buffer[:m * (w + 1)]
+        block = flat[:m * w].reshape(m, w)
+        fill(rows, block)
+        block[np.tril_indices(m, -1)] = 0
+        flat[m * w:] = 0
+        diag[:w] += flat.reshape(m, w + 1)[:, :w].sum(axis=0)
+    return diag

@@ -535,10 +535,38 @@ class TestCoveringGridConvergence:
         assert scan.dip_fwhm_fs == pytest.approx(fine.dip_fwhm_fs, rel=COVERING_RTOL)
 
 
+class TestDiagonalSums:
+    """The row-block accumulator against the upper diagonal sums of P."""
+
+    @pytest.mark.parametrize("n", [16, 17, 100, 257])  # one-row and uneven last blocks
+    @pytest.mark.parametrize("dtypes", [(float, float), (complex, complex), (float, complex),
+                                        (complex, float)], ids=["real", "complex", "real-complex",
+                                                                "complex-real"])
+    def test_matches_diagonal_sums(self, n, dtypes):
+        rng = np.random.default_rng(n)
+
+        def random(dtype):
+            values = rng.standard_normal((n, n))
+            return values + 1j * rng.standard_normal((n, n)) if dtype is complex else values
+
+        a, b = random(dtypes[0]), random(dtypes[1])
+        product = a * b.conj()
+
+        def fill(rows, block):
+            block[...] = product[rows, rows.start:]
+
+        sums = interference._diagonal_sums(n, product.dtype, fill)
+        assert sums.dtype == product.dtype
+        expected = [product.diagonal(k).sum() for k in range(n)]
+        # Each sum adds at most n terms, in another order than the reference.
+        bound = [n * np.finfo(float).eps * np.abs(product.diagonal(k)).sum() for k in range(n)]
+        assert np.all(np.abs(sums - expected) <= bound)
+
+
 class TestOverlapMemory:
     @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
     def test_one_n_by_n_temporary(self, real):
-        # The diagonal sums need only the product of the two states.
+        # The diagonal sums need only one row block of the product at a time.
         rho = pure_state_density(lattice_axis(2.22e15, 2.32e15, 512), 5e12)
         if real:
             rho = ReducedDensityMatrix(grid=rho.grid, values=rho.values.real.copy())
@@ -548,7 +576,7 @@ class TestOverlapMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * rho.values.nbytes
+        assert peak <= 0.25 * rho.values.nbytes
 
 
 # The paper's two-source case: KDP sources with 4 and 8 nm pumps.
@@ -578,34 +606,45 @@ class TestStreamedProduct:
     def test_strictly_lower_triangle_is_not_read(self, flat_phase):
         a, b = kdp_source(5.0, 4.0, 128, flat_phase), kdp_source(5.0, 8.0, 128, flat_phase)
         rho_a, rho_b = covering_states(a, b, "o")
+        jsa_b = b.build_jsa(rho_a.grid)
         before = rho_a.values.copy(), rho_b.values.copy()
-        expected = hom_dip(rho_a, rho_b, STREAM_DELAYS)
-        for rho, values in zip((rho_a, rho_b), before):  # hom_dip leaves its inputs alone
-            np.testing.assert_array_equal(rho.values, values)
-        product = rho_a.values * rho_b.values.conj()
-        product[np.tril_indices(product.shape[0], -1)] = np.nan
-        scan = interference._dip_scan(interference._Overlap(product, rho_a.grid.d_omega),
-                                      STREAM_DELAYS)
-        assert scan_fields(scan) == scan_fields(expected)
-        assert scan.dip_center_fs == expected.dip_center_fs
 
-    @pytest.mark.parametrize("flat_phase, herald_filter", [
-        (True, False), (False, False), (True, True), (False, True)],
-        ids=["flat", "kept", "flat-herald-filter", "kept-herald-filter"])
-    def test_two_n_by_n_arrays(self, flat_phase, herald_filter):
+        def nan_below(rho):
+            values = rho.values.copy()
+            values[np.tril_indices(values.shape[0], -1)] = np.nan
+            return ReducedDensityMatrix(grid=rho.grid, values=values)
+
+        for overlap, from_upper in (
+                (interference._Overlap.between(rho_a, rho_b),
+                 interference._Overlap.between(nan_below(rho_a), nan_below(rho_b))),
+                (interference._stream_product(rho_a, jsa_b, "o"),
+                 interference._stream_product(nan_below(rho_a), jsa_b, "o"))):
+            expected = interference._dip_scan(overlap, STREAM_DELAYS)
+            scan = interference._dip_scan(from_upper, STREAM_DELAYS)
+            assert scan_fields(scan) == scan_fields(expected)
+            assert scan.dip_center_fs == expected.dip_center_fs
+        for rho, values in zip((rho_a, rho_b), before):  # both paths leave the states alone
+            np.testing.assert_array_equal(rho.values, values)
+
+    @pytest.mark.parametrize("phases, herald_filter", [
+        ((True, True), False), ((False, False), False), ((True, True), True),
+        ((False, False), True), ((True, False), False)],
+        ids=["flat", "kept", "flat-herald-filter", "kept-herald-filter", "mixed"])
+    def test_two_n_by_n_arrays(self, phases, herald_filter):
         # rho_a and JSA_b are the only full arrays alive at once: a herald
-        # filter acts on each JSA in its own array.
+        # filter acts on each JSA in its own array, and a real rho_a is not
+        # copied to complex against a complex JSA_b.
         n = 256
         filters = (FilterSpec("gaussian", "o", 830.0, 4.0),) if herald_filter else ()
         a, b = (replace(kdp_source(5.0, fwhm_nm, n, flat_phase), filters=filters)
-                for fwhm_nm in (4.0, 8.0))
+                for fwhm_nm, flat_phase in zip((4.0, 8.0), phases))
         tracemalloc.start()
         try:
             two_source_experiment(a, b, "o", STREAM_DELAYS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * n * n * np.dtype(float if flat_phase else complex).itemsize
+        assert peak <= 2.25 * n * n * np.dtype(float if all(phases) else complex).itemsize
 
 
 # Frequency unit of the two-Gaussian oracle, rad/s, and its sources as
