@@ -33,10 +33,13 @@ from pathlib import Path
 # out/<case>. "fit" cases fit the counts a hom case of the same revision wrote.
 # kdp8.cfg is configs/kdp.cfg with an 8 nm pump, for the unequal pair,
 # kdp_filtered.cfg is configs/kdp.cfg with 4 nm Gaussian filters at 830 nm on
-# both arms (FILTERS), for a filtered source, and kdp_phase.cfg is
-# configs/kdp.cfg with flat_phase = false, for complex heralded states.
-FILTERS = "".join(f"\n[filter.{arm}]\nshape = gaussian\ncenter_nm = 830\nfwhm_nm = 4\n"
-                  for arm in ("e", "o"))
+# both arms (FILTERS), for a filtered source, kdp_rect.cfg the same with 2 nm
+# rectangular filters (RECT_FILTERS), whose JSI has exact zeros beside
+# e-notation cells in one block, and kdp_phase.cfg is configs/kdp.cfg with
+# flat_phase = false, for complex heralded states.
+FILTERS, RECT_FILTERS = ("".join(f"\n[filter.{arm}]\nshape = {shape}\ncenter_nm = 830\n"
+                                 f"fwhm_nm = {fwhm}\n" for arm in ("e", "o"))
+                         for shape, fwhm in (("gaussian", 4), ("rectangular", 2)))
 MATRIX = {}
 for _cfg in ("kdp", "bbo"):
     _path = f"configs/{_cfg}.cfg"
@@ -65,6 +68,7 @@ for _arm in ("e", "o"):
     MATRIX[f"fit_kdp_phase_{_arm}"] = ["fit", "--counts",
                                        f"out/hom_kdp_phase_{_arm}/hom_counts.csv"]
 MATRIX["jsa_kdp_filtered"] = ["jsa", "--config", "out/kdp_filtered.cfg"]
+MATRIX["jsa_kdp_rect"] = ["jsa", "--config", "out/kdp_rect.cfg"]
 MATRIX["scan_noiseless_kdp_filtered"] = ["scan", "--config", "out/kdp_filtered.cfg",
                                          "--resolution-nm", "0.2", "--step-nm", "0.1"]
 MATRIX["gvm_kdp"] = ["gvm", "--crystal", "KDP", "--daughter-nm", "830"]
@@ -229,6 +233,7 @@ def run_matrix(repo, rev, work):
         (tree / "out" / "kdp8.cfg").write_text(kdp.replace("pump_fwhm_nm = 4\n",
                                                            "pump_fwhm_nm = 8\n"))
         (tree / "out" / "kdp_filtered.cfg").write_text(kdp + FILTERS)
+        (tree / "out" / "kdp_rect.cfg").write_text(kdp + RECT_FILTERS)
         (tree / "out" / "kdp_phase.cfg").write_text(kdp.replace("flat_phase = true\n",
                                                                 "flat_phase = false\n"))
         outputs = {}

@@ -396,19 +396,34 @@ def export_metadata(path, source, jsa: JointAmplitude, *, extra=None):
 
 
 CSV_BLOCK_CELLS = 1 << 13  # cells per formatted block: its temporaries stay under 2 MB
-# The four ASCII digits of each of 0 .. 9999, one uint32 each.
+# The four ASCII digits of each of 0 .. 9999, one little-endian uint32 each.
 _DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
-                    -1).view(np.uint32).ravel()
+                    -1).view("<u4").ravel()
 _POW10 = 10.0 ** np.arange(-300, 308)  # _POW10[300 + k] = 10**k
 # The %d slots: a sign, 20 digits, the end. Their masks, by 20 sign + digits - 1:
 _INT_KEEP = ((np.arange(24) >= 20 - np.arange(40)[:, None] % 20) & (np.arange(24) < 22)
              | (np.arange(24) == 0) & (np.arange(40)[:, None] >= 20)).view(np.uint64)
+# The word cells' tables are built as bytes: numpy's ufuncs would page in about
+# 0.25 MB of numpy's code at import, which every run would carry.
+# The trailing zeros of each of 0 .. 9999 written with four digits (4 for 0).
+_TZ4 = bytearray(10000)
+for _zeros in range(1, 5):
+    _TZ4[::10 ** _zeros] = bytes([_zeros]) * (10000 // 10 ** _zeros)
+_TZ4 = np.frombuffer(_TZ4, np.uint8)
+# A word cell's 16 slots, "-1.23456789e+12" and the end, are two little-endian
+# uint64 words. "e+12" is bytes 3 .. 6 of the second word, by exponent -99 .. 99:
+_EXP_WORDS = np.frombuffer(b"".join(b"\0\0\0e%+03d\0" % k for k in range(-99, 100)), "<u8")
+# The words' byte masks by the trailing zeros z of the 8 fraction digits (slots
+# 3 .. 10), which they drop, with the point (slot 2) when all 8 are zeros.
+_WORD_MASKS = np.frombuffer(bytes(0 if 10 - z < i < 11 or i == 2 and z == 8 else 255
+                                  for z in range(9) for i in range(16)), "<u8").reshape(9, 2)
 
 
 def write_csv(path, table, comments=(), header=None, fmt="%.9g"):
     """Write a CSV table the one way every table is: a `# ` line per comment, the
-    header if any, then the rows in blocks of CSV_BLOCK_CELLS cells. `table` is a
-    2-d array in one fmt, or for a tuple of fmts a sequence of 1-d columns."""
+    header if any, then the rows in blocks of CSV_BLOCK_CELLS cells, each cell the
+    bytes of Python's `fmt % cell` (see `_cell_slots`). `table` is a 2-d array in
+    one fmt, or for a tuple of fmts a sequence of 1-d columns."""
     groups = ([(np.asarray(table), fmt)] if isinstance(fmt, str) else
               [(np.asarray(column)[:, None], f) for column, f in zip(table, fmt, strict=True)])
     with open(path, "wb") as fh:
@@ -425,8 +440,12 @@ def csv_cells(values, fmt="%.9g"):
 def _blocks(groups):
     """The bytes of the rows of (2-d values, fmt) groups of columns, in blocks of
     at most CSV_BLOCK_CELLS cells: whole rows, or for a row of one group longer
-    than that, chunks of its cells, of which only the last ends the line."""
+    than that, chunks of its cells, of which only the last ends the line. Rows
+    of no cells are empty lines."""
     width = sum(values.shape[1] for values, _ in groups)
+    if width == 0:
+        yield b"\n" * len(groups[0][0])
+        return
     if width <= CSV_BLOCK_CELLS or len(groups) > 1:
         step = max(1, CSV_BLOCK_CELLS // width)
         for start in range(0, len(groups[0][0]), step):
@@ -441,16 +460,14 @@ def _blocks(groups):
 
 def _format_rows(groups, end=10):
     """Rows, given as (2-d values, fmt) groups of columns, as the bytes of `fmt %
-    cell` per cell: the slots of each cell (`_cell_slots`) that hold its text.
-    Each row ends with `end`, a newline or a comma."""
-    slots, keep = [], []
+    cell` per cell: each cell's slots (`_cell_slots`), laid side by side, with
+    their NULs deleted. Each row ends with `end`, a newline or a comma."""
+    slots = []
     for i, (values, fmt) in enumerate(groups):
         ends = np.full(values.shape, 44, np.uint8)  # a comma, or `end` after a row
         ends[:, -1] = end if i == len(groups) - 1 else 44
-        for out, part in zip((slots, keep), _cell_slots(values.ravel(), fmt, ends.ravel())):
-            out.append(part.reshape(len(values), -1))
-    slots, keep = (np.hstack(parts) if len(parts) > 1 else parts[0] for parts in (slots, keep))
-    return np.compress(keep.ravel(), slots.ravel()).tobytes()
+        slots.append(_cell_slots(values.ravel(), fmt, ends.ravel()).reshape(len(values), -1))
+    return (np.hstack(slots) if len(slots) > 1 else slots[0]).tobytes().translate(None, b"\0")
 
 
 def _ascii(m, count):
@@ -463,19 +480,26 @@ def _ascii(m, count):
 
 
 def _cell_slots(x, fmt, ends):
-    """Each cell's text in a row of byte slots (padded to whole 8-byte words),
-    ended by `ends`, and the mask of the slots that hold it. %.Pg cells are built
-    from the P-digit rounded mantissa, %d cells from the integer; zero,
-    non-finite, tiny, huge and near-tie %.Pg cells go through `%`."""
+    """Each cell's text in a row of byte slots (whole 8-byte words), ended by
+    `ends`, with NUL in the slots it leaves out. %d cells are built from the
+    integer; %.Pg cells from the P-digit rounded mantissa: as two words each
+    (`_word_slots`) when P <= 9 and all of a block's cells are in e-notation
+    with a 2-digit exponent, else in the layout of every %g form
+    (`_float_layout`). Cells near a tie or a power of ten go through `%` either
+    way; zero, non-finite, tiny and huge ones, which only the layout takes, too."""
     if fmt == "%d":
         if not np.issubdtype(x.dtype, np.integer):
             raise ValueError(f"%d cells must be integers, got {x.dtype}")
-        x = x.astype(np.int64)
-        u = np.abs(x).view(np.uint64)  # exact at the int64 minimum, which np.abs leaves as it is
+        if x.dtype == np.uint64:  # above 2**63 - 1, int64 would read it as negative
+            u, negative = x, np.zeros(x.shape, bool)
+        else:
+            x = x.astype(np.int64)
+            u, negative = np.abs(x).view(np.uint64), x < 0  # exact at the int64 minimum
         slots = np.empty((x.size, 24), np.uint8)
         slots[:, 0], slots[:, 1:21], slots[:, 21] = 45, _ascii(u, 5), ends
         width = np.searchsorted(10 ** np.arange(1, 20, dtype=np.uint64), u, side="right")
-        return slots, _INT_KEEP.take((x < 0) * 20 + width, axis=0).view(bool)
+        slots *= _INT_KEEP.take(negative * 20 + width, axis=0).view(np.uint8)
+        return slots
     if not (fmt[:2] == "%." and fmt[-1:] == "g" and fmt[2:-1].isdigit()
             and 0 < int(fmt[2:-1]) < 16):
         raise ValueError(f"unsupported CSV cell format {fmt!r}: only %.Pg (P <= 15) and %d")
@@ -483,27 +507,52 @@ def _cell_slots(x, fmt, ends):
     slow = ~((a >= 1e-290) & (a <= 1e290))  # past these, 10**k below may not be a normal float
     a[slow] = 1.0
     e = np.floor(np.log10(a)).astype(np.int64)
+    # A block of P <= 9 cells all in e-notation with a 2-digit exponent takes two
+    # words a cell. The `%` text of one near a tie or a power of ten fits them too:
+    # fixed notation or a 3-digit exponent come only from rounding to 1e-4 or 1e100.
+    words = p <= 9 and not slow.any() and not ((e > -5) & (e < p) | (np.abs(e) > 99)).any()
     y = a * _POW10[300 + p - 1 - e]  # the mantissa times 10**(P - 1), within about 1 ulp
     m = np.rint(y)
     # Past 1e-5 * 10**(P - 9) from a tie, y's error cannot change its rounding. m
     # is out of range where it rounds up to 10**P or log10 is one off.
     slow |= np.abs(y - np.floor(y) - 0.5) < 1e-5 * 10.0 ** (p - 9)
     slow |= (m < 10.0 ** (p - 1)) | (m >= 10.0 ** p)
-    digits = _ascii(np.where(slow, 10.0 ** (p - 1), m).astype(np.int64), -(-p // 4))[:, -p:]
-    last = p - 1 - np.argmax(digits[:, ::-1] != 48, axis=1)  # the last nonzero digit
-    template, forms, table = _float_layout(p)
-    slots = np.tile(template, (x.size, 1)).view(np.uint8)
-    slots[:, 6:2 * p + 5:2] = digits
-    slots[:, 2 * p + 6] = np.where(e < 0, 45, 43)
-    slots[:, 2 * p + 7:2 * p + 10] = _DIGITS4.take(np.abs(e)[:, None]).view(np.uint8)[:, 1:]
-    slots[:, 2 * p + 10] = ends
-    keep = table.take(forms[400 + e] + np.signbit(x) * p + last, axis=0).view(bool)
+    if words:
+        slots = _word_slots(m.astype(np.int64) * 10 ** (9 - p), e, np.signbit(x), ends)
+    else:
+        digits = _ascii(np.where(slow, 10.0 ** (p - 1), m).astype(np.int64), -(-p // 4))[:, -p:]
+        last = p - 1 - np.argmax(digits[:, ::-1] != 48, axis=1)  # the last nonzero digit
+        template, forms, table = _float_layout(p)
+        slots = np.tile(template, (x.size, 1)).view(np.uint8)
+        slots[:, 6:2 * p + 5:2] = digits
+        slots[:, 2 * p + 6] = np.where(e < 0, 45, 43)
+        slots[:, 2 * p + 7:2 * p + 10] = _DIGITS4.take(np.abs(e)[:, None]).view(np.uint8)[:, 1:]
+        slots[:, 2 * p + 10] = ends
+        slots *= table.take(forms[400 + e] + np.signbit(x) * p + last, axis=0).view(np.uint8)
     cells = np.flatnonzero(slow)
     text = "".join(f"{fmt % value}{chr(end)}".ljust(slots.shape[1], "\0")
                    for value, end in zip(x[cells].tolist(), ends[cells].tolist()))
     slots[cells] = np.frombuffer(text.encode(), np.uint8).reshape(-1, slots.shape[1])
-    keep[cells] = slots[cells] != 0
-    return slots, keep
+    return slots
+
+
+def _word_slots(m, e, negative, ends):
+    """The 16 slots of e-notation cells with a 9-digit mantissa m (an integer
+    array), exponent -99 <= e <= 99 and sign `negative`, ended by `ends`: the
+    sign, the lead digit, the point and 8 fraction digits, then "e+12" and the
+    end, as two uint64 words each. The fraction's trailing zeros pick the mask."""
+    lead = m // 100000000
+    high = m // 10000 - lead * 10000
+    low = m % 10000
+    high_digits, low_digits = (_DIGITS4.take(chunk).astype(np.uint64) for chunk in (high, low))
+    head = negative * 45 + (lead + 48) * 256 + 46 * 65536  # "-" or NUL, the lead digit, "."
+    words = np.empty((m.size, 2), "<u8")
+    words[:, 0] = (head.astype(np.uint64) | high_digits << np.uint64(24)
+                   | low_digits << np.uint64(56))
+    words[:, 1] = (low_digits >> np.uint64(8) | _EXP_WORDS.take(e + 99)
+                   | ends.astype(np.uint64) << np.uint64(56))
+    words &= _WORD_MASKS.take(_TZ4.take(low) + _TZ4.take(high) * (low == 0), axis=0)
+    return words.view(np.uint8)
 
 
 @functools.cache

@@ -162,8 +162,9 @@ def heralded_density_matrix(jsa: JointAmplitude, heralded_arm):
     `jsa.apply_filters` on the amplitude, as sqrt(T) on the herald's index,
     so rho = f f^dagger stays Hermitian by construction. rho is the only
     n x n array made: for real amplitudes it comes from one SYRK (bitwise
-    symmetric); for complex ones each row block is conj(conj(f[rows]) f^T),
-    so no conjugated copy of f is made.
+    symmetric); for complex ones each row block's part on and right of the
+    diagonal is conj(conj(f[rows]) f[rows.start:]^T), so no conjugated copy
+    of f is made, and the part below the diagonal is its conjugate transpose.
     """
     other_arm(heralded_arm, "heralded_arm")
     d_omega = jsa.grid.d_omega
@@ -172,9 +173,15 @@ def heralded_density_matrix(jsa: JointAmplitude, heralded_arm):
         rho = f @ f.T
     else:
         rho = np.empty((f.shape[0],) * 2, dtype=complex)
-        for rows in row_blocks(f.shape[0]):
-            np.matmul(np.conjugate(f[rows]), f.T, out=rho[rows])
-        np.conjugate(rho, out=rho)
+        blocks = row_blocks(f.shape[0])
+        for i, rows in enumerate(blocks):
+            upper = rho[rows, rows.start:]
+            np.matmul(np.conjugate(f[rows]), f[rows.start:].T, out=upper)
+            np.conjugate(upper, out=upper)
+            square, lower = rho[rows, rows], np.tril_indices(rows.stop - rows.start, -1)
+            square[lower] = np.conjugate(square.T[lower])
+            for below in blocks[i + 1:]:  # a square at a time: numpy copies overlapping views
+                rho[below, rows] = np.conjugate(rho[rows, below].T)
     rho *= d_omega
     tr = float(np.real(np.trace(rho)) * d_omega)
     if tr <= 0.0:

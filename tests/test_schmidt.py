@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -174,6 +175,40 @@ class TestHeraldedDensityMatrix:
         rho = f @ f.conj().T * d_omega
         tr = float(np.real(np.trace(rho)) * d_omega)
         assert_same_bits(heralded_density_matrix(jsa, arm).values, rho / tr)
+
+    @pytest.mark.parametrize("n", [128, 200])
+    @pytest.mark.parametrize("arm", ["e", "o"])
+    def test_kept_phase_lower_triangle_is_the_conjugate_of_the_upper(self, kdp_source, arm, n):
+        # Only the row blocks' upper parts are products; the rest is mirrored.
+        jsa = replace(kdp_source, n_points=n, flat_phase=False).build_jsa()
+        rho = heralded_density_matrix(jsa, arm).values
+        lower = np.tril_indices(n, -1)
+        np.testing.assert_array_equal(rho[lower], np.conjugate(rho.T[lower]))
+
+    @pytest.mark.parametrize("n", [128, 200])
+    @pytest.mark.parametrize("arm", ["e", "o"])
+    def test_kept_phase_matches_the_full_product(self, kdp_source, arm, n):
+        jsa = replace(kdp_source, n_points=n, flat_phase=False).build_jsa()
+        f = jsa.values if arm == "e" else jsa.values.T
+        d_omega = jsa.grid.d_omega
+        expected = f @ f.conj().T * d_omega
+        expected /= float(np.real(np.trace(expected)) * d_omega)
+        rho = heralded_density_matrix(jsa, arm).values
+        bound = n * np.finfo(float).eps * np.abs(expected).max()
+        assert np.abs(rho - expected).max() <= bound
+
+    @pytest.mark.parametrize("arm", ["e", "o"])
+    def test_kept_phase_temporaries_are_one_row_block(self, kdp_source, arm):
+        jsa = replace(kdp_source, n_points=256, flat_phase=False).build_jsa()
+        tracemalloc.start()
+        try:
+            heralded_density_matrix(jsa, arm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # rho and about two row blocks (1/16 of it each) of temporaries, as when
+        # every block was a full-width product.
+        assert peak <= 1.15 * jsa.values.nbytes
 
     def test_values_must_match_grid_size(self):
         grid = make_grid(n=33)

@@ -5,18 +5,23 @@ the block formatter behind them, cell for cell the bytes of Python's `%`."""
 
 import struct
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pairspec.analysis import CountRecord, JsiScanResult, SweepResult
+from pairspec import jsa
+from pairspec.analysis import CountRecord, JsiScanResult, SweepResult, simulate_jsi_scan
+from pairspec.cli import load_config
 from pairspec.interference import HomScan
 from pairspec.jsa import (FrequencyGrid, JointAmplitude, csv_cells, export_jsi_csv,
                           lattice_axis, write_csv)
 from pairspec.schmidt import SchmidtResult, export_schmidt_csv
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 LAMBDA_NM = np.array([829.9, 830.0, 830.1])
 EXPECTED = np.array([[0.5, 12.25, 1 / 3], [7.0, 1234.5678912, 2.0], [0.0, 1e-7, 3.5]])
 JSI_AXIS = lattice_axis(2.27e15, 2.28e15, 16)
@@ -172,7 +177,7 @@ def float_of_bits(bits):
 
 
 FLOAT_FORMATS = ("%.9g", "%.12g")
-PRECISION = {"%.9g": 9, "%.12g": 12}
+PRECISION = {"%.6g": 6, "%.9g": 9, "%.12g": 12}
 
 
 @st.composite
@@ -231,8 +236,12 @@ INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
     [0, -1, 9, 10, -(2 ** 63), 2 ** 63 - 1, 10 ** 18, -(10 ** 18) + 1])), min_size=1, max_size=40),
     shape=st.sampled_from([(1, 1), (1, -1), (-1, 1)]))
 @example(cells=[-(2 ** 63), 2 ** 63 - 1, 0], shape=(1, -1))
+# uint64 cells past the int64 range, which an int64 cast would write as negative.
+@example(cells=[2 ** 64 - 1, 2 ** 63, 10 ** 19, 0, 7], shape=(1, -1))
+@example(cells=[2 ** 64 - 1], shape=(1, 1))
 def test_int_cells_match_percent(cells_dir, cells, shape):
-    table = np.array(cells[:1] if shape == (1, 1) else cells, dtype=np.int64).reshape(shape)
+    dtype = np.uint64 if max(cells) > 2 ** 63 - 1 else np.int64
+    table = np.array(cells[:1] if shape == (1, 1) else cells, dtype=dtype).reshape(shape)
     assert write_table(cells_dir, table, "%d") == percent_rows(table.T, ["%d"] * table.shape[1])
 
 
@@ -243,6 +252,134 @@ def test_columns_each_in_their_own_format(cells_dir, rows):
     columns = [np.array(column) for column in zip(*rows)]
     fmts = ("%d", "%.12g", "%.9g")
     assert write_table(cells_dir, columns, fmts) == percent_rows(columns, fmts)
+
+
+WORD_FORMATS = ("%.6g", "%.9g")
+
+
+def word_exponents(p):
+    return st.one_of(st.integers(-99, -5), st.integers(p, 99))
+
+
+@st.composite
+def word_floats(draw, fmt):
+    """A float whose %.Pg text is e-notation with a 2-digit exponent, far from
+    a tie: a P-digit mantissa with 0 to P - 1 trailing zeros, either sign."""
+    p = PRECISION[fmt]
+    zeros = draw(st.integers(0, p - 1))
+    mantissa = draw(st.integers(10 ** (p - 1 - zeros), 10 ** (p - zeros) - 1)) * 10 ** zeros
+    sign = draw(st.sampled_from(["", "-"]))
+    return float(f"{sign}{mantissa}e{draw(word_exponents(p)) - (p - 1)}")
+
+
+@st.composite
+def tie_floats(draw, fmt):
+    """A float next to a P-digit tie or a 9.99..95e+k boundary at an exponent of
+    the word cells: y's rounding is not certain there, so it goes through `%`,
+    and past 9.99..95e-5 and 9.99..95e+99 its text is 0.0001 or 1e+100."""
+    p = PRECISION[fmt]
+    k = draw(word_exponents(p))
+    if draw(st.booleans()):
+        mantissa = draw(st.integers(10 ** (p - 1), 10 ** p - 1))
+        value = float(f"{mantissa}.5e{k - (p - 1)}")
+    else:
+        value = float(f"9.{'9' * (p - 1)}5e{k}")
+    value = np.nextafter(value, draw(st.sampled_from([0.0, value, np.inf])))
+    return draw(st.sampled_from([1.0, -1.0])) * float(value)
+
+
+def layout_calls():
+    """A spy on the layout tables of the %g path that is not the word path."""
+    return mock.patch.object(jsa, "_float_layout", wraps=jsa._float_layout)
+
+
+@pytest.mark.parametrize("fmt", WORD_FORMATS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_word_cells_match_percent(cells_dir, fmt, data):
+    cells = data.draw(st.lists(word_floats(fmt), min_size=1, max_size=60))
+    table = np.array(cells).reshape(data.draw(st.sampled_from([(1, -1), (-1, 1)])))
+    with layout_calls() as layout:
+        text = write_table(cells_dir, table, fmt)
+    assert text == percent_rows(table.T, [fmt] * table.shape[1])
+    assert not layout.called
+
+
+@pytest.mark.parametrize("fmt", WORD_FORMATS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_near_ties_among_word_cells_go_through_percent(cells_dir, fmt, data):
+    # Their `%` text fills their slots in the words of the block.
+    cells = data.draw(st.lists(word_floats(fmt), min_size=1, max_size=40))
+    for tie in data.draw(st.lists(tie_floats(fmt), min_size=1, max_size=3)):
+        cells.insert(data.draw(st.integers(0, len(cells))), tie)
+    table = np.array(cells)[None, :]
+    with layout_calls() as layout:
+        text = write_table(cells_dir, table, fmt)
+    assert text == percent_rows(table.T, [fmt] * table.shape[1])
+    assert not layout.called
+
+
+# Cells of other forms: zero, non-finite, subnormal, 3-digit exponents and
+# fixed notation, from its first exponent to its last (P - 1, added per format).
+OTHER_FORMS = [0.0, -0.0, np.nan, np.inf, 5e-324, 1e-100, 1e100, -3.5e105, 1e-4, 123.25]
+
+
+@pytest.mark.parametrize("fmt, other", [
+    (fmt, other) for fmt in WORD_FORMATS
+    for other in OTHER_FORMS + [-1.5 * 10.0 ** (PRECISION[fmt] - 1)]], ids=str)
+def test_a_cell_of_another_form_puts_its_block_on_the_layout(tmp_path, fmt, other):
+    # The block takes the words without that cell, and the general layout with
+    # it, where its word cells keep their text.
+    rng = np.random.default_rng(11)
+    shape = (64, 33)
+    exponents = np.where(rng.random(shape) < 0.5, rng.integers(-99, -4, shape),
+                         rng.integers(PRECISION[fmt], 100, shape))
+    table = (1.0 + 9.0 * rng.random(shape)) * 10.0 ** exponents * rng.choice([-1, 1], shape)
+    for cell in (table[17, 5], other):
+        table[17, 5] = cell
+        with layout_calls() as layout:
+            text = write_table(tmp_path, table, fmt)
+        assert text == percent_rows(table.T, [fmt] * 33)
+        assert layout.called == (cell is other)
+
+
+@pytest.fixture(scope="module")
+def shipped_tables():
+    """The four large %.9g tables of the shipped configs: the 512 x 512 JSI and
+    the noiseless 0.2 nm / 0.1 nm scan of each."""
+    tables = {}
+    for name in ("kdp", "bbo"):
+        amplitude = load_config(CONFIGS / f"{name}.cfg")[0].source.build_jsa()
+        tables[f"{name}_jsi"] = amplitude.intensity
+        tables[f"{name}_scan"] = simulate_jsi_scan(amplitude, 0.2, 0.1).expected
+    return tables
+
+
+@pytest.mark.parametrize("table", ["kdp_jsi", "kdp_scan", "bbo_jsi", "bbo_scan"])
+def test_shipped_tables_match_percent(tmp_path, shipped_tables, table):
+    values = shipped_tables[table]
+    assert write_table(tmp_path, values, "%.9g") == percent_rows(values.T, ["%.9g"] * len(values))
+
+
+@pytest.mark.parametrize("table", ["kdp_jsi", "kdp_scan", "bbo_jsi", "bbo_scan"])
+def test_shipped_tables_take_the_word_path(tmp_path, shipped_tables, table):
+    # A block that fell back to the general layout would give the same bytes
+    # more slowly; here that layout raises.
+    with mock.patch.object(jsa, "_float_layout", side_effect=AssertionError("general layout")):
+        write_table(tmp_path, shipped_tables[table], "%.9g")
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (1, 0), (0, 0), (0, 4)])
+@pytest.mark.parametrize("fmt", ["%.9g", "%d"])
+def test_tables_of_no_cells_are_what_percent_gives(tmp_path, shape, fmt):
+    # `%` on each of no cells: an empty line per row, and nothing for no rows.
+    table = np.zeros(shape, dtype=int if fmt == "%d" else float)
+    assert write_table(tmp_path, table, fmt) == b"\n" * shape[0]
+
+
+def test_csv_cells_of_no_values_is_empty():
+    assert csv_cells(np.array([])) == ""
 
 
 def test_csv_cells_is_a_row_without_its_newline():
