@@ -71,6 +71,9 @@ MATRIX["jsa_kdp_filtered"] = ["jsa", "--config", "out/kdp_filtered.cfg"]
 MATRIX["jsa_kdp_rect"] = ["jsa", "--config", "out/kdp_rect.cfg"]
 MATRIX["scan_noiseless_kdp_filtered"] = ["scan", "--config", "out/kdp_filtered.cfg",
                                          "--resolution-nm", "0.2", "--step-nm", "0.1"]
+# Counts past 9999 beside smaller ones: both layouts of %d cells in one file.
+MATRIX["scan_kdp_large_counts"] = ["scan", "--config", "configs/kdp.cfg", "--resolution-nm", "0.2",
+                                   "--step-nm", "0.1", "--budget", "1e9", "--seed", "7"]
 MATRIX["gvm_kdp"] = ["gvm", "--crystal", "KDP", "--daughter-nm", "830"]
 
 # (file name, quantity, kind, bound, reason); the first rule whose patterns

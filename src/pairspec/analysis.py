@@ -12,8 +12,9 @@ from scipy.optimize import leastsq
 
 from .errors import ConfigError, FilterSupportError
 from .interference import HomScan, SourceSpec
-from .jsa import (FILTER_SHAPES, FWHM_PER_SIGMA, FilterSpec, JointAmplitude, arm_transmissions,
-                  csv_cells, nm_from_omega, other_arm, write_csv, write_json)
+from .jsa import (FILTER_SHAPES, FWHM_PER_SIGMA, FilterSpec, JointAmplitude, _abs_sq,
+                  arm_transmissions, csv_cells, nm_from_omega, other_arm, write_csv,
+                  write_json)
 from .schmidt import heralding_efficiency, schmidt_decompose
 
 FOUR_LN2 = 4.0 * math.log(2.0)
@@ -332,6 +333,18 @@ class JsiScanResult:
             f"axis_e_nm,{axis}", f"axis_o_nm,{axis}"], fmt="%d" if sampled else "%.9g")
 
 
+def _ascending_jsi(jsa: JointAmplitude):
+    """The JSI in ascending wavelength, |f|^2 of both axes reversed, squared from
+    the amplitude into a new contiguous array: the array numpy would copy a
+    reversed view of jsa.intensity into, bit for bit, with no cached JSI and no
+    copy. Rows are reversed on the input and columns on the output, where |z|
+    keeps the bits of a forward pass; on a view reversed on both axes, numpy's
+    |z| loop rounds differently."""
+    jsi = np.empty(jsa.values.shape)
+    _abs_sq(jsa.values[::-1], out=jsi[:, ::-1])
+    return jsi
+
+
 def simulate_jsi_scan(jsa: JointAmplitude, resolution_fwhm_nm, step_nm,
                       pairs_budget=None, seed=None):
     """Scan the JSI with two monochromators of Gaussian resolution.
@@ -371,7 +384,7 @@ def simulate_jsi_scan(jsa: JointAmplitude, resolution_fwhm_nm, step_nm,
         response = np.zeros((lattice.size, lam.size))
         response[rows, j[rows]] = 1.0 - frac[rows]
         response[rows, j[rows] + 1] = frac[rows]
-    smoothed = response @ jsa.intensity[::-1, ::-1] @ response.T
+    smoothed = response @ _ascending_jsi(jsa) @ response.T
     total = float(smoothed.sum())
     if total <= 0.0:
         raise FilterSupportError("scan sees no intensity on the lattice")

@@ -165,9 +165,12 @@ class JointAmplitude:
         return float(_sum_abs_sq(self.values) * self.grid.measure)
 
 
-def _abs_sq(values):
-    """|v|^2: np.square for real values (the same bits, one temporary fewer)."""
-    return np.abs(values) ** 2 if np.iscomplexobj(values) else np.square(values)
+def _abs_sq(values, out=None):
+    """|v|^2, into `out` if given: np.square for real values (the same bits,
+    one temporary fewer), squared in the array of |v| for complex ones."""
+    if np.iscomplexobj(values):
+        values = out = np.abs(values, out=out)
+    return np.square(values, out=out)
 
 
 def _sum_abs_sq(values):
@@ -405,6 +408,12 @@ _INT_KEEP = ((np.arange(24) >= 20 - np.arange(40)[:, None] % 20) & (np.arange(24
              | (np.arange(24) == 0) & (np.arange(40)[:, None] >= 20)).view(np.uint64)
 # The word cells' tables are built as bytes: numpy's ufuncs would page in about
 # 0.25 MB of numpy's code at import, which every run would carry.
+# A %d cell of 0 .. 9999 is one uint64 word: its four digits, the end and NULs.
+# _WIDTH4 holds each of 0 .. 9999's width - 1, and _INT_WORD_MASKS, by that, the
+# bytes of the word the width keeps: its last 1 .. 4 digits and the end.
+_WIDTH4 = np.frombuffer(bytes(10) + b"\1" * 90 + b"\2" * 900 + b"\3" * 9000, np.uint8)
+_INT_WORD_MASKS = np.frombuffer(bytes(255 if 3 - w <= i <= 4 else 0
+                                      for w in range(4) for i in range(8)), "<u8")
 # The trailing zeros of each of 0 .. 9999 written with four digits (4 for 0).
 _TZ4 = bytearray(10000)
 for _zeros in range(1, 5):
@@ -441,10 +450,10 @@ def _blocks(groups):
     """The bytes of the rows of (2-d values, fmt) groups of columns, in blocks of
     at most CSV_BLOCK_CELLS cells: whole rows, or for a row of one group longer
     than that, chunks of its cells, of which only the last ends the line. Rows
-    of no cells are empty lines."""
+    of no cells are empty lines, and no groups are no rows."""
     width = sum(values.shape[1] for values, _ in groups)
     if width == 0:
-        yield b"\n" * len(groups[0][0])
+        yield b"\n" * (len(groups[0][0]) if groups else 0)
         return
     if width <= CSV_BLOCK_CELLS or len(groups) > 1:
         step = max(1, CSV_BLOCK_CELLS // width)
@@ -482,7 +491,9 @@ def _ascii(m, count):
 def _cell_slots(x, fmt, ends):
     """Each cell's text in a row of byte slots (whole 8-byte words), ended by
     `ends`, with NUL in the slots it leaves out. %d cells are built from the
-    integer; %.Pg cells from the P-digit rounded mantissa: as two words each
+    integer: as one word each (`_small_int_slots`) when a block is int64 cells
+    all in 0 .. 9999, else in 24 slots of a sign, 20 digits and the end. %.Pg
+    cells are built from the P-digit rounded mantissa: as two words each
     (`_word_slots`) when P <= 9 and all of a block's cells are in e-notation
     with a 2-digit exponent, else in the layout of every %g form
     (`_float_layout`). Cells near a tie or a power of ten go through `%` either
@@ -490,6 +501,9 @@ def _cell_slots(x, fmt, ends):
     if fmt == "%d":
         if not np.issubdtype(x.dtype, np.integer):
             raise ValueError(f"%d cells must be integers, got {x.dtype}")
+        if x.dtype == np.int64 and x.size and x.view(np.uint64).max() <= 9999:
+            # As uint64 a negative cell reads past 2**63.
+            return _small_int_slots(x.view(np.uint64), ends)
         if x.dtype == np.uint64:  # above 2**63 - 1, int64 would read it as negative
             u, negative = x, np.zeros(x.shape, bool)
         else:
@@ -534,6 +548,15 @@ def _cell_slots(x, fmt, ends):
                    for value, end in zip(x[cells].tolist(), ends[cells].tolist()))
     slots[cells] = np.frombuffer(text.encode(), np.uint8).reshape(-1, slots.shape[1])
     return slots
+
+
+def _small_int_slots(u, ends):
+    """The 8 slots of %d cells of 0 .. 9999 (a uint64 array), ended by `ends`: the
+    four digits, the end and NULs as one uint64 word, masked to the cell's width."""
+    words = _DIGITS4.take(u).astype(np.uint64)
+    words |= ends.astype(np.uint64) << np.uint64(32)
+    words &= _INT_WORD_MASKS.take(_WIDTH4.take(u))
+    return words.view(np.uint8).reshape(u.size, 8)
 
 
 def _word_slots(m, e, negative, ends):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from pairspec.jsa import (FWHM_PER_SIGMA, FilterSpec, PumpSpec, apply_filters, j
                           nm_from_omega)
 from pairspec.schmidt import heralded_density_matrix, schmidt_decompose
 
-from conftest import count_calls, purity
+from conftest import assert_same_bits, count_calls, purity
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -410,6 +411,33 @@ class TestJsiScan:
         assert np.all(np.abs(expected - reference) <= bound + rounding)
         assert np.any((expected == 0) & (reference > 0))
 
+    @pytest.mark.parametrize("budget", [None, 1e6], ids=["noiseless", "budget"])
+    @pytest.mark.parametrize("flat_phase", [True, False], ids=["flat", "kept"])
+    def test_scan_squares_the_reversed_amplitude_once(self, flat_phase, budget):
+        # The JSI enters the product as the contiguous array numpy's copy of
+        # jsa.intensity[::-1, ::-1] was, so every cell keeps its bits, and the
+        # scan neither caches the JSI nor holds a reversed copy of it.
+        source = replace(load_config(CONFIGS / "kdp.cfg")[0].source, flat_phase=flat_phase)
+        jsa = source.build_jsa()
+        n = jsa.grid.omega_e.size
+        tracemalloc.start()
+        try:
+            result = simulate_jsi_scan(jsa, 0.2, 0.1, pairs_budget=budget, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "intensity" not in jsa.__dict__
+        assert n == 512 and peak <= 2.5 * 8 * n * n
+        response = _scan_response(jsa, 0.2, 0.1, cut=True)
+        smoothed = response @ np.ascontiguousarray(jsa.intensity[::-1, ::-1]) @ response.T
+        if budget is None:
+            assert_same_bits(result.expected, smoothed)
+            assert result.counts is None
+        else:
+            expected = smoothed * (budget / float(smoothed.sum()))
+            assert_same_bits(result.expected, expected)
+            assert_same_bits(result.counts, analysis._poisson_draws(expected, 7, budget))
+
     def test_budget_conserved_in_expectation(self, kdp_jsa):
         result = simulate_jsi_scan(kdp_jsa, resolution_fwhm_nm=0.5, step_nm=0.2,
                                    pairs_budget=1e5, seed=5)
@@ -439,12 +467,20 @@ class TestJsiScan:
                 simulate_jsi_scan(kdp_jsa, resolution, step, pairs_budget=budget, seed=1)
 
 
-def _untruncated_scan(jsa, resolution_nm, step_nm):
-    """The noiseless scan with the whole Gaussian response, R @ JSI @ R.T."""
+def _scan_response(jsa, resolution_nm, step_nm, cut):
+    """The scan's Gaussian response R, whole or (cut) 0 past 32 sigma."""
     lam = nm_from_omega(jsa.grid.omega_e)[::-1]
     lattice = np.arange(lam[0], lam[-1] + step_nm / 2.0, step_nm)
     s = resolution_nm / FWHM_PER_SIGMA
-    response = np.exp(-((lattice[:, None] - lam[None, :]) ** 2) / (2.0 * s ** 2))
+    exponent = -((lattice[:, None] - lam[None, :]) ** 2) / (2.0 * s ** 2)
+    if cut:
+        exponent[exponent < -512.0] = -np.inf
+    return np.exp(exponent)
+
+
+def _untruncated_scan(jsa, resolution_nm, step_nm):
+    """The noiseless scan with the whole Gaussian response, R @ JSI @ R.T."""
+    response = _scan_response(jsa, resolution_nm, step_nm, cut=False)
     return response @ jsa.intensity[::-1, ::-1] @ response.T
 
 

@@ -245,6 +245,74 @@ def test_int_cells_match_percent(cells_dir, cells, shape):
     assert write_table(cells_dir, table, "%d") == percent_rows(table.T, ["%d"] * table.shape[1])
 
 
+def small_int_calls():
+    """A spy on the one-word layout of %d cells."""
+    return mock.patch.object(jsa, "_small_int_slots", wraps=jsa._small_int_slots)
+
+
+def digit_calls():
+    """A spy on the base-10000 digits of the 24-slot %d layout."""
+    return mock.patch.object(jsa, "_ascii", wraps=jsa._ascii)
+
+
+WIDTH_EDGES = [0, 9, 10, 99, 100, 999, 1000, 9999]
+
+
+@settings(max_examples=100, deadline=None)
+@given(cells=st.lists(st.integers(0, 9999), min_size=1, max_size=60),
+       shape=st.sampled_from([(1, -1), (-1, 1)]))
+@example(cells=WIDTH_EDGES, shape=(1, -1))
+@example(cells=WIDTH_EDGES, shape=(-1, 1))
+def test_int_cells_to_9999_take_one_word(cells_dir, cells, shape):
+    table = np.array(cells, np.int64).reshape(shape)
+    with small_int_calls() as words, digit_calls() as wide:
+        text = write_table(cells_dir, table, "%d")
+    assert text == percent_rows(table.T, ["%d"] * table.shape[1])
+    assert words.called and not wide.called
+
+
+def test_poisson_rows_take_one_word_a_cell(tmp_path):
+    # Several blocks of counts with means from about 0.1 to 3000.
+    rng = np.random.default_rng(13)
+    table = rng.poisson(3.0 * rng.random((300, 57)) * 10.0 ** rng.integers(-1, 4, (300, 1)))
+    with small_int_calls() as words, digit_calls() as wide:
+        text = write_table(tmp_path, table, "%d")
+    assert text == percent_rows(table.T, ["%d"] * 57)
+    assert words.call_count == -(-300 // (jsa.CSV_BLOCK_CELLS // 57)) and not wide.called
+
+
+@pytest.mark.parametrize("cells, dtype", [
+    ([3, 10000, 7], np.int64), ([3, -1, 7], np.int64), ([3, 12, 7], np.uint64),
+    ([3, 12, 7], np.int8), ([3, 12, 7], np.int32)],
+    ids=["10000", "negative", "uint64", "int8", "int32"])
+def test_other_int_blocks_take_24_slots(tmp_path, cells, dtype):
+    # One such cell puts its whole block on the 24-slot layout.
+    table = np.tile(np.array(cells, dtype), (5, 4))
+    with small_int_calls() as words, digit_calls() as wide:
+        text = write_table(tmp_path, table, "%d")
+    assert text == percent_rows(table.T, ["%d"] * 12)
+    assert wide.called and not words.called
+
+
+def test_an_empty_int_block_takes_24_slots():
+    with small_int_calls() as words:
+        slots = jsa._cell_slots(np.zeros(0, np.int64), "%d", np.zeros(0, np.uint8))
+    assert slots.shape == (0, 24) and not words.called
+
+
+def test_count_record_columns_match_percent(tmp_path):
+    # A %.9g column beside a %d column of one-word cells.
+    rng = np.random.default_rng(17)
+    delays = np.sort(rng.uniform(-2500.0, 2500.0, 401))
+    counts = rng.poisson(1000.0 * (1.0 - 0.9 * np.exp(-(delays / 300.0) ** 2)))
+    path = tmp_path / "counts.csv"
+    with small_int_calls() as words:
+        CountRecord(delays, counts, 1000.0, 7).to_csv(path)
+    head = b"# pairs_per_point,1000\n# seed,7\ndelay_fs,counts\n"
+    assert path.read_bytes() == head + percent_rows((delays, counts), ("%.9g", "%d"))
+    assert words.called
+
+
 @settings(max_examples=50, deadline=None)
 @given(rows=st.lists(st.tuples(INT64, hard_floats("%.12g"), hard_floats("%.9g")),
                      min_size=1, max_size=20))
@@ -376,6 +444,12 @@ def test_tables_of_no_cells_are_what_percent_gives(tmp_path, shape, fmt):
     # `%` on each of no cells: an empty line per row, and nothing for no rows.
     table = np.zeros(shape, dtype=int if fmt == "%d" else float)
     assert write_table(tmp_path, table, fmt) == b"\n" * shape[0]
+
+
+def test_a_table_of_no_column_tuples_is_its_comments_and_header(tmp_path):
+    # `%` on the rows of no columns: no rows at all.
+    write_csv(tmp_path / "t.csv", (), comments=["seed,3"], header="delay_fs", fmt=())
+    assert (tmp_path / "t.csv").read_bytes() == b"# seed,3\ndelay_fs\n"
 
 
 def test_csv_cells_of_no_values_is_empty():
