@@ -35,8 +35,10 @@ from pathlib import Path
 # kdp_filtered.cfg is configs/kdp.cfg with 4 nm Gaussian filters at 830 nm on
 # both arms (FILTERS), for a filtered source, kdp_rect.cfg the same with 2 nm
 # rectangular filters (RECT_FILTERS), whose JSI has exact zeros beside
-# e-notation cells in one block, and kdp_phase.cfg is configs/kdp.cfg with
-# flat_phase = false, for complex heralded states.
+# e-notation cells in one block, kdp_phase.cfg is configs/kdp.cfg with
+# flat_phase = false, for complex heralded states, and bbo_span12.cfg is
+# configs/bbo.cfg with span_sigmas = 12, whose JSI has cells below 1e-99, so
+# that some of its blocks are written by Python's `%` cell by cell.
 FILTERS, RECT_FILTERS = ("".join(f"\n[filter.{arm}]\nshape = {shape}\ncenter_nm = 830\n"
                                  f"fwhm_nm = {fwhm}\n" for arm in ("e", "o"))
                          for shape, fwhm in (("gaussian", 4), ("rectangular", 2)))
@@ -69,6 +71,7 @@ for _arm in ("e", "o"):
                                        f"out/hom_kdp_phase_{_arm}/hom_counts.csv"]
 MATRIX["jsa_kdp_filtered"] = ["jsa", "--config", "out/kdp_filtered.cfg"]
 MATRIX["jsa_kdp_rect"] = ["jsa", "--config", "out/kdp_rect.cfg"]
+MATRIX["jsa_bbo_span12"] = ["jsa", "--config", "out/bbo_span12.cfg"]
 MATRIX["scan_noiseless_kdp_filtered"] = ["scan", "--config", "out/kdp_filtered.cfg",
                                          "--resolution-nm", "0.2", "--step-nm", "0.1"]
 # Counts past 9999 beside smaller ones: both layouts of %d cells in one file.
@@ -152,7 +155,7 @@ def _json_leaves(payload, where, key):
 def parse_output(name, text):
     """(where, quantity, value) of every value of one output file. CSV files
     are `# key,v1,...` (or `# {json}`) comment lines, an optional header and
-    rows of numbers, as jsa.write_csv writes them; numeric cells become floats."""
+    rows of numbers, as tables.write_csv writes them; numeric cells become floats."""
     if name.endswith(".json"):
         return list(_json_leaves(json.loads(text), "", ""))
     values, header = [], None
@@ -228,10 +231,12 @@ def run_matrix(repo, rev, work):
         if not Path(probe.stdout.strip()).resolve().is_relative_to(tree.resolve()):
             raise SystemExit(f"{rev[:12]}: pairspec imports from {probe.stdout.strip()}, "
                              f"not from the worktree")
-        kdp = (tree / "configs" / "kdp.cfg").read_text()
-        for line in ("pump_fwhm_nm = 4\n", "flat_phase = true\n"):
-            if line not in kdp:
-                raise SystemExit(f"{rev[:12]}: configs/kdp.cfg has no {line.strip()!r} line")
+        configs = {name: (tree / "configs" / f"{name}.cfg").read_text() for name in ("kdp", "bbo")}
+        for name, line in (("kdp", "pump_fwhm_nm = 4\n"), ("kdp", "flat_phase = true\n"),
+                           ("bbo", "span_sigmas = 4\n")):
+            if line not in configs[name]:
+                raise SystemExit(f"{rev[:12]}: configs/{name}.cfg has no {line.strip()!r} line")
+        kdp, bbo = configs["kdp"], configs["bbo"]
         (tree / "out").mkdir()
         (tree / "out" / "kdp8.cfg").write_text(kdp.replace("pump_fwhm_nm = 4\n",
                                                            "pump_fwhm_nm = 8\n"))
@@ -239,6 +244,8 @@ def run_matrix(repo, rev, work):
         (tree / "out" / "kdp_rect.cfg").write_text(kdp + RECT_FILTERS)
         (tree / "out" / "kdp_phase.cfg").write_text(kdp.replace("flat_phase = true\n",
                                                                 "flat_phase = false\n"))
+        (tree / "out" / "bbo_span12.cfg").write_text(bbo.replace("span_sigmas = 4\n",
+                                                                 "span_sigmas = 12\n"))
         outputs = {}
         for case, argv in MATRIX.items():
             done = subprocess.run([sys.executable, "-m", "pairspec.cli", *argv,

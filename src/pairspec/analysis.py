@@ -13,9 +13,9 @@ from scipy.optimize import leastsq
 from .errors import ConfigError, FilterSupportError
 from .interference import HomScan, SourceSpec
 from .jsa import (FILTER_SHAPES, FWHM_PER_SIGMA, FilterSpec, JointAmplitude, _abs_sq,
-                  arm_transmissions, csv_cells, nm_from_omega, other_arm, write_csv,
-                  write_json)
+                  arm_transmissions, nm_from_omega, other_arm)
 from .schmidt import heralding_efficiency, schmidt_decompose
+from .tables import csv_cells, write_csv, write_json
 
 FOUR_LN2 = 4.0 * math.log(2.0)
 POISSON_MAX_MEAN = 9.223372006484771e18  # numpy's Generator.poisson limit, 2**63 - 10 sqrt(2**63)
@@ -384,17 +384,16 @@ def simulate_jsi_scan(jsa: JointAmplitude, resolution_fwhm_nm, step_nm,
         response = np.zeros((lattice.size, lam.size))
         response[rows, j[rows]] = 1.0 - frac[rows]
         response[rows, j[rows] + 1] = frac[rows]
-    smoothed = response @ _ascending_jsi(jsa) @ response.T
-    total = float(smoothed.sum())
+    expected = response @ _ascending_jsi(jsa) @ response.T
+    del response  # the Poisson draws hold only `expected` and the counts
+    total = float(expected.sum())
     if total <= 0.0:
         raise FilterSupportError("scan sees no intensity on the lattice")
-    if pairs_budget is None:
-        counts = None
-        expected = smoothed
-    else:
+    counts = None
+    if pairs_budget is not None:
         if not 0 < pairs_budget < math.inf:
             raise ConfigError("pairs_budget must be positive and finite (or None for noiseless)")
-        expected = smoothed * (pairs_budget / total)
+        expected *= pairs_budget / total
         counts = _poisson_draws(expected, seed, pairs_budget)
     return JsiScanResult(
         lambda_nm=lattice,

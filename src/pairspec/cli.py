@@ -24,8 +24,9 @@ from .dispersion import gvm_pump_wavelength
 from .errors import ConfigError, NumericalError, PhysicsDomainError
 from .interference import SourceSpec, coherence_time, two_source_experiment
 from .jsa import (FILTER_SHAPES, MIN_GRID_POINTS, FilterSpec, PumpSpec, export_jsi_csv,
-                  export_metadata, jsi_pearson, write_json)
+                  export_metadata, jsi_pearson)
 from .schmidt import RESIDUAL_TOL, export_schmidt_csv, schmidt_decompose
+from .tables import write_json
 
 EXIT_CONFIG = 2
 EXIT_PHYSICS = 3

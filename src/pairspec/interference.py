@@ -19,8 +19,9 @@ from .crystals import CrystalSpec
 from .dispersion import phasematching_angle, row_blocks
 from .errors import ConfigError
 from .jsa import (FrequencyGrid, JointAmplitude, PumpSpec, apply_filters, build_grid,
-                  check_grid, joint_amplitude, lattice_axis, other_arm, write_csv)
+                  check_grid, joint_amplitude, lattice_axis, other_arm)
 from .schmidt import ReducedDensityMatrix, herald_rows, heralded_density_matrix
+from .tables import write_csv
 
 # Relative slack on the alias limit pi/d_omega, so a scan computed to end
 # exactly there is not refused for its last bits.

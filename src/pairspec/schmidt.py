@@ -15,7 +15,8 @@ import numpy as np
 
 from .dispersion import row_blocks
 from .errors import ConfigError, FilterSupportError, NumericalError
-from .jsa import NO_SUPPORT, FrequencyGrid, JointAmplitude, arm_transmissions, other_arm, write_csv
+from .jsa import NO_SUPPORT, FrequencyGrid, JointAmplitude, arm_transmissions, other_arm
+from .tables import write_csv
 
 
 # A Schmidt basis is certified when ||F - Q Q^H F||_F / ||F||_F is at most this.

@@ -438,6 +438,20 @@ class TestJsiScan:
             assert_same_bits(result.expected, expected)
             assert_same_bits(result.counts, analysis._poisson_draws(expected, 7, budget))
 
+    def test_budget_scan_peaks_no_higher_than_noiseless(self):
+        # The draws hold the expected counts, scaled in place, and the counts;
+        # the response is gone by then.
+        jsa = load_config(CONFIGS / "bbo.cfg")[0].source.build_jsa()
+        peaks = []
+        for budget in (None, 1e6):
+            tracemalloc.start()
+            try:
+                simulate_jsi_scan(jsa, 0.2, 0.1, pairs_budget=budget, seed=7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert jsa.grid.omega_e.size == 512 and peaks[1] <= peaks[0]
+
     def test_budget_conserved_in_expectation(self, kdp_jsa):
         result = simulate_jsi_scan(kdp_jsa, resolution_fwhm_nm=0.5, step_nm=0.2,
                                    pairs_budget=1e5, seed=5)

@@ -37,6 +37,44 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
+def file_writes(source):
+    """'line: call' for each call in Python source that writes a file: an `open`
+    whose mode (`mode=`, or the second argument of a function and the first of
+    a method such as Path.open) writes, appends or creates, or is not a string
+    literal, and each `write_text` and `write_bytes`."""
+    writes = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "open":
+            at = 0 if isinstance(func, ast.Attribute) else 1
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[at:at + 1]
+            if modes and not (isinstance(modes[0], ast.Constant) and isinstance(modes[0].value, str)
+                              and not set("wax+") & set(modes[0].value)):
+                writes.append(f"{node.lineno}: {name}")
+        elif name in ("write_text", "write_bytes"):
+            writes.append(f"{node.lineno}: {name}")
+    return writes
+
+
+@pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py"))
+                                  if path.name != "tables.py"], ids=lambda p: p.name)
+def test_only_the_tables_module_writes_files(path):
+    # One writer per output format: tables.write_csv and tables.write_json.
+    assert file_writes(path.read_text()) == []
+
+
+def test_the_writer_scan_finds_every_kind_of_write():
+    source = ("open(p, 'w'); open(p, mode='ab'); open(p, 'r+'); Path(p).open('x'); open(p, m)\n"
+              "p.write_text(t); p.write_bytes(b)\n"
+              "open(p); open(p, 'rb'); Path(p).open(); p.read_text(); fh.write(t)\n")
+    assert file_writes(source) == ["1: open"] * 5 + ["2: write_text", "2: write_bytes"]
+    # The opens of write_csv and write_json.
+    assert len(file_writes((PACKAGE / "tables.py").read_text())) == 2
+
+
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 

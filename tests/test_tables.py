@@ -3,8 +3,10 @@ results: `# ` comment lines, an optional column header, comma-separated
 cells in %.9g (%d for k and counts, %.12g for Schmidt coefficients); and
 the block formatter behind them, cell for cell the bytes of Python's `%`."""
 
+import math
 import struct
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
@@ -13,13 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pairspec import jsa
+from pairspec import tables
 from pairspec.analysis import CountRecord, JsiScanResult, SweepResult, simulate_jsi_scan
 from pairspec.cli import load_config
 from pairspec.interference import HomScan
-from pairspec.jsa import (FrequencyGrid, JointAmplitude, csv_cells, export_jsi_csv,
-                          lattice_axis, write_csv)
+from pairspec.jsa import FrequencyGrid, JointAmplitude, export_jsi_csv, lattice_axis
 from pairspec.schmidt import SchmidtResult, export_schmidt_csv
+from pairspec.tables import csv_cells, write_csv
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 LAMBDA_NM = np.array([829.9, 830.0, 830.1])
@@ -245,14 +247,29 @@ def test_int_cells_match_percent(cells_dir, cells, shape):
     assert write_table(cells_dir, table, "%d") == percent_rows(table.T, ["%d"] * table.shape[1])
 
 
+def spy(name):
+    """A spy on one path of the block formatter in pairspec.tables."""
+    return mock.patch.object(tables, name, wraps=getattr(tables, name))
+
+
 def small_int_calls():
     """A spy on the one-word layout of %d cells."""
-    return mock.patch.object(jsa, "_small_int_slots", wraps=jsa._small_int_slots)
+    return spy("_small_int_slots")
 
 
-def digit_calls():
-    """A spy on the base-10000 digits of the 24-slot %d layout."""
-    return mock.patch.object(jsa, "_ascii", wraps=jsa._ascii)
+def percent_calls():
+    """A spy on Python's `%`, which writes every cell that no word layout takes."""
+    return spy("_percent_slots")
+
+
+def percent_cells(percent):
+    """The number of cells the `percent_calls` spy saw written by `%`."""
+    return sum(call.args[0].size for call in percent.call_args_list)
+
+
+def block_count(table):
+    """The number of blocks write_csv formats a table of rows no longer than a block in."""
+    return -(-len(table) // (tables.CSV_BLOCK_CELLS // table.shape[1]))
 
 
 WIDTH_EDGES = [0, 9, 10, 99, 100, 999, 1000, 9999]
@@ -265,39 +282,56 @@ WIDTH_EDGES = [0, 9, 10, 99, 100, 999, 1000, 9999]
 @example(cells=WIDTH_EDGES, shape=(-1, 1))
 def test_int_cells_to_9999_take_one_word(cells_dir, cells, shape):
     table = np.array(cells, np.int64).reshape(shape)
-    with small_int_calls() as words, digit_calls() as wide:
+    with small_int_calls() as words, percent_calls() as percent:
         text = write_table(cells_dir, table, "%d")
     assert text == percent_rows(table.T, ["%d"] * table.shape[1])
-    assert words.called and not wide.called
+    assert words.called and not percent_cells(percent)
 
 
 def test_poisson_rows_take_one_word_a_cell(tmp_path):
     # Several blocks of counts with means from about 0.1 to 3000.
     rng = np.random.default_rng(13)
     table = rng.poisson(3.0 * rng.random((300, 57)) * 10.0 ** rng.integers(-1, 4, (300, 1)))
-    with small_int_calls() as words, digit_calls() as wide:
+    with small_int_calls() as words, percent_calls() as percent:
         text = write_table(tmp_path, table, "%d")
     assert text == percent_rows(table.T, ["%d"] * 57)
-    assert words.call_count == -(-300 // (jsa.CSV_BLOCK_CELLS // 57)) and not wide.called
+    assert words.call_count == block_count(table) and not percent_cells(percent)
 
 
 @pytest.mark.parametrize("cells, dtype", [
     ([3, 10000, 7], np.int64), ([3, -1, 7], np.int64), ([3, 12, 7], np.uint64),
     ([3, 12, 7], np.int8), ([3, 12, 7], np.int32)],
     ids=["10000", "negative", "uint64", "int8", "int32"])
-def test_other_int_blocks_take_24_slots(tmp_path, cells, dtype):
-    # One such cell puts its whole block on the 24-slot layout.
+def test_other_int_blocks_go_through_percent(tmp_path, cells, dtype):
+    # One such cell puts its whole block on Python's `%`.
     table = np.tile(np.array(cells, dtype), (5, 4))
-    with small_int_calls() as words, digit_calls() as wide:
+    with small_int_calls() as words, percent_calls() as percent:
         text = write_table(tmp_path, table, "%d")
     assert text == percent_rows(table.T, ["%d"] * 12)
-    assert wide.called and not words.called
+    assert percent_cells(percent) and not words.called
 
 
-def test_an_empty_int_block_takes_24_slots():
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint64], ids=str)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_int_blocks_of_each_dtype_match_percent(cells_dir, dtype, data):
+    # Negative cells, cells past 9999 and uint64 cells past 2**63 beside cells
+    # of 0 .. 9999; only an int64 block of those alone takes the one-word layout.
+    lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    edges = [v for v in (0, 9999, 10000, -1, 2 ** 63, 2 ** 64 - 1, lo, hi) if lo <= v <= hi]
+    cells = data.draw(st.lists(st.one_of(st.integers(lo, hi), st.integers(0, min(9999, hi)),
+                                         st.sampled_from(edges)), min_size=1, max_size=40))
+    table = np.array(cells, dtype).reshape(data.draw(st.sampled_from([(1, -1), (-1, 1)])))
     with small_int_calls() as words:
-        slots = jsa._cell_slots(np.zeros(0, np.int64), "%d", np.zeros(0, np.uint8))
-    assert slots.shape == (0, 24) and not words.called
+        text = write_table(cells_dir, table, "%d")
+    assert text == percent_rows(table.T, ["%d"] * table.shape[1])
+    assert words.called == (dtype is np.int64 and 0 <= min(cells) and max(cells) <= 9999)
+
+
+def test_an_empty_int_block_goes_through_percent():
+    with small_int_calls() as words, percent_calls() as percent:
+        slots = tables._cell_slots(np.zeros(0, np.int64), "%d", np.zeros(0, np.uint8))
+    assert slots.size == 0 and percent.called and not words.called
 
 
 def test_count_record_columns_match_percent(tmp_path):
@@ -356,9 +390,9 @@ def tie_floats(draw, fmt):
     return draw(st.sampled_from([1.0, -1.0])) * float(value)
 
 
-def layout_calls():
-    """A spy on the layout tables of the %g path that is not the word path."""
-    return mock.patch.object(jsa, "_float_layout", wraps=jsa._float_layout)
+def word_calls():
+    """A spy on the two-word layout of %.Pg cells."""
+    return spy("_word_slots")
 
 
 @pytest.mark.parametrize("fmt", WORD_FORMATS)
@@ -367,10 +401,10 @@ def layout_calls():
 def test_word_cells_match_percent(cells_dir, fmt, data):
     cells = data.draw(st.lists(word_floats(fmt), min_size=1, max_size=60))
     table = np.array(cells).reshape(data.draw(st.sampled_from([(1, -1), (-1, 1)])))
-    with layout_calls() as layout:
+    with word_calls() as words, percent_calls() as percent:
         text = write_table(cells_dir, table, fmt)
     assert text == percent_rows(table.T, [fmt] * table.shape[1])
-    assert not layout.called
+    assert words.called and not percent_cells(percent)
 
 
 @pytest.mark.parametrize("fmt", WORD_FORMATS)
@@ -382,23 +416,27 @@ def test_near_ties_among_word_cells_go_through_percent(cells_dir, fmt, data):
     for tie in data.draw(st.lists(tie_floats(fmt), min_size=1, max_size=3)):
         cells.insert(data.draw(st.integers(0, len(cells))), tie)
     table = np.array(cells)[None, :]
-    with layout_calls() as layout:
+    with word_calls() as words, percent_calls() as percent:
         text = write_table(cells_dir, table, fmt)
     assert text == percent_rows(table.T, [fmt] * table.shape[1])
-    assert not layout.called
+    assert words.called and percent_cells(percent)
 
 
-# Cells of other forms: zero, non-finite, subnormal, 3-digit exponents and
-# fixed notation, from its first exponent to its last (P - 1, added per format).
-OTHER_FORMS = [0.0, -0.0, np.nan, np.inf, 5e-324, 1e-100, 1e100, -3.5e105, 1e-4, 123.25]
+# Cells of other forms: zero, non-finite and fixed notation, from its first
+# exponent to its last (P - 1, added per format), which the words leave to `%`,
+# and subnormal cells and 3-digit exponents, which put their block on `%`.
+OTHER_FORMS = [0.0, -0.0, np.nan, np.inf, 1e-4, 123.25]
+THREE_DIGIT_EXPONENTS = [5e-324, 1e-100, 1e100, -3.5e105]
 
 
 @pytest.mark.parametrize("fmt, other", [
     (fmt, other) for fmt in WORD_FORMATS
-    for other in OTHER_FORMS + [-1.5 * 10.0 ** (PRECISION[fmt] - 1)]], ids=str)
-def test_a_cell_of_another_form_puts_its_block_on_the_layout(tmp_path, fmt, other):
-    # The block takes the words without that cell, and the general layout with
-    # it, where its word cells keep their text.
+    for other in OTHER_FORMS + THREE_DIGIT_EXPONENTS + [-1.5 * 10.0 ** (PRECISION[fmt] - 1)]],
+    ids=str)
+def test_a_cell_of_another_form_goes_through_percent(tmp_path, fmt, other):
+    # The block takes the words without that cell. With it, the cell goes
+    # through `%` into its slots among the words, or for a 3-digit exponent,
+    # the whole block does.
     rng = np.random.default_rng(11)
     shape = (64, 33)
     exponents = np.where(rng.random(shape) < 0.5, rng.integers(-99, -4, shape),
@@ -406,10 +444,58 @@ def test_a_cell_of_another_form_puts_its_block_on_the_layout(tmp_path, fmt, othe
     table = (1.0 + 9.0 * rng.random(shape)) * 10.0 ** exponents * rng.choice([-1, 1], shape)
     for cell in (table[17, 5], other):
         table[17, 5] = cell
-        with layout_calls() as layout:
+        with word_calls() as words, percent_calls() as percent:
             text = write_table(tmp_path, table, fmt)
         assert text == percent_rows(table.T, [fmt] * 33)
-        assert layout.called == (cell is other)
+        assert bool(percent_cells(percent)) == (cell is other)
+        assert words.called == (cell not in THREE_DIGIT_EXPONENTS)
+
+
+@st.composite
+def mixed_floats(draw, p, kinds):
+    """A float of one of `kinds`: "e2", whose %.Pg text has a 2-digit exponent
+    unless it is fixed notation; "fixed", in the exponents -4 .. P - 1 of fixed
+    notation; "tie", next to a P-digit tie at an exponent of "e2"; "special",
+    a signed zero, a signed infinity or nan; "e3", of a 3-digit exponent. The
+    9-digit mantissas keep "e2" and "e3" cells 1e-9 or more from 1e-99 and 1e100."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "special":
+        return draw(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+    if kind == "fixed":
+        k = draw(st.integers(-4, p - 1))
+    elif kind == "e3":
+        k = draw(st.one_of(st.integers(-314, -100), st.integers(100, 307)))
+    else:
+        k = draw(st.one_of(st.integers(-99, -5), st.integers(p, 99)))
+    if kind == "tie":
+        value = float(f"{draw(st.integers(10 ** (p - 1), 10 ** p - 1))}.5e{k - (p - 1)}")
+        value = float(np.nextafter(value, draw(st.sampled_from([0.0, value, math.inf]))))
+    else:
+        value = float(f"{draw(st.integers(10 ** 8 + 1, 10 ** 9 - 1))}e{k - 8}")
+    return draw(st.sampled_from([1.0, -1.0])) * value
+
+
+def three_digit_exponent(value):
+    """Whether a float's exact decimal exponent is below -99 or above 99."""
+    return math.isfinite(value) and value != 0.0 and not -99 <= Decimal(value).adjusted() <= 99
+
+
+@pytest.mark.parametrize("p", [1, 6, 9, 12, 15])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mixed_blocks_match_percent_on_their_path(cells_dir, p, data):
+    # A block of P <= 9 with no 3-digit exponent takes the words, with `%` in
+    # the slots of the cells they cannot lay out; any other goes through `%`.
+    kinds = ["e2", "fixed", "tie", "special"] + ["e3"] * data.draw(st.booleans())
+    cells = data.draw(st.lists(mixed_floats(p, kinds), min_size=1, max_size=40))
+    table = np.array(cells).reshape(data.draw(st.sampled_from([(1, -1), (-1, 1)])))
+    fmt = f"%.{p}g"
+    with word_calls() as words, percent_calls() as percent:
+        text = write_table(cells_dir, table, fmt)
+    assert text == percent_rows(table.T, [fmt] * table.shape[1])
+    takes_words = p <= 9 and not any(map(three_digit_exponent, cells))
+    assert words.called == takes_words
+    assert takes_words or percent_cells(percent) == len(cells)
 
 
 @pytest.fixture(scope="module")
@@ -432,10 +518,12 @@ def test_shipped_tables_match_percent(tmp_path, shipped_tables, table):
 
 @pytest.mark.parametrize("table", ["kdp_jsi", "kdp_scan", "bbo_jsi", "bbo_scan"])
 def test_shipped_tables_take_the_word_path(tmp_path, shipped_tables, table):
-    # A block that fell back to the general layout would give the same bytes
-    # more slowly; here that layout raises.
-    with mock.patch.object(jsa, "_float_layout", side_effect=AssertionError("general layout")):
-        write_table(tmp_path, shipped_tables[table], "%.9g")
+    # A block that fell back to `%` cell by cell would give the same bytes
+    # more slowly; here every block takes the words.
+    values = shipped_tables[table]
+    with word_calls() as words:
+        write_table(tmp_path, values, "%.9g")
+    assert words.call_count == block_count(values)
 
 
 @pytest.mark.parametrize("shape", [(3, 0), (1, 0), (0, 0), (0, 4)])
